@@ -21,11 +21,12 @@ from .multigraph import (
 from .hamilton import (
     EdgeParityReport,
     HamiltonCycle,
+    count_by_trace,
     count_through,
     cycle_labels,
-    cycles_through,
     edge_parity_report,
     enumerate_hamilton_cycles,
+    first_hamilton_cycle,
     is_hamilton_cycle,
     second_cycle_lollipop,
     second_cycle_nearly_cubic,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .hamilton import enumerate_hamilton_cycles, is_hamilton_cycle
+from .hamilton import count_by_trace, enumerate_hamilton_cycles, is_hamilton_cycle
 from .multigraph import GraphError, MultiGraph, from_json as graph_from_json, min_edge_cut
 
 State = frozenset  # of cut positions
@@ -707,6 +707,31 @@ def initial_vector(chain: OneEndedChain) -> dict:
     return vec
 
 
+def _cut_state(G: MultiGraph, pos: dict, ids: Iterable[int]) -> State:
+    """Cut positions of the stub edges `ids` at a dummy vertex of G."""
+    return frozenset(pos[G.edges[i].label.rsplit("@", 1)[0]] for i in ids)
+
+
+def _dummy_counts(G: MultiGraph, dummies: tuple[str, ...], positions: tuple[dict, ...]) -> dict:
+    """Hamilton cycles of a truncation minor counted by the pair state they
+    use at each dummy; `positions[k]` maps a stub to its cut position at
+    `dummies[k]`."""
+    return {
+        tuple(_cut_state(G, pos, trace) for pos, trace in zip(positions, traces)): count
+        for traces, count in count_by_trace(G, [G.edges_at(d) for d in dummies]).items()
+    }
+
+
+def _truncation_vector(chain: OneEndedChain, k: int) -> dict:
+    """Hamilton-cycle counts of the level-k truncation per dummy pair state."""
+    G = truncation_minor(chain, k)
+    pos = {stub: i for i, (stub, _) in enumerate(chain.iface(k))}
+    vec = {s: 0 for s in _states(chain.cut_size)}
+    for (state,), count in _dummy_counts(G, (DUMMY,), (pos,)).items():
+        vec[state] = count
+    return vec
+
+
 def _initial_data(chain: OneEndedChain) -> tuple[dict, dict]:
     if not isinstance(chain, OneEndedChain):
         raise ChainError("initial vector is defined for one-ended chains")
@@ -716,7 +741,7 @@ def _initial_data(chain: OneEndedChain) -> tuple[dict, dict]:
     vec = {s: 0 for s in _states(chain.cut_size)}
     cycles: dict = {s: [] for s in vec}
     for cycle in enumerate_hamilton_cycles(G0):
-        state = frozenset(pos[G0.edges[i].label.rsplit("@", 1)[0]] for i in cycle & dummy_ids)
+        state = _cut_state(G0, pos, cycle & dummy_ids)
         vec[state] += 1
         cycles[state].append(frozenset(G0.edges[i].label for i in cycle - dummy_ids))
     return vec, {s: tuple(v) for s, v in cycles.items()}
@@ -817,8 +842,7 @@ class ConsistencyReport:
 def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
     """Check transfer-matrix predictions against brute force on the minor."""
     if isinstance(chain, OneEndedChain):
-        vec, _ = _initial_data(chain)
-        w = dict(vec)
+        w = _truncation_vector(chain, 0)
         for j in range(k):
             layer = transfer_layer(chain, j)
             nxt = {s: 0 for s in layer.right_states}
@@ -826,13 +850,7 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
                 for t in layer.right_states:
                     nxt[t] += c * layer.mult(s, t)
             w = nxt
-        G = truncation_minor(chain, k)
-        dummy_ids = frozenset(G.edges_at(DUMMY))
-        pos = {stub: i for i, (stub, _) in enumerate(chain.iface(k))}
-        actual = {s: 0 for s in _states(chain.cut_size)}
-        for cycle in enumerate_hamilton_cycles(G):
-            state = frozenset(pos[G.edges[i].label.rsplit("@", 1)[0]] for i in cycle & dummy_ids)
-            actual[state] += 1
+        actual = _truncation_vector(chain, k)
         return ConsistencyReport(w == actual, w, actual)
 
     states = _states(chain.cut_size)
@@ -851,16 +869,12 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
         prod = multiply(prod, transfer_layer(chain, -j))
     for j in range(0, k):
         prod = multiply(prod, transfer_layer(chain, j))
-    G = truncation_minor(chain, k)
-    lids = frozenset(G.edges_at(DUMMY_LEFT))
-    rids = frozenset(G.edges_at(DUMMY_RIGHT))
     lpos = {stub: i for i, (_, stub) in enumerate(chain.left.iface(k))}
     rpos = {stub: i for i, (stub, _) in enumerate(chain.right.iface(k))}
     actual = {a: {b: 0 for b in states} for a in states}
-    for cycle in enumerate_hamilton_cycles(G):
-        a = frozenset(lpos[G.edges[i].label.rsplit("@", 1)[0]] for i in cycle & lids)
-        b = frozenset(rpos[G.edges[i].label.rsplit("@", 1)[0]] for i in cycle & rids)
-        actual[a][b] += 1
+    G = truncation_minor(chain, k)
+    for (a, b), count in _dummy_counts(G, (DUMMY_LEFT, DUMMY_RIGHT), (lpos, rpos)).items():
+        actual[a][b] = count
     return ConsistencyReport(prod == actual, prod, actual)
 
 
@@ -1042,20 +1056,27 @@ def chain_to_json(chain: CutChain) -> str:
 
 def chain_from_json(text: str) -> CutChain:
     doc = json.loads(text)
-    if doc.get("mode") == "one-ended":
-        return OneEndedChain(
-            _piece_from_doc(doc["pieces"]["initial"]),
-            tuple(tuple(m) for m in doc["interfaces"]["entry"]),
-            _tail_from_doc(doc["tail"]),
-            doc.get("name", ""),
-        )
-    if doc.get("mode") == "two-ended":
-        return TwoEndedChain(
-            _tail_from_doc(doc["left"]),
-            tuple(tuple(m) for m in doc["interfaces"]["central"]),
-            _tail_from_doc(doc["right"]),
-            doc.get("name", ""),
-        )
+    if not isinstance(doc, dict):
+        raise ChainError("malformed chain JSON: not an object")
+    try:
+        if doc.get("mode") == "one-ended":
+            return OneEndedChain(
+                _piece_from_doc(doc["pieces"]["initial"]),
+                tuple(tuple(m) for m in doc["interfaces"]["entry"]),
+                _tail_from_doc(doc["tail"]),
+                doc.get("name", ""),
+            )
+        if doc.get("mode") == "two-ended":
+            return TwoEndedChain(
+                _tail_from_doc(doc["left"]),
+                tuple(tuple(m) for m in doc["interfaces"]["central"]),
+                _tail_from_doc(doc["right"]),
+                doc.get("name", ""),
+            )
+    except (ChainError, GraphError):
+        raise
+    except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
+        raise ChainError(f"malformed chain JSON: {exc!r}") from exc
     raise ChainError(f"unknown chain mode {doc.get('mode')!r}")
 
 

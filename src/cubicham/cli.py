@@ -30,9 +30,9 @@ from .chains import (
 from .hamilton import (
     count_through,
     cycle_labels,
-    cycles_through,
     edge_parity_report,
     enumerate_hamilton_cycles,
+    first_hamilton_cycle,
     second_cycle_lollipop,
     second_cycle_nearly_cubic,
 )
@@ -44,6 +44,7 @@ _BUILTIN_GRAPHS = {
     "tutte-quotient": constructions.tutte_quotient,
     "k4": constructions.k4,
     "petersen": constructions.petersen,
+    "cube": constructions.cube,
 }
 
 
@@ -115,7 +116,7 @@ def _cmd_construct(args) -> int:
 def _cmd_hamilton(args) -> int:
     G = _load_graph(args.graph)
     if args.sub == "count":
-        n = len(enumerate_hamilton_cycles(G, jobs=args.jobs))
+        n = count_through(G)
         _emit(args, str(n), {"count": n})
         return 0
     if args.sub == "list":
@@ -147,11 +148,10 @@ def _cmd_hamilton(args) -> int:
             if not args.edge:
                 raise _UsageError("second needs --edge for all-odd graphs")
             e = G.edge_by_label(args.edge).id
-            found = cycles_through(G, {e})
-            if not found:
+            first = first_hamilton_cycle(G, {e})
+            if first is None:
                 print(f"no Hamilton cycle through {args.edge}", file=sys.stderr)
                 return 1
-            first = found[0]
             second = second_cycle_lollipop(G, first, e)
         else:
             first, second = second_cycle_nearly_cubic(G)

@@ -1,5 +1,15 @@
-"""Exact Hamilton-cycle enumeration, filtered counting, parity audits,
+"""Exact Hamilton-cycle enumeration, streaming counts, parity audits,
 and the lollipop exchange walk for a second cycle through a fixed edge.
+
+Every cycle query runs on one backtracking core, `_search`, which calls a
+visitor once per Hamilton cycle and builds nothing itself.  The counting
+helpers (`count_through`, `count_by_trace`, `edge_parity_report`) tally
+inside their visitors, so their tallies take O(n + m) space whatever the
+number of cycles; `first_hamilton_cycle` and `second_cycle_nearly_cubic`
+keep only the least cycles seen.  `enumerate_hamilton_cycles` collects
+every cycle.  The search itself holds one (m + 3n + 1)-int state list per
+branching level on the current path, so O(depth * (m + n)) ints with depth
+at most m.
 
 A Hamilton cycle is represented as a frozenset of edge ids; output lists are
 always sorted by the sorted edge-id tuple, so repeated runs (and parallel
@@ -8,15 +18,18 @@ runs) produce identical order.
 
 from __future__ import annotations
 
+from bisect import insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import compress
+from typing import Callable, Iterable, Sequence
 
 from .multigraph import GraphError, MultiGraph
 
 HamiltonCycle = frozenset  # of edge ids
 
 _UND, _IN, _OUT = 0, 1, 2
+_is_in = _IN.__eq__
 
 
 def is_hamilton_cycle(G: MultiGraph, edge_ids: Iterable[int]) -> bool:
@@ -48,174 +61,184 @@ def is_hamilton_cycle(G: MultiGraph, edge_ids: Iterable[int]) -> bool:
     return len(seen) == G.n
 
 
-class _Enumerator:
-    """Backtracking over edge in/out states with degree-2 propagation.
+def _checked(G: MultiGraph, require: Iterable[int], forbid: Iterable[int]):
+    require = frozenset(require)
+    forbid = frozenset(forbid)
+    if require & forbid:
+        raise GraphError("require and forbid overlap")
+    for i in require | forbid:
+        if not 0 <= i < G.m:
+            raise GraphError(f"unknown edge id {i}")
+    return require, forbid
 
-    A disjoint-set forest over vertices tracks the paths formed by in-edges
-    so partial cycles are rejected as soon as they would close early.
+
+def _search(
+    G: MultiGraph,
+    require: Iterable[int],
+    forbid: Iterable[int],
+    visit: Callable[[list[int]], None],
+) -> None:
+    """Call `visit(s)` once for each Hamilton cycle of G that contains every
+    edge of `require` and none of `forbid`.
+
+    The whole search state is one flat int list `s`: the state of edge i at
+    s[i] (_UND, _IN or _OUT); for the vertex whose block starts at offset p
+    (p = m + 3k for the k-th vertex), its IN-degree at s[p], its number of
+    undecided edges at s[p + 1] and its path mate at s[p + 2]; the number of
+    IN edges at s[-1].  Vertices are named by their offsets throughout.
+    Branching copies the list for the IN child (a C-speed list copy) and
+    hands the list itself to the OUT child, so there is no undo trail.
+
+    Loops are OUT from the start, and IN edges always form vertex-disjoint
+    paths.  The mate of a path end is the offset of the path's other end
+    (an isolated vertex is its own mate), so joining two paths rewrites two
+    entries.  An edge between the two ends of one path closes it and is
+    accepted only as the n-th IN edge.  When a join leaves ends a and b with
+    fewer than n - 1 edges IN, every undecided a-b edge is set OUT at once.
+    After each move, degree-2 propagation sets the rest of a vertex's edges
+    OUT once it has two IN, and all of them IN when exactly as many are
+    undecided as it still needs; a vertex left short fails the branch.
+
+    Each search node branches on the most constrained undecided edge: most
+    IN edges at its ends, then fewest undecided edges there, then lowest id.
+    Branching at a path end instead slowed thin graphs with 2-edge cuts by
+    an order of magnitude, so the edge rule stays.
+
+    `visit(s)` runs once the n-th edge is IN; propagation has then set
+    every other edge OUT, and s[i] == _IN for i < G.m marks the cycle.  The
+    visitor must not keep or change `s`.  Cycles arrive in search order,
+    not sorted.
     """
+    require, forbid = _checked(G, require, forbid)
+    n, m = G.n, G.m
+    if n == 0:
+        return
+    last = n - 1
+    base = {v: m + 3 * k for k, v in enumerate(G.vertices)}
+    eu = [base[e.u] for e in G.edges]
+    ev = [base[e.v] for e in G.edges]
+    n_in = m + 3 * n  # index of the IN-edge count
+    s = [_UND] * (n_in + 1)
+    inc: list[tuple[int, ...]] = [()] * n_in
+    for v, p in base.items():
+        inc[p] = G.edges_at(v)
+        s[p + 1] = len(inc[p])
+        s[p + 2] = p
 
-    def __init__(self, G: MultiGraph):
-        self.G = G
-        self.n = G.n
-        self.m = G.m
-        self.vidx = {v: i for i, v in enumerate(G.vertices)}
-        self.ends = [(self.vidx[e.u], self.vidx[e.v]) for e in G.edges]
-        self.inc: list[list[int]] = [[] for _ in range(self.n)]
-        for e in G.edges:
-            self.inc[self.vidx[e.u]].append(e.id)
-            if not e.is_loop():
-                self.inc[self.vidx[e.v]].append(e.id)
-
-    def run(self, require: Iterable[int], forbid: Iterable[int]) -> list[HamiltonCycle]:
-        n, m = self.n, self.m
-        if n == 0:
-            return []
-        state = [_UND] * m
-        in_cnt = [0] * n
-        und_cnt = [0] * n
-        for vi in range(n):
-            und_cnt[vi] = len(self.inc[vi])
-        parent = list(range(n))
-        self.state, self.in_cnt, self.und_cnt, self.parent = state, in_cnt, und_cnt, parent
-        self.in_total = 0
-        self.closed = False
-        self.trail: list[tuple] = []
-        self.out: list[HamiltonCycle] = []
-
-        seed = []
-        for e in self.G.edges:
-            if e.is_loop():
-                seed.append((e.id, _OUT))
-        for i in require:
-            seed.append((i, _IN))
-        for i in forbid:
-            seed.append((i, _OUT))
-        ok = True
-        touched: list[int] = []
-        for i, val in seed:
-            if not self._set(i, val, touched):
-                ok = False
-                break
-        if ok and self._propagate(touched):
-            self._search()
-        self.out.sort(key=lambda c: tuple(sorted(c)))
-        return self.out
-
-    def _find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def _set(self, i: int, val: int, touched: list[int]) -> bool:
-        state = self.state
-        if state[i] != _UND:
-            return state[i] == val
-        u, v = self.ends[i]
-        state[i] = val
-        self.trail.append(("e", i))
-        self.und_cnt[u] -= 1
-        if u != v:
-            self.und_cnt[v] -= 1
-        touched.append(u)
-        touched.append(v)
-        if val == _IN:
-            if self.closed:
-                return False
-            if u == v:
-                return False
-            self.in_cnt[u] += 1
-            self.in_cnt[v] += 1
-            if self.in_cnt[u] > 2 or self.in_cnt[v] > 2:
-                return False
-            ru, rv = self._find(u), self._find(v)
-            if ru == rv:
-                if self.in_total + 1 != self.n:
-                    return False
-                self.closed = True
-                self.trail.append(("c",))
-            else:
-                self.parent[rv] = ru
-                self.trail.append(("u", rv))
-            self.in_total += 1
-            self.trail.append(("t",))
+    def put_in(s: list[int], i: int, touched: list[int]) -> bool:
+        p, q = eu[i], ev[i]
+        dp, dq = s[p], s[q]
+        if dp == 2 or dq == 2:
+            return False
+        s[i] = _IN
+        s[p] = dp + 1
+        s[q] = dq + 1
+        s[p + 1] -= 1
+        s[q + 1] -= 1
+        touched.append(p)
+        touched.append(q)
+        t = s[n_in] + 1
+        s[n_in] = t
+        a = s[p + 2]
+        if a == q:
+            return t == n
+        b = s[q + 2]
+        s[a + 2] = b
+        s[b + 2] = a
+        if t < last:
+            ab = a + b
+            for j in inc[a]:
+                if not s[j] and eu[j] + ev[j] == ab:
+                    s[j] = _OUT
+                    s[a + 1] -= 1
+                    s[b + 1] -= 1
+                    touched.append(a)
+                    touched.append(b)
         return True
 
-    def _propagate(self, touched: list[int]) -> bool:
+    def propagate(s: list[int], touched: list[int]) -> bool:
         while touched:
-            vi = touched.pop()
-            need = 2 - self.in_cnt[vi]
-            if need < 0:
-                return False
-            und = self.und_cnt[vi]
-            if und < need:
-                return False
-            if need == 0 and und > 0:
-                for i in self.inc[vi]:
-                    if self.state[i] == _UND and not self._set(i, _OUT, touched):
-                        return False
-            elif und == need and und > 0:
-                for i in self.inc[vi]:
-                    if self.state[i] == _UND and not self._set(i, _IN, touched):
-                        return False
+            p = touched.pop()
+            need = 2 - s[p]
+            und = s[p + 1]
+            if und <= need:
+                if und < need:
+                    return False
+                if und:
+                    for j in inc[p]:
+                        if not s[j] and not put_in(s, j, touched):
+                            return False
+            elif not need:
+                for j in inc[p]:
+                    if not s[j]:
+                        s[j] = _OUT
+                        q = eu[j] + ev[j] - p
+                        s[q + 1] -= 1
+                        touched.append(q)
+                s[p + 1] = 0
         return True
 
-    def _checkpoint(self) -> int:
-        return len(self.trail)
-
-    def _rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            tag = self.trail.pop()
-            if tag[0] == "e":
-                i = tag[1]
-                val = self.state[i]
-                self.state[i] = _UND
-                u, v = self.ends[i]
-                self.und_cnt[u] += 1
-                if u != v:
-                    self.und_cnt[v] += 1
-                if val == _IN:
-                    self.in_cnt[u] -= 1
-                    self.in_cnt[v] -= 1
-            elif tag[0] == "u":
-                self.parent[tag[1]] = tag[1]
-            elif tag[0] == "c":
-                self.closed = False
-            else:  # "t"
-                self.in_total -= 1
-
-    def _branch_edge(self) -> int:
-        best, best_key = -1, None
-        for i in range(self.m):
-            if self.state[i] != _UND:
+    def branch_edge(s: list[int]) -> int:
+        best, best_in, best_und = -1, -1, 0
+        for i in range(m):
+            if s[i]:
                 continue
-            u, v = self.ends[i]
-            key = (-(self.in_cnt[u] + self.in_cnt[v]), self.und_cnt[u] + self.und_cnt[v], i)
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-                if key[0] == -2:
-                    break
+            p, q = eu[i], ev[i]
+            c = s[p] + s[q]
+            if c == 2:
+                return i
+            if c >= best_in:
+                und = s[p + 1] + s[q + 1]
+                if c > best_in or und < best_und:
+                    best, best_in, best_und = i, c, und
         return best
 
-    def _search(self) -> None:
-        i = self._branch_edge()
-        if i < 0:
-            if self.in_total == self.n and self.closed:
-                cyc = frozenset(j for j in range(self.m) if self.state[j] == _IN)
-                self.out.append(cyc)
+    def descend(s: list[int]) -> None:
+        if s[n_in] == n:
+            visit(s)
             return
-        for val in (_IN, _OUT):
-            mark = self._checkpoint()
-            touched: list[int] = []
-            if self._set(i, val, touched) and self._propagate(touched):
-                self._search()
-            self._rollback(mark)
+        i = branch_edge(s)
+        if i < 0:
+            return
+        t = s[:]
+        touched: list[int] = []
+        if put_in(t, i, touched) and propagate(t, touched):
+            descend(t)
+        s[i] = _OUT
+        p, q = eu[i], ev[i]
+        s[p + 1] -= 1
+        s[q + 1] -= 1
+        if propagate(s, [p, q]):
+            descend(s)
+
+    touched: list[int] = []
+    for i in range(m):
+        p, q = eu[i], ev[i]
+        if p == q or i in forbid:
+            s[i] = _OUT
+            s[p + 1] -= 1
+            touched.append(p)
+            if p != q:
+                s[q + 1] -= 1
+                touched.append(q)
+    for i in require:
+        if s[i] or not put_in(s, i, touched):
+            return
+    if propagate(s, touched):
+        descend(s)
+
+
+def _cycle_tuples(G: MultiGraph, require: Iterable[int], forbid: Iterable[int]):
+    """Sorted edge-id tuples of the matching cycles, in ascending order."""
+    edge_ids = range(G.m)
+    out: list[tuple[int, ...]] = []
+    _search(G, require, forbid, lambda s: out.append(tuple(compress(edge_ids, map(_is_in, s)))))
+    out.sort()
+    return out
 
 
 def _enumerate_task(args) -> list[tuple[int, ...]]:
-    G, require, forbid = args
-    return [tuple(sorted(c)) for c in _Enumerator(G).run(require, forbid)]
+    return _cycle_tuples(*args)
 
 
 def enumerate_hamilton_cycles(
@@ -230,18 +253,12 @@ def enumerate_hamilton_cycles(
     edge ids.  With `jobs` > 1 the search space is partitioned over a process
     pool; the merged output is identical to the serial order.
     """
-    require = frozenset(require)
-    forbid = frozenset(forbid)
-    if require & forbid:
-        raise GraphError("require and forbid overlap")
-    for i in require | forbid:
-        if not 0 <= i < G.m:
-            raise GraphError(f"unknown edge id {i}")
-    if jobs <= 1 or G.m - len(require) - len(forbid) < 4:
-        return _Enumerator(G).run(require, forbid)
+    require, forbid = frozenset(require), frozenset(forbid)
+    free = [i for i in range(G.m) if i not in require and i not in forbid]
+    if jobs <= 1 or len(free) < 4:
+        return [frozenset(t) for t in _cycle_tuples(G, require, forbid)]
 
     splits = 1
-    free = [i for i in range(G.m) if i not in require and i not in forbid]
     split_edges: list[int] = []
     while splits < jobs and split_edges != free:
         split_edges.append(free[len(split_edges)])
@@ -263,13 +280,53 @@ def enumerate_hamilton_cycles(
 
 def count_through(G: MultiGraph, require: Iterable[int] = (), forbid: Iterable[int] = ()) -> int:
     """Number of Hamilton cycles containing all of `require`, none of `forbid`."""
-    return len(enumerate_hamilton_cycles(G, require, forbid))
+    count = 0
+
+    def tally(s: list[int]) -> None:
+        nonlocal count
+        count += 1
+
+    _search(G, require, forbid, tally)
+    return count
 
 
-def cycles_through(
-    G: MultiGraph, require: Iterable[int] = (), forbid: Iterable[int] = ()
-) -> list[HamiltonCycle]:
-    return enumerate_hamilton_cycles(G, require, forbid)
+def count_by_trace(G: MultiGraph, groups: Sequence[Iterable[int]]) -> dict:
+    """Hamilton cycles of G counted by their traces on the edge groups.
+
+    A key is a tuple with one frozenset per group, of the edges in that
+    group the cycle uses; traces that no cycle has are absent.
+    """
+    groups = [tuple(g) for g in groups]
+    counts: dict = {}
+
+    def tally(s: list[int]) -> None:
+        key = tuple(frozenset([i for i in g if s[i] == _IN]) for g in groups)
+        counts[key] = counts.get(key, 0) + 1
+
+    _search(G, (), (), tally)
+    return counts
+
+
+def _least_cycles(G: MultiGraph, require: Iterable[int], k: int) -> list[tuple[int, ...]]:
+    """The k least cycles through `require` as sorted edge-id tuples, in order."""
+    edge_ids = range(G.m)
+    least: list[tuple[int, ...]] = []
+
+    def keep(s: list[int]) -> None:
+        c = tuple(compress(edge_ids, map(_is_in, s)))
+        if len(least) < k or c < least[-1]:
+            insort(least, c)
+            del least[k:]
+
+    _search(G, require, (), keep)
+    return least
+
+
+def first_hamilton_cycle(G: MultiGraph, require: Iterable[int] = ()) -> HamiltonCycle | None:
+    """The least Hamilton cycle through `require` by sorted edge-id tuple,
+    that is `enumerate_hamilton_cycles(G, require)[0]`; None if there is none."""
+    least = _least_cycles(G, require, 1)
+    return frozenset(least[0]) if least else None
 
 
 @dataclass(frozen=True)
@@ -291,14 +348,21 @@ class EdgeParityReport:
 
 
 def edge_parity_report(G: MultiGraph) -> EdgeParityReport:
-    cycles = enumerate_hamilton_cycles(G)
-    counts = {e.id: 0 for e in G.edges}
-    for c in cycles:
-        for i in c:
-            counts[i] += 1
+    edge_ids = range(G.m)
+    tally = [0] * G.m
+    total = 0
+
+    def visit(s: list[int]) -> None:
+        nonlocal total
+        total += 1
+        for i in compress(edge_ids, map(_is_in, s)):
+            tally[i] += 1
+
+    _search(G, (), (), visit)
+    counts = dict(zip(edge_ids, tally))
     odd_degrees = all(G.degree(v) % 2 == 1 for v in G.vertices)
-    odd_edges = tuple(i for i in sorted(counts) if counts[i] % 2 == 1) if odd_degrees else ()
-    return EdgeParityReport(counts, len(cycles), odd_degrees, odd_edges)
+    odd_edges = tuple(i for i in edge_ids if tally[i] % 2 == 1) if odd_degrees else ()
+    return EdgeParityReport(counts, total, odd_degrees, odd_edges)
 
 
 def second_cycle_lollipop(G: MultiGraph, cycle: Iterable[int], edge_id: int) -> HamiltonCycle:
@@ -378,12 +442,12 @@ def second_cycle_nearly_cubic(G: MultiGraph) -> tuple[HamiltonCycle, HamiltonCyc
     """Two distinct Hamilton cycles of a nearly cubic Hamiltonian graph."""
     if not G.is_nearly_cubic():
         raise GraphError("graph is not nearly cubic")
-    cycles = enumerate_hamilton_cycles(G)
-    if not cycles:
+    least = _least_cycles(G, (), 2)
+    if not least:
         raise GraphError("graph is not Hamiltonian")
-    if len(cycles) < 2:
+    if len(least) < 2:
         raise RuntimeError("nearly cubic Hamiltonian graph with a single cycle (defect)")
-    return cycles[0], cycles[1]
+    return frozenset(least[0]), frozenset(least[1])
 
 
 def cycle_labels(G: MultiGraph, cycle: Iterable[int]) -> list[str]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .hamilton import enumerate_hamilton_cycles
+from .hamilton import count_by_trace
 from .multigraph import GraphError, MultiGraph
 
 PairState = frozenset  # of 2 edge ids incident to one anchor
@@ -72,9 +72,9 @@ def pair_states(G: MultiGraph, anchor: str) -> tuple[PairState, ...]:
 def incidence_multigraph(G: MultiGraph, v: str, w: str) -> IncidenceMultigraph:
     """Multiplicity(p, q) = number of Hamilton cycles through both pairs.
 
-    Computed from a single full enumeration: every Hamilton cycle uses
-    exactly one edge pair at each anchor, so bucketing the cycles by their
-    traces at v and w reproduces the per-pair filtered counts.
+    Computed from a single search: every Hamilton cycle uses exactly one
+    edge pair at each anchor, so counting the cycles by their traces at v
+    and w reproduces the per-pair filtered counts.
     """
     if v == w:
         raise GraphError("anchors must be distinct")
@@ -84,13 +84,9 @@ def incidence_multigraph(G: MultiGraph, v: str, w: str) -> IncidenceMultigraph:
     right = pair_states(G, w)
     lidx = {p: i for i, p in enumerate(left)}
     ridx = {q: j for j, q in enumerate(right)}
-    v_edges = frozenset(G.edges_at(v))
-    w_edges = frozenset(G.edges_at(w))
     table = [[0] * len(right) for _ in left]
-    for cycle in enumerate_hamilton_cycles(G):
-        p = frozenset(cycle & v_edges)
-        q = frozenset(cycle & w_edges)
-        table[lidx[p]][ridx[q]] += 1
+    for (p, q), count in count_by_trace(G, (G.edges_at(v), G.edges_at(w))).items():
+        table[lidx[p]][ridx[q]] = count
     return IncidenceMultigraph(v, w, left, right, tuple(tuple(r) for r in table))
 
 

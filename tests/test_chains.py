@@ -181,6 +181,21 @@ def test_chain_json_rejects_unknown_mode():
         chain_from_json('{"mode": "three-ended"}')
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"mode": "one-ended", "pieces": {}}',
+        '{"mode": "two-ended", "left": 3, "interfaces": {"central": []}, "right": {}}',
+        '[1, 2]',
+        '{"mode": "one-ended", "pieces": {"initial": {"graph": {"vertices": [], "edges": []},'
+        ' "left_ports": [["a"]], "right_ports": []}}, "interfaces": {"entry": []}, "tail": {}}',
+    ],
+)
+def test_chain_json_rejects_malformed_documents(text):
+    with pytest.raises(ChainError, match="malformed chain JSON"):
+        chain_from_json(text)
+
+
 def test_interface_size_four_refused():
     graph = MultiGraph(("x",), [])
     ports_l = tuple((f"l{i}", "x") for i in range(4))

@@ -54,6 +54,11 @@ def test_hamilton_count_and_through(capsys):
     assert code == 0 and out.strip() == "4"
 
 
+def test_hamilton_count_cube(capsys):
+    code, out, _ = run(capsys, "hamilton", "count", "cube")
+    assert code == 0 and out.strip() == "6"
+
+
 def test_hamilton_list_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "hamilton", "list", "k4")
     assert code == 0
@@ -108,6 +113,13 @@ def test_chain_file_roundtrip(tmp_path, capsys):
     run(capsys, "--out", str(target), "construct", "chain-ladder")
     code, out, _ = run(capsys, "chain", "analyze", str(target))
     assert code == 0 and "Finite(2)" in out
+
+
+def test_malformed_chain_json_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "bad.json"
+    target.write_text('{"mode":"one-ended","pieces":{}}')
+    code, _, err = run(capsys, "chain", "analyze", str(target))
+    assert code == 2 and "malformed chain JSON" in err
 
 
 def test_export_dot(capsys):

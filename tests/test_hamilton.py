@@ -9,7 +9,6 @@ from cubicham import (
     count_through,
     cube,
     cycle_labels,
-    cycles_through,
     edge_parity_report,
     enumerate_hamilton_cycles,
     is_hamilton_cycle,
@@ -78,6 +77,14 @@ def test_multigraph_cases():
     cycles = enumerate_hamilton_cycles(looped)
     assert len(cycles) == 1
     assert looped.edge_by_label("loop").id not in cycles[0]
+    for degenerate in (
+        MultiGraph([], []),
+        MultiGraph(["a"], []),
+        MultiGraph(["a"], [("loop", "a", "a")]),
+        MultiGraph(["a", "b", "c", "d"], [("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a")]),
+    ):
+        assert enumerate_hamilton_cycles(degenerate) == []
+        assert count_through(degenerate) == 0
 
 
 def test_require_and_forbid():
@@ -126,7 +133,7 @@ def test_lollipop_on_k4():
 def test_lollipop_on_quotient_fragment():
     Q = tutte_quotient()
     ez = Q.edge_by_label("e_z").id
-    through = cycles_through(Q, {ez})
+    through = enumerate_hamilton_cycles(Q, {ez})
     assert len(through) == 6
     for C in through:
         C2 = second_cycle_lollipop(Q, C, ez)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +8,11 @@ from cubicham import (
     chain_G,
     chain_H,
     chain_ladder,
+    count_by_trace,
+    count_through,
     edge_parity_report,
     enumerate_hamilton_cycles,
+    first_hamilton_cycle,
     from_json,
     is_hamilton_cycle,
     prefix_counts,
@@ -16,7 +20,7 @@ from cubicham import (
     random_cubic_hamiltonian,
     random_odd_degree_graph,
 )
-from util import naive_hamilton_cycles
+from util import naive_hamilton_cycles, naive_multigraph_hamilton_cycles
 
 
 def _random_simple_graph(seed: int, n: int) -> MultiGraph:
@@ -100,6 +104,42 @@ def test_require_forbid_filtering(seed):
     filtered = enumerate_hamilton_cycles(G, req, forb)
     full = enumerate_hamilton_cycles(G)
     assert filtered == [c for c in full if req <= c and not (forb & c)]
+
+
+def _random_multigraph(seed: int, n: int) -> MultiGraph:
+    rng = random.Random(seed)
+    labels = [f"v{i}" for i in range(n)]
+    edges = []
+    for _ in range(rng.randint(n, 3 * n)):
+        u = rng.choice(labels)
+        v = u if rng.random() < 0.1 else rng.choice([w for w in labels if w != u] or [u])
+        edges.append((None, u, v))
+    return MultiGraph(labels, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 7))
+def test_streaming_helpers_match_enumeration(seed, n):
+    G = _random_multigraph(seed, n)
+    rng = random.Random(seed + 1)
+    ids = list(range(G.m))
+    rng.shuffle(ids)
+    req = frozenset(ids[: rng.randint(0, 2)])
+    forb = frozenset(ids[2 : 2 + rng.randint(0, 2)])
+    full = enumerate_hamilton_cycles(G)
+    assert [tuple(sorted(c)) for c in full] == naive_multigraph_hamilton_cycles(G)
+    listed = enumerate_hamilton_cycles(G, req, forb)
+    assert listed == [c for c in full if req <= c and not forb & c]
+
+    assert count_through(G, req, forb) == len(listed)
+    through = enumerate_hamilton_cycles(G, req)
+    assert first_hamilton_cycle(G, req) == (through[0] if through else None)
+    report = edge_parity_report(G)
+    assert report.total == len(full)
+    assert report.counts == {i: sum(i in c for c in full) for i in range(G.m)}
+    groups = [G.edges_at(v) for v in rng.sample(G.vertices, min(2, n))] + [ids[:3]]
+    by_trace = Counter(tuple(c & frozenset(g) for g in groups) for c in full)
+    assert count_by_trace(G, groups) == dict(by_trace)
 
 
 def test_prefix_counts_monotone_on_builtins():

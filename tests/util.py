@@ -1,7 +1,7 @@
-"""Shared test helpers: an independent brute-force Hamilton oracle and a
-networkx bridge for isomorphism checks."""
+"""Shared test helpers: independent brute-force Hamilton oracles (simple
+graphs, multigraphs) and a networkx bridge for isomorphism checks."""
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import networkx as nx
 
@@ -29,6 +29,28 @@ def naive_hamilton_cycles(G: MultiGraph) -> list[tuple[int, ...]]:
                 break
             ids.append(eid[pair])
         else:
+            found.add(tuple(sorted(ids)))
+    return sorted(found)
+
+
+def naive_multigraph_hamilton_cycles(G: MultiGraph) -> list[tuple[int, ...]]:
+    """Permutation-based enumeration for small multigraphs: every cyclic
+    vertex order, with each choice among parallel edges; loops never count."""
+    between: dict = {}
+    for e in G.edges:
+        if not e.is_loop():
+            between.setdefault((e.u, e.v), []).append(e.id)
+            between.setdefault((e.v, e.u), []).append(e.id)
+    verts = list(G.vertices)
+    if G.n == 2:
+        return sorted(combinations(between.get((verts[0], verts[1]), []), 2))
+    if G.n < 3:
+        return []
+    found = set()
+    for perm in permutations(verts[1:]):
+        seq = [verts[0], *perm, verts[0]]
+        steps = [between.get(pair, []) for pair in zip(seq, seq[1:])]
+        for ids in product(*steps):
             found.add(tuple(sorted(ids)))
     return sorted(found)
 
