@@ -9,14 +9,23 @@ Hamilton cycles of the limit graph as Zero, Finite(k) or Infinite.
 Pair states at a cut are frozensets of cut positions (indices into the
 ordered interface matching), so edge identities are carried through the
 explicit matchings and never unified by name.
+
+Each ray side of a chain (`right` for a one-ended chain, `left` and `right`
+for a two-ended one) is compiled once into a `_Direction` that the chain
+object keeps, so its layers and survival sets live exactly as long as the
+chain.  A direction holds one step per distinct cut: the pre-period cuts,
+then one period.  `Tail.fold` maps any cut to its step, and is the only
+place a period index is folded.  Every propagation of weights goes through
+`_Direction.moves` and `_Direction.advance`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .hamilton import count_by_trace, enumerate_hamilton_cycles, is_hamilton_cycle
 from .multigraph import GraphError, MultiGraph, from_json as graph_from_json, min_edge_cut
@@ -86,20 +95,22 @@ class Tail:
     def plen(self) -> int:
         return len(self.period)
 
+    def fold(self, j: int) -> int:
+        """The least index with the same piece and junction as j (j >= 0):
+        indices past the pre-period repeat with the period."""
+        pre = len(self.pre)
+        return j if j <= pre else pre + 1 + (j - 1 - pre) % self.plen
+
     def piece(self, j: int) -> ChainPiece:
         if j < 1:
             raise ChainError(f"invalid tail piece index {j}")
-        if j <= len(self.pre):
-            return self.pre[j - 1]
-        return self.period[(j - 1 - len(self.pre)) % self.plen]
+        return (self.pre + self.period)[self.fold(j) - 1]
 
     def iface(self, j: int) -> Matching:
         """Matching at the junction between pieces j and j+1."""
         if j < 1:
             raise ChainError(f"invalid tail junction index {j}")
-        if j <= len(self.pre):
-            return self.entry_ifaces[j - 1]
-        return self.period_ifaces[(j - 1 - len(self.pre)) % self.plen]
+        return (self.entry_ifaces + self.period_ifaces)[self.fold(j) - 1]
 
 
 def _check_iface(matching: Matching, left: ChainPiece, right: ChainPiece) -> None:
@@ -137,6 +148,10 @@ class OneEndedChain:
     @property
     def cut_size(self) -> int:
         return len(self.entry_iface)
+
+    @cached_property
+    def _directions(self) -> dict:
+        return {"right": _Direction(self.tail, self.entry_iface, leftward=False)}
 
     def piece(self, i: int) -> ChainPiece:
         return self.initial if i == 0 else self.tail.piece(i)
@@ -176,6 +191,13 @@ class TwoEndedChain:
     @property
     def cut_size(self) -> int:
         return len(self.central)
+
+    @cached_property
+    def _directions(self) -> dict:
+        return {
+            "left": _Direction(self.left, self.central, leftward=True),
+            "right": _Direction(self.right, self.central, leftward=False),
+        }
 
 
 CutChain = OneEndedChain | TwoEndedChain
@@ -326,134 +348,101 @@ def _compute_layer(piece: ChainPiece, left_iface: Matching, right_iface: Matchin
     )
 
 
-# cache layers per segment description; pieces hash by graph identity, so the
-# key also carries the label-level content to make value-equal chains share
-def _segment_key(piece: ChainPiece, left_iface, right_iface) -> tuple:
-    return (
-        piece.graph.vertices,
-        tuple((e.label, e.u, e.v) for e in piece.graph.edges),
-        piece.left_ports,
-        piece.right_ports,
-        left_iface,
-        right_iface,
-    )
-
-
-_LAYER_CACHE: dict = {}
-
-
 def transfer_layer(chain: CutChain, n: int) -> TransferLayer:
     """Transfer layer between cuts F(n) and F(n+1), rows at F(n)."""
+    if n >= 0:
+        return chain._directions["right"].layer(n)
     if isinstance(chain, OneEndedChain):
-        pre = len(chain.tail.pre)
-        plen = chain.tail.plen
-        norm = n if n <= pre + 1 else pre + 1 + (n - pre - 1) % plen
-        piece = chain.piece(norm + 1)
-        left_iface, right_iface = chain.iface(norm), chain.iface(norm + 1)
-    elif n >= 0:
-        tail = chain.right
-        pre = len(tail.pre)
-        norm = n if n <= pre + 1 else pre + 1 + (n - pre - 1) % tail.plen
-        piece = tail.piece(norm + 1)
-        left_iface = chain.central if norm == 0 else tail.iface(norm)
-        right_iface = tail.iface(norm + 1)
-    else:
-        tail = chain.left
-        j = -n  # piece index in the left tail, between F(-j) and F(-(j-1))
-        pre = len(tail.pre)
-        norm = j if j <= pre + 1 else pre + 2 + (j - pre - 2) % tail.plen
-        piece = tail.piece(norm)
-        left_iface = tail.iface(norm)
-        right_iface = chain.central if norm == 1 else tail.iface(norm - 1)
-    key = _segment_key(piece, left_iface, right_iface)
-    if key not in _LAYER_CACHE:
-        _LAYER_CACHE[key] = _compute_layer(piece, left_iface, right_iface)
-    return _LAYER_CACHE[key]
+        raise ChainError(f"one-ended chains have no transfer layer at level {n}")
+    return chain._directions["left"].layer(-n - 1)
 
 
 # -- ray analysis ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Step:
-    """Transition from cut j-1 to cut j along one ray direction."""
-
-    mat: dict  # state -> state -> multiplicity
-    buckets: dict  # (state, state) -> tuple of interior frozensets
-
-
-def _step_from_layer(layer: TransferLayer, transpose: bool) -> _Step:
-    mat: dict = {}
-    buckets: dict = {}
-    for (p, q), cycles in layer.buckets.items():
-        a, b = (q, p) if transpose else (p, q)
-        mat.setdefault(a, {})[b] = len(cycles)
-        buckets[(a, b)] = cycles
-    return _Step(mat, buckets)
-
-
 class _Direction:
-    """One ray direction of a chain: steps indexed from 1, periodic data."""
+    """One ray side of a chain, compiled once and kept by the chain.
 
-    def __init__(self, chain: CutChain, side: str):
-        self.chain = chain
-        self.side = side
-        if isinstance(chain, OneEndedChain):
-            tail = chain.tail
-        else:
-            tail = chain.right if side == "right" else chain.left
+    Cuts are numbered 0, 1, ... outward from the chain's first matching
+    (the entry matching of a one-ended chain, the central one of a
+    two-ended chain); tail piece j sits between cuts j-1 and j.  The step
+    from cut j to cut j+1 is stored at slot `tail.fold(j)`: the J =
+    len(pre) + 1 cuts before the period, then one per period residue.  A
+    slot is filled on first use with the rightward `TransferLayer` of its
+    piece and the outward map state -> state -> interior cycles (the
+    layer's buckets, transposed on the left side, with targets in sorted
+    order).  Survival sets are kept per slot as well, for the cut the step
+    leaves.
+    """
+
+    def __init__(self, tail: Tail, first: Matching, leftward: bool):
+        self.tail = tail
+        self.first = first
+        self.leftward = leftward
+        self.J = len(tail.pre) + 1  # cuts >= J have periodic survival
         self.plen = tail.plen
-        self.pre_len = len(tail.pre)
-        self.J = self.pre_len + 1  # cuts >= J have periodic survival
-        self.states = _states(chain.cut_size)
-        self._steps: dict[int, _Step] = {}
+        self.states = _states(len(first))
+        self._steps: list = [None] * (self.J + self.plen)
 
-    def step(self, j: int) -> _Step:
-        """Transition from cut j-1 to cut j (j >= 1)."""
-        norm = j if j <= self.J + 1 else self.J + 1 + (j - self.J - 1) % self.plen
-        if norm not in self._steps:
-            if isinstance(self.chain, OneEndedChain) or self.side == "right":
-                layer = transfer_layer(self.chain, norm - 1)
-                self._steps[norm] = _step_from_layer(layer, transpose=False)
+    def _step(self, j: int) -> tuple[TransferLayer, dict]:
+        i = self.tail.fold(j)
+        if self._steps[i] is None:
+            inner = self.first if i == 0 else self.tail.iface(i)
+            outer = self.tail.iface(i + 1)
+            piece = self.tail.piece(i + 1)
+            if self.leftward:
+                layer = _compute_layer(piece, outer, inner)
+                pairs = {(q, p): cycles for (p, q), cycles in layer.buckets.items()}
             else:
-                layer = transfer_layer(self.chain, -norm)
-                self._steps[norm] = _step_from_layer(layer, transpose=True)
-        return self._steps[norm]
+                layer = _compute_layer(piece, inner, outer)
+                pairs = layer.buckets
+            out = {a: {b: pairs[a, b] for b in self.states if (a, b) in pairs} for a in self.states}
+            self._steps[i] = (layer, out)
+        return self._steps[i]
 
-    # survival -------------------------------------------------------------
+    def layer(self, j: int) -> TransferLayer:
+        """Rightward transfer layer of the piece between cuts j and j+1."""
+        return self._step(j)[0]
 
-    def survival(self) -> tuple[list[frozenset], list[frozenset]]:
-        """(prefix survival for cuts 0..J-1, periodic survival per residue)."""
-        periodic = [set(self.states) for _ in range(self.plen)]
+    def survival(self) -> list[frozenset]:
+        """Greatest fixed point, per slot: the states at the slot's cut that
+        continue outward forever."""
+        alive = [set(self.states) for _ in self._steps]
         changed = True
         while changed:
             changed = False
-            for r in range(self.plen):
-                step = self.step(self.J + r + 1)
-                nxt = periodic[(r + 1) % self.plen]
-                new = {
-                    s
-                    for s in periodic[r]
-                    if any(step.mat.get(s, {}).get(t, 0) > 0 for t in nxt)
-                }
-                if new != periodic[r]:
-                    periodic[r] = new
+            for j in range(self.J, self.J + self.plen):
+                out = self._step(j)[1]
+                nxt = alive[self.tail.fold(j + 1)]
+                new = {s for s in alive[j] if not nxt.isdisjoint(out[s])}
+                if new != alive[j]:
+                    alive[j] = new
                     changed = True
-        prefix: list[frozenset] = [frozenset()] * self.J
-        nxt = frozenset(periodic[0])
         for j in range(self.J - 1, -1, -1):
-            step = self.step(j + 1)
-            prefix[j] = frozenset(
-                s for s in self.states if any(step.mat.get(s, {}).get(t, 0) > 0 for t in nxt)
-            )
-            nxt = prefix[j]
-        return prefix, [frozenset(p) for p in periodic]
+            out = self._step(j)[1]
+            alive[j] = {s for s in self.states if not alive[j + 1].isdisjoint(out[s])}
+        return [frozenset(a) for a in alive]
+
+    @cached_property
+    def alive(self) -> list[frozenset]:
+        return self.survival()
 
     def surv(self, j: int) -> frozenset:
-        if not hasattr(self, "_surv"):
-            self._surv = self.survival()
-        prefix, periodic = self._surv
-        return prefix[j] if j < self.J else periodic[(j - self.J) % self.plen]
+        return self.alive[self.tail.fold(j)]
+
+    def moves(self, j: int, s: State) -> list[tuple[State, tuple]]:
+        """Surviving successors at cut j+1 of state s at cut j, in sorted
+        state order, each with its interior cycles."""
+        alive = self.surv(j + 1)
+        return [(t, cycles) for t, cycles in self._step(j)[1][s].items() if t in alive]
+
+    def advance(self, weights: dict, j: int) -> dict:
+        """Weights at cut j carried to cut j+1 along surviving moves."""
+        nxt: dict = {}
+        for s, c in weights.items():
+            for t, cycles in self.moves(j, s):
+                nxt[t] = nxt.get(t, 0) + c * len(cycles)
+        return nxt
 
 
 @dataclass(frozen=True)
@@ -467,59 +456,37 @@ class RayAnalysis:
     j_repeat: int | None
 
 
-def _prefix_totals(direction: _Direction, seeds: dict, k: int) -> list[int]:
-    w = dict(seeds)
-    totals = [sum(w.values())]
-    for j in range(k):
-        step = direction.step(j + 1)
-        nxt: dict = {}
-        for s, c in w.items():
-            for t, mult in step.mat.get(s, {}).items():
-                if t in direction.surv(j + 1):
-                    nxt[t] = nxt.get(t, 0) + c * mult
-        w = nxt
-        totals.append(sum(w.values()))
-    return totals
-
-
 def _analyze_rays(direction: _Direction, seed: dict) -> RayAnalysis:
     seeds = {s: c for s, c in seed.items() if c > 0 and s in direction.surv(0)}
     if not seeds:
         return RayAnalysis("zero", 0, None, {}, (), None, None)
     weights = dict(seeds)
     sup_list = [frozenset(weights)]
+    totals = [sum(weights.values())]
     seen: dict = {}
     j = 0
     limit = direction.J + direction.plen * (2 ** len(direction.states) + 8)
     j_enter = j_repeat = None
     while j <= limit:
-        if j >= direction.J:
-            key = ((j - direction.J) % direction.plen, sup_list[j])
-            if key in seen:
-                j_enter, j_repeat = seen[key], j
-                break
-            seen[key] = j
-        step = direction.step(j + 1)
-        nxt: dict = {}
-        for s, c in weights.items():
-            for t, mult in step.mat.get(s, {}).items():
-                if t in direction.surv(j + 1):
-                    nxt[t] = nxt.get(t, 0) + c * mult
-        weights = nxt
+        # prefix cuts fold to themselves, so only periodic keys can recur
+        key = (direction.tail.fold(j), sup_list[j])
+        if key in seen:
+            j_enter, j_repeat = seen[key], j
+            break
+        seen[key] = j
+        weights = direction.advance(weights, j)
         sup_list.append(frozenset(weights))
+        totals.append(sum(weights.values()))
         j += 1
     if j_repeat is None:
         raise RuntimeError("support recurrence not found (implementation defect)")
 
     # branching inside the recurrent support cycle means unboundedly many rays
     for jj in range(j_enter, j_repeat):
-        step = direction.step(jj + 1)
-        alive_next = direction.surv(jj + 1)
         for s in sup_list[jj]:
-            out = sum(m for t, m in step.mat.get(s, {}).items() if t in alive_next)
+            out = sum(len(cycles) for _, cycles in direction.moves(jj, s))
             if out >= 2:
                 # cross-check: recurrent branching must grow the prefix totals
-                totals = _prefix_totals(direction, seeds, j_repeat)
                 if totals[j_repeat] <= totals[j_enter]:
                     raise RuntimeError("branching without prefix growth (defect)")
                 return RayAnalysis(
@@ -527,17 +494,9 @@ def _analyze_rays(direction: _Direction, seed: dict) -> RayAnalysis:
                 )
 
     # deterministic from j_enter on: total weight is already stable there
-    weights = dict(seeds)
-    for jj in range(j_enter):
-        step = direction.step(jj + 1)
-        nxt = {}
-        for s, c in weights.items():
-            for t, mult in step.mat.get(s, {}).items():
-                if t in direction.surv(jj + 1):
-                    nxt[t] = nxt.get(t, 0) + c * mult
-        weights = nxt
-    total = sum(weights.values())
-    return RayAnalysis("finite", total, None, seeds, tuple(sup_list), j_enter, j_repeat)
+    return RayAnalysis(
+        "finite", totals[j_enter], None, seeds, tuple(sup_list), j_enter, j_repeat
+    )
 
 
 def _continuations(direction: _Direction, analysis: RayAnalysis) -> dict:
@@ -557,13 +516,7 @@ def _continuations(direction: _Direction, analysis: RayAnalysis) -> dict:
         jj, cur = j, s
         guard = D * (len(direction.states) + 2)
         while True:
-            step = direction.step(jj + 1)
-            nxt = [
-                (t, cyc)
-                for t, m in sorted(step.mat.get(cur, {}).items(), key=lambda kv: sorted(kv[0]))
-                if t in direction.surv(jj + 1)
-                for cyc in step.buckets[(cur, t)]
-            ]
+            nxt = [(t, cyc) for t, cycles in direction.moves(jj, cur) for cyc in cycles]
             if len(nxt) != 1:
                 raise RuntimeError("non-deterministic recurrent state (defect)")
             choices.append((cur, nxt[0][0], nxt[0][1]))
@@ -580,11 +533,8 @@ def _continuations(direction: _Direction, analysis: RayAnalysis) -> dict:
         if recurrent(j, s):
             out.append((list(acc), periodic_tail(j, s)))
             return
-        step = direction.step(j + 1)
-        for t in sorted(step.mat.get(s, {}), key=sorted):
-            if t not in direction.surv(j + 1):
-                continue
-            for cyc in step.buckets[(s, t)]:
+        for t, cycles in direction.moves(j, s):
+            for cyc in cycles:
                 acc.append((s, t, cyc))
                 walk(j + 1, t, acc, out)
                 acc.pop()
@@ -666,7 +616,6 @@ def splice_certificate(chain: CutChain, cert: LimitCycleCertificate, k: int) -> 
         matching = chain.left.iface(j)
         labels |= {f"{matching[p][0]}@{-j}" for p in state}
     state = cert.state_at(k, "left")
-    piece = chain.left.piece(k)
     matching = chain.left.iface(k)
     labels |= {f"{matching[p][1]}@{-(k - 1)}" for p in state}
     return labels
@@ -703,8 +652,7 @@ class LimitCount:
 
 def initial_vector(chain: OneEndedChain) -> dict:
     """Hamilton-cycle counts of the level-0 truncation per dummy pair state."""
-    vec, _ = _initial_data(chain)
-    return vec
+    return {s: len(cycles) for s, cycles in _initial_data(chain).items()}
 
 
 def _cut_state(G: MultiGraph, pos: dict, ids: Iterable[int]) -> State:
@@ -732,33 +680,28 @@ def _truncation_vector(chain: OneEndedChain, k: int) -> dict:
     return vec
 
 
-def _initial_data(chain: OneEndedChain) -> tuple[dict, dict]:
+def _initial_data(chain: OneEndedChain) -> dict:
+    """Interior edge labels of the level-0 truncation's Hamilton cycles,
+    per dummy pair state."""
     if not isinstance(chain, OneEndedChain):
         raise ChainError("initial vector is defined for one-ended chains")
     G0 = truncation_minor(chain, 0)
     dummy_ids = frozenset(G0.edges_at(DUMMY))
     pos = {stub: i for i, (stub, _) in enumerate(chain.entry_iface)}
-    vec = {s: 0 for s in _states(chain.cut_size)}
-    cycles: dict = {s: [] for s in vec}
+    cycles: dict = {s: [] for s in _states(chain.cut_size)}
     for cycle in enumerate_hamilton_cycles(G0):
         state = _cut_state(G0, pos, cycle & dummy_ids)
-        vec[state] += 1
         cycles[state].append(frozenset(G0.edges[i].label for i in cycle - dummy_ids))
-    return vec, {s: tuple(v) for s, v in cycles.items()}
+    return {s: tuple(v) for s, v in cycles.items()}
 
 
 def surviving_states(chain: CutChain) -> dict:
     """Greatest-fixed-point survival sets, per cut (prefix) and per residue."""
-    if isinstance(chain, OneEndedChain):
-        d = _Direction(chain, "right")
-        prefix, periodic = d.survival()
-        return {"prefix": prefix, "periodic": periodic, "period_start": d.J}
-    out = {}
-    for side in ("left", "right"):
-        d = _Direction(chain, side)
-        prefix, periodic = d.survival()
-        out[side] = {"prefix": prefix, "periodic": periodic, "period_start": d.J}
-    return out
+    out = {
+        side: {"prefix": d.alive[: d.J], "periodic": d.alive[d.J :], "period_start": d.J}
+        for side, d in chain._directions.items()
+    }
+    return out["right"] if isinstance(chain, OneEndedChain) else out
 
 
 def count_limit_hamilton_cycles(chain: CutChain) -> LimitCount:
@@ -769,9 +712,9 @@ def count_limit_hamilton_cycles(chain: CutChain) -> LimitCount:
 
 
 def _count_one_ended(chain: OneEndedChain) -> LimitCount:
-    direction = _Direction(chain, "right")
-    vec, init_cycles = _initial_data(chain)
-    analysis = _analyze_rays(direction, vec)
+    direction = chain._directions["right"]
+    init_cycles = _initial_data(chain)
+    analysis = _analyze_rays(direction, {s: len(c) for s, c in init_cycles.items()})
     if analysis.tag == "zero":
         return LimitCount("zero", 0, None, ())
     if analysis.tag == "infinite":
@@ -792,7 +735,7 @@ def _count_one_ended(chain: OneEndedChain) -> LimitCount:
 
 
 def _count_two_ended(chain: TwoEndedChain) -> LimitCount:
-    dirs = {side: _Direction(chain, side) for side in ("left", "right")}
+    dirs = chain._directions
     per_state: dict = {}
     for s in _states(chain.cut_size):
         per_state[s] = {
@@ -839,36 +782,30 @@ class ConsistencyReport:
     actual: dict
 
 
+def _push(weights: dict, layer: TransferLayer) -> dict:
+    """Weights at a layer's left cut carried to its right cut, unrestricted."""
+    return {
+        t: sum(c * layer.mult(s, t) for s, c in weights.items()) for t in layer.right_states
+    }
+
+
 def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
     """Check transfer-matrix predictions against brute force on the minor."""
+    right = chain._directions["right"]
     if isinstance(chain, OneEndedChain):
         w = _truncation_vector(chain, 0)
         for j in range(k):
-            layer = transfer_layer(chain, j)
-            nxt = {s: 0 for s in layer.right_states}
-            for s, c in w.items():
-                for t in layer.right_states:
-                    nxt[t] += c * layer.mult(s, t)
-            w = nxt
+            w = _push(w, right.layer(j))
         actual = _truncation_vector(chain, k)
         return ConsistencyReport(w == actual, w, actual)
 
+    # one row vector per state at the window's left end, pushed rightward
+    left = chain._directions["left"]
+    layers = [left.layer(j) for j in range(k - 1, -1, -1)] + [right.layer(j) for j in range(k)]
     states = _states(chain.cut_size)
-    prod = {a: {b: 1 if a == b else 0 for b in states} for a in states}
-
-    def multiply(prod: dict, layer: TransferLayer) -> dict:
-        return {
-            a: {
-                b: sum(prod[a][c] * layer.mult(c, b) for c in states)
-                for b in layer.right_states
-            }
-            for a in prod
-        }
-
-    for j in range(k, 0, -1):
-        prod = multiply(prod, transfer_layer(chain, -j))
-    for j in range(0, k):
-        prod = multiply(prod, transfer_layer(chain, j))
+    prod = {a: {b: int(a == b) for b in states} for a in states}
+    for layer in layers:
+        prod = {a: _push(row, layer) for a, row in prod.items()}
     lpos = {stub: i for i, (_, stub) in enumerate(chain.left.iface(k))}
     rpos = {stub: i for i, (stub, _) in enumerate(chain.right.iface(k))}
     actual = {a: {b: 0 for b in states} for a in states}
@@ -880,18 +817,12 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
 
 def prefix_counts(chain: OneEndedChain, k_max: int) -> list[int]:
     """Total multiplicity of surviving length-k prefixes, for k = 0..k_max."""
-    direction = _Direction(chain, "right")
-    vec, _ = _initial_data(chain)
-    w = {s: c for s, c in vec.items() if c > 0 and s in direction.surv(0)}
+    init_cycles = _initial_data(chain)
+    direction = chain._directions["right"]
+    w = {s: len(c) for s, c in init_cycles.items() if c and s in direction.surv(0)}
     out = [sum(w.values())]
     for j in range(k_max):
-        step = direction.step(j + 1)
-        nxt: dict = {}
-        for s, c in w.items():
-            for t, mult in step.mat.get(s, {}).items():
-                if t in direction.surv(j + 1):
-                    nxt[t] = nxt.get(t, 0) + c * mult
-        w = nxt
+        w = direction.advance(w, j)
         out.append(sum(w.values()))
     return out
 
@@ -931,25 +862,24 @@ def witness_two_cycles(
 
 
 def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
-    direction = _Direction(chain, "right")
-    vec, init_cycles = _initial_data(chain)
+    direction = chain._directions["right"]
+    init_cycles = _initial_data(chain)
     j_w, s_w, _ = witness
 
     # breadth-first choice path from a seed to the branching state
     seeds = sorted(
-        (s for s in vec if vec[s] > 0 and s in direction.surv(0)), key=sorted
+        (s for s, c in init_cycles.items() if c and s in direction.surv(0)), key=sorted
     )
     paths = {s: [] for s in seeds}
     level = 0
     while not any(s == s_w for s in paths) or level < j_w:
         if level == j_w and s_w in paths:
             break
-        step = direction.step(level + 1)
         nxt: dict = {}
         for s, acc in paths.items():
-            for t in sorted(step.mat.get(s, {}), key=sorted):
-                if t in direction.surv(level + 1) and t not in nxt:
-                    nxt[t] = acc + [(s, t, step.buckets[(s, t)][0])]
+            for t, cycles in direction.moves(level, s):
+                if t not in nxt:
+                    nxt[t] = acc + [(s, t, cycles[0])]
         paths = nxt
         level += 1
         if level > j_w:
@@ -957,33 +887,21 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
     prefix = paths[s_w]
     seed = prefix[0][0] if prefix else s_w
     interior = init_cycles[seed][0]
-
-    step = direction.step(j_w + 1)
-    options = [
-        (t, cyc)
-        for t in sorted(step.mat.get(s_w, {}), key=sorted)
-        if t in direction.surv(j_w + 1)
-        for cyc in step.buckets[(s_w, t)]
-    ]
+    options = [(t, cyc) for t, cycles in direction.moves(j_w, s_w) for cyc in cycles]
 
     def greedy_tail(j: int, s: State) -> tuple[list, list]:
         choices = []
         seen: dict = {}
         jj, cur = j, s
         while True:
-            key = ((jj - direction.J) % direction.plen if jj >= direction.J else jj, cur)
-            if jj >= direction.J and key in seen:
+            # prefix cuts fold to themselves, so only periodic keys can recur
+            key = (direction.tail.fold(jj), cur)
+            if key in seen:
                 cut = seen[key]
                 return choices[:cut], choices[cut:]
-            if jj >= direction.J:
-                seen[key] = len(choices)
-            step = direction.step(jj + 1)
-            t, cyc = next(
-                (t, step.buckets[(cur, t)][0])
-                for t in sorted(step.mat.get(cur, {}), key=sorted)
-                if t in direction.surv(jj + 1)
-            )
-            choices.append((cur, t, cyc))
+            seen[key] = len(choices)
+            t, cycles = direction.moves(jj, cur)[0]
+            choices.append((cur, t, cycles[0]))
             cur = t
             jj += 1
 
@@ -1096,9 +1014,8 @@ def transfer_dot(chain: CutChain, levels: int = 3) -> str:
                     f'  "F{n}:{layer.state_name(layer.left_names, p)}" -- '
                     f'"F{n + 1}:{layer.state_name(layer.right_names, q)}";'
                 )
-    last = levels if isinstance(chain, OneEndedChain) else levels
-    layer = transfer_layer(chain, last - 1)
+    layer = transfer_layer(chain, levels - 1)
     for q in layer.right_states:
-        lines.append(f'  "F{last}:{layer.state_name(layer.right_names, q)}";')
+        lines.append(f'  "F{levels}:{layer.state_name(layer.right_names, q)}";')
     lines.append("}")
     return "\n".join(lines)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from .chains import (
     count_limit_hamilton_cycles,
     end_degree,
     segment_minor,
-    surviving_states,
     transfer_dot,
     transfer_layer,
     truncation_consistency,
@@ -209,7 +207,6 @@ def _cmd_chain(args) -> int:
     if args.sub == "analyze":
         result = count_limit_hamilton_cycles(chain)
         layer = transfer_layer(chain, 1 if isinstance(chain, OneEndedChain) else 0)
-        survival = surviving_states(chain)
         degrees = (
             {"right": end_degree(chain)}
             if isinstance(chain, OneEndedChain)
@@ -290,7 +287,6 @@ def _cmd_export_dot(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cubicham")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None, help="write machine output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -333,8 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.func(args)
     except (_UsageError, GraphError, ChainError, json.JSONDecodeError, OSError) as exc:

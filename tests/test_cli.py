@@ -142,3 +142,11 @@ def test_unknown_edge_label(capsys):
 def test_jobs_flag(capsys):
     code, out, _ = run(capsys, "--jobs", "2", "hamilton", "count", "tutte-quotient")
     assert code == 0 and out.strip() == "6"
+
+
+def test_seed_flag_is_gone(capsys):
+    # no command draws random numbers, so there is no global seed to set
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "hamilton", "count", "k4"])
+    assert exc.value.code == 2
+    assert "--seed" not in capsys.readouterr().err.splitlines()[0]

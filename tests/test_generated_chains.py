@@ -1,0 +1,112 @@
+"""The chain engine on seeded random chains.
+
+The built-in chains all have an empty pre-period and a period of one
+piece, so they never exercise the pre-period fold. These chains have a
+pre-period of 0-2 pieces and a period of 1-3 on each tail, with 2- or
+3-edge interfaces, in both modes.
+"""
+
+import math
+import random
+from itertools import combinations
+
+import pytest
+
+from cubicham import (
+    OneEndedChain,
+    count_by_trace,
+    count_limit_hamilton_cycles,
+    materialize,
+    prefix_counts,
+    transfer_layer,
+    truncation_consistency,
+    validate_certificate,
+)
+from util import random_chain
+
+KINDS = [(one_ended, c) for one_ended in (True, False) for c in (2, 3)]
+# Seeds 0-19, plus every seed below 200 whose chain is Finite: only a
+# Finite chain has certificates, and one random chain in thirty is Finite.
+SEEDS = list(range(20)) + [29, 41, 68, 72, 115, 120]
+CHAINS = [random_chain(random.Random(seed), *KINDS[seed % 4]) for seed in SEEDS]
+
+
+def _tails(chain) -> list:
+    return [("right", chain.tail)] if isinstance(chain, OneEndedChain) else [
+        ("left", chain.left),
+        ("right", chain.right),
+    ]
+
+
+def _unrolled(chain, tail, levels: int) -> tuple[list, list]:
+    """Pieces 1..levels of a tail and the matchings at its junctions
+    0..levels, spelled out without folding any index."""
+    reps = levels // tail.plen + 1
+    pieces = [None] + list(tail.pre) + list(tail.period) * reps
+    first = chain.entry_iface if isinstance(chain, OneEndedChain) else chain.central
+    ifaces = [first] + list(tail.entry_ifaces) + list(tail.period_ifaces) * reps
+    return pieces[: levels + 1], ifaces[: levels + 1]
+
+
+def _matrix(piece, left_iface, right_iface) -> list[list[int]]:
+    """Rightward transfer matrix of one piece, counted from scratch."""
+    seg = materialize([piece], [], [None], left_dummy="alpha", right_dummy="beta")
+    lpos = {stub: i for i, (_, stub) in enumerate(left_iface)}
+    rpos = {stub: i for i, (stub, _) in enumerate(right_iface)}
+    counts: dict = {}
+    for (a, b), n in count_by_trace(seg, [seg.edges_at("alpha"), seg.edges_at("beta")]).items():
+        p = frozenset(lpos[seg.edges[i].label] for i in a)
+        q = frozenset(rpos[seg.edges[i].label] for i in b)
+        counts[p, q] = n
+    states = [frozenset(s) for s in combinations(range(len(left_iface)), 2)]
+    return [[counts.get((p, q), 0) for q in states] for p in states]
+
+
+def test_sample_covers_every_class():
+    classes = {count_limit_hamilton_cycles(c).tag for c in CHAINS}
+    assert classes == {"zero", "finite", "infinite"}
+
+
+@pytest.mark.parametrize("index", range(len(CHAINS)))
+def test_generated_chain(index):
+    chain = CHAINS[index]
+    result = count_limit_hamilton_cycles(chain)
+    for side, tail in _tails(chain):
+        J = len(tail.pre) + 1
+        levels = J + 2 * tail.plen
+        pieces, ifaces = _unrolled(chain, tail, levels)
+        for j in range(1, levels + 1):
+            # piece j of the tail sits between cuts j-1 and j of its side
+            if side == "right":
+                n = j - 1
+                expected = _matrix(pieces[j], ifaces[j - 1], ifaces[j])
+            else:
+                n = -j
+                expected = _matrix(pieces[j], ifaces[j], ifaces[j - 1])
+            assert transfer_layer(chain, n).matrix() == expected, (side, j)
+            if j >= J + 1:
+                shifted = n + tail.plen if side == "right" else n - tail.plen
+                assert transfer_layer(chain, shifted).matrix() == expected, (side, j)
+
+    if isinstance(chain, OneEndedChain):
+        # past the first recurrence of the supports the surviving prefix
+        # total is constant for Finite and grows each recurrence for Infinite
+        span = chain.tail.plen * (2 ** math.comb(chain.cut_size, 2) + 8)
+        k1 = len(chain.tail.pre) + 1 + span + 1
+        totals = prefix_counts(chain, k1 + span)
+        first, last = totals[k1], totals[-1]
+        if result.tag == "zero":
+            assert last == 0
+        elif result.tag == "infinite":
+            assert last > first
+        else:
+            assert first == last == result.count
+
+    depth = max(len(t.pre) + 2 * t.plen for _, t in _tails(chain))
+    assert len(result.certificates) == (result.count or 0)
+    for cert in result.certificates:
+        assert validate_certificate(chain, cert, depth)
+
+    lo = 0 if isinstance(chain, OneEndedChain) else 1
+    for k in range(lo, 4):
+        assert truncation_consistency(chain, k).ok, k
