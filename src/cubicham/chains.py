@@ -16,7 +16,9 @@ object keeps, so its layers and survival sets live exactly as long as the
 chain.  A direction holds one step per distinct cut: the pre-period cuts,
 then one period.  `Tail.fold` maps any cut to its step, and is the only
 place a period index is folded.  Every propagation of weights goes through
-`_Direction.moves` and `_Direction.advance`.
+`_Direction.moves` and `_Direction.advance`.  A one-ended chain likewise
+keeps the Hamilton cycles of its level-0 truncation (`_initial_data`), the
+seed of every rightward propagation.
 """
 
 from __future__ import annotations
@@ -151,7 +153,21 @@ class OneEndedChain:
 
     @cached_property
     def _directions(self) -> dict:
-        return {"right": _Direction(self.tail, self.entry_iface, leftward=False)}
+        right = _Direction(self.tail, self.entry_iface, False, f"{_name(self)}, right ray")
+        return {"right": right}
+
+    @cached_property
+    def _initial_data(self) -> dict:
+        """Interior edge labels of the level-0 truncation's Hamilton cycles,
+        per dummy pair state."""
+        G0 = truncation_minor(self, 0)
+        dummy_ids = frozenset(G0.edges_at(DUMMY))
+        pos = {stub: i for i, (stub, _) in enumerate(self.entry_iface)}
+        cycles: dict = {s: [] for s in _states(self.cut_size)}
+        for cycle in enumerate_hamilton_cycles(G0):
+            state = _cut_state(G0, pos, cycle & dummy_ids)
+            cycles[state].append(frozenset(G0.edges[i].label for i in cycle - dummy_ids))
+        return {s: tuple(v) for s, v in cycles.items()}
 
     def piece(self, i: int) -> ChainPiece:
         return self.initial if i == 0 else self.tail.piece(i)
@@ -195,12 +211,22 @@ class TwoEndedChain:
     @cached_property
     def _directions(self) -> dict:
         return {
-            "left": _Direction(self.left, self.central, leftward=True),
-            "right": _Direction(self.right, self.central, leftward=False),
+            "left": _Direction(self.left, self.central, True, f"{_name(self)}, left ray"),
+            "right": _Direction(self.right, self.central, False, f"{_name(self)}, right ray"),
         }
 
 
 CutChain = OneEndedChain | TwoEndedChain
+
+
+def _name(chain: CutChain) -> str:
+    """The chain as defect messages name it."""
+    return chain.name or f"unnamed {chain.mode} chain with {chain.cut_size}-edge cuts"
+
+
+def _show(states: Iterable[State]) -> str:
+    """States as cut positions, for messages: {0,1} {0,2}."""
+    return " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sorted(states, key=sorted))
 
 
 # -- materialization ---------------------------------------------------------
@@ -372,13 +398,14 @@ class _Direction:
     piece and the outward map state -> state -> interior cycles (the
     layer's buckets, transposed on the left side, with targets in sorted
     order).  Survival sets are kept per slot as well, for the cut the step
-    leaves.
+    leaves.  `name` says which chain and side, for defect messages.
     """
 
-    def __init__(self, tail: Tail, first: Matching, leftward: bool):
+    def __init__(self, tail: Tail, first: Matching, leftward: bool, name: str):
         self.tail = tail
         self.first = first
         self.leftward = leftward
+        self.name = name
         self.J = len(tail.pre) + 1  # cuts >= J have periodic survival
         self.plen = tail.plen
         self.states = _states(len(first))
@@ -479,7 +506,10 @@ def _analyze_rays(direction: _Direction, seed: dict) -> RayAnalysis:
         totals.append(sum(weights.values()))
         j += 1
     if j_repeat is None:
-        raise RuntimeError("support recurrence not found (implementation defect)")
+        raise RuntimeError(
+            f"{direction.name}: no support recurrence up to cut {j}, past the limit {limit};"
+            f" support there {_show(sup_list[j]) or 'empty'} (implementation defect)"
+        )
 
     # branching inside the recurrent support cycle means unboundedly many rays
     for jj in range(j_enter, j_repeat):
@@ -488,7 +518,12 @@ def _analyze_rays(direction: _Direction, seed: dict) -> RayAnalysis:
             if out >= 2:
                 # cross-check: recurrent branching must grow the prefix totals
                 if totals[j_repeat] <= totals[j_enter]:
-                    raise RuntimeError("branching without prefix growth (defect)")
+                    raise RuntimeError(
+                        f"{direction.name}: state {_show([s])} branches at cut {jj}"
+                        f" (out-multiplicity {out}), but the prefix total {totals[j_repeat]}"
+                        f" at cut {j_repeat} does not exceed {totals[j_enter]}"
+                        f" at cut {j_enter} (defect)"
+                    )
                 return RayAnalysis(
                     "infinite", None, (jj, s, out), seeds, tuple(sup_list), j_enter, j_repeat
                 )
@@ -518,14 +553,21 @@ def _continuations(direction: _Direction, analysis: RayAnalysis) -> dict:
         while True:
             nxt = [(t, cyc) for t, cycles in direction.moves(jj, cur) for cyc in cycles]
             if len(nxt) != 1:
-                raise RuntimeError("non-deterministic recurrent state (defect)")
+                raise RuntimeError(
+                    f"{direction.name}: recurrent state {_show([cur])} at cut {jj}"
+                    f" has {len(nxt)} continuations, not 1 (defect)"
+                )
             choices.append((cur, nxt[0][0], nxt[0][1]))
             cur = nxt[0][0]
             jj += 1
             if (jj - j) % D == 0 and cur == s:
                 return choices
             if jj - j > guard:
-                raise RuntimeError("periodic tail did not close (defect)")
+                raise RuntimeError(
+                    f"{direction.name}: periodic tail from state {_show([s])} at cut {j}"
+                    f" is in state {_show([cur])} at cut {jj}, {jj - j} cuts on,"
+                    f" past the guard of {guard} without closing (defect)"
+                )
 
     result: dict = {}
 
@@ -652,7 +694,9 @@ class LimitCount:
 
 def initial_vector(chain: OneEndedChain) -> dict:
     """Hamilton-cycle counts of the level-0 truncation per dummy pair state."""
-    return {s: len(cycles) for s, cycles in _initial_data(chain).items()}
+    if not isinstance(chain, OneEndedChain):
+        raise ChainError("initial vector is defined for one-ended chains")
+    return {s: len(cycles) for s, cycles in chain._initial_data.items()}
 
 
 def _cut_state(G: MultiGraph, pos: dict, ids: Iterable[int]) -> State:
@@ -680,21 +724,6 @@ def _truncation_vector(chain: OneEndedChain, k: int) -> dict:
     return vec
 
 
-def _initial_data(chain: OneEndedChain) -> dict:
-    """Interior edge labels of the level-0 truncation's Hamilton cycles,
-    per dummy pair state."""
-    if not isinstance(chain, OneEndedChain):
-        raise ChainError("initial vector is defined for one-ended chains")
-    G0 = truncation_minor(chain, 0)
-    dummy_ids = frozenset(G0.edges_at(DUMMY))
-    pos = {stub: i for i, (stub, _) in enumerate(chain.entry_iface)}
-    cycles: dict = {s: [] for s in _states(chain.cut_size)}
-    for cycle in enumerate_hamilton_cycles(G0):
-        state = _cut_state(G0, pos, cycle & dummy_ids)
-        cycles[state].append(frozenset(G0.edges[i].label for i in cycle - dummy_ids))
-    return {s: tuple(v) for s, v in cycles.items()}
-
-
 def surviving_states(chain: CutChain) -> dict:
     """Greatest-fixed-point survival sets, per cut (prefix) and per residue."""
     out = {
@@ -713,8 +742,8 @@ def count_limit_hamilton_cycles(chain: CutChain) -> LimitCount:
 
 def _count_one_ended(chain: OneEndedChain) -> LimitCount:
     direction = chain._directions["right"]
-    init_cycles = _initial_data(chain)
-    analysis = _analyze_rays(direction, {s: len(c) for s, c in init_cycles.items()})
+    init_cycles = chain._initial_data
+    analysis = _analyze_rays(direction, initial_vector(chain))
     if analysis.tag == "zero":
         return LimitCount("zero", 0, None, ())
     if analysis.tag == "infinite":
@@ -730,7 +759,11 @@ def _count_one_ended(chain: OneEndedChain) -> LimitCount:
                     )
                 )
     if len(certs) != analysis.count:
-        raise RuntimeError("certificate count disagrees with the classification (defect)")
+        raise RuntimeError(
+            f"{_name(chain)}: {len(certs)} certificates from the seed states"
+            f" {_show(analysis.seeds)} at cut 0, but the classification counts"
+            f" {analysis.count} limit cycles (defect)"
+        )
     return LimitCount("finite", analysis.count, None, tuple(certs))
 
 
@@ -753,6 +786,12 @@ def _count_two_ended(chain: TwoEndedChain) -> LimitCount:
         total += left.count * right.count
         lconts = _continuations(dirs["left"], left)[s]
         rconts = _continuations(dirs["right"], right)[s]
+        if len(lconts) * len(rconts) != left.count * right.count:
+            raise RuntimeError(
+                f"{_name(chain)}: {len(lconts)} x {len(rconts)} certificates through the"
+                f" central state {_show([s])} at cut 0, but the classification counts"
+                f" {left.count} x {right.count} limit cycles there (defect)"
+            )
         for lpre, lper in lconts:
             for rpre, rper in rconts:
                 certs.append(
@@ -767,8 +806,6 @@ def _count_two_ended(chain: TwoEndedChain) -> LimitCount:
                 )
     if total == 0:
         return LimitCount("zero", 0, None, ())
-    if len(certs) != total:
-        raise RuntimeError("certificate count disagrees with the classification (defect)")
     return LimitCount("finite", total, None, tuple(certs))
 
 
@@ -793,7 +830,7 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
     """Check transfer-matrix predictions against brute force on the minor."""
     right = chain._directions["right"]
     if isinstance(chain, OneEndedChain):
-        w = _truncation_vector(chain, 0)
+        w = initial_vector(chain)
         for j in range(k):
             w = _push(w, right.layer(j))
         actual = _truncation_vector(chain, k)
@@ -817,9 +854,8 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
 
 def prefix_counts(chain: OneEndedChain, k_max: int) -> list[int]:
     """Total multiplicity of surviving length-k prefixes, for k = 0..k_max."""
-    init_cycles = _initial_data(chain)
     direction = chain._directions["right"]
-    w = {s: len(c) for s, c in init_cycles.items() if c and s in direction.surv(0)}
+    w = {s: c for s, c in initial_vector(chain).items() if c and s in direction.surv(0)}
     out = [sum(w.values())]
     for j in range(k_max):
         w = direction.advance(w, j)
@@ -863,7 +899,7 @@ def witness_two_cycles(
 
 def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
     direction = chain._directions["right"]
-    init_cycles = _initial_data(chain)
+    init_cycles = chain._initial_data
     j_w, s_w, _ = witness
 
     # breadth-first choice path from a seed to the branching state
@@ -883,7 +919,11 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
         paths = nxt
         level += 1
         if level > j_w:
-            raise RuntimeError("branching witness unreachable (defect)")
+            raise RuntimeError(
+                f"{direction.name}: branching state {_show([s_w])} at cut {j_w} is not"
+                f" reached from the seed states {_show(seeds)}; cut {level} holds"
+                f" {_show(paths) or 'no state'} (defect)"
+            )
     prefix = paths[s_w]
     seed = prefix[0][0] if prefix else s_w
     interior = init_cycles[seed][0]

@@ -5,11 +5,16 @@ Every cycle query runs on one backtracking core, `_search`, which calls a
 visitor once per Hamilton cycle and builds nothing itself.  The counting
 helpers (`count_through`, `count_by_trace`, `edge_parity_report`) tally
 inside their visitors, so their tallies take O(n + m) space whatever the
-number of cycles; `first_hamilton_cycle` and `second_cycle_nearly_cubic`
-keep only the least cycles seen.  `enumerate_hamilton_cycles` collects
-every cycle.  The search itself holds one (m + 3n + 1)-int state list per
-branching level on the current path, so O(depth * (m + n)) ints with depth
-at most m.
+number of cycles.  `enumerate_hamilton_cycles` collects every cycle.  The
+search itself holds one (m + 3n + 1)-int state list per branching level on
+the current path, so O(depth * (m + n)) ints with depth at most m.
+
+The core has two branch orders.  Full searches (counts, tallies, listing)
+branch on the most constrained undecided edge, which keeps the search tree
+small.  Least-cycle queries (`first_hamilton_cycle`,
+`second_cycle_nearly_cubic`) branch on the lowest-id undecided edge, IN
+child first; that order meets the cycles in ascending sorted edge-id
+order, so the search stops at the k-th cycle instead of visiting them all.
 
 A Hamilton cycle is represented as a frozenset of edge ids; output lists are
 always sorted by the sorted edge-id tuple, so repeated runs (and parallel
@@ -18,7 +23,6 @@ runs) produce identical order.
 
 from __future__ import annotations
 
-from bisect import insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress
@@ -76,10 +80,11 @@ def _search(
     G: MultiGraph,
     require: Iterable[int],
     forbid: Iterable[int],
-    visit: Callable[[list[int]], None],
+    visit: Callable[[list[int]], bool | None],
+    lowest_first: bool = False,
 ) -> None:
     """Call `visit(s)` once for each Hamilton cycle of G that contains every
-    edge of `require` and none of `forbid`.
+    edge of `require` and none of `forbid`, until a call returns true.
 
     The whole search state is one flat int list `s`: the state of edge i at
     s[i] (_UND, _IN or _OUT); for the vertex whose block starts at offset p
@@ -99,15 +104,24 @@ def _search(
     OUT once it has two IN, and all of them IN when exactly as many are
     undecided as it still needs; a vertex left short fails the branch.
 
-    Each search node branches on the most constrained undecided edge: most
-    IN edges at its ends, then fewest undecided edges there, then lowest id.
-    Branching at a path end instead slowed thin graphs with 2-edge cuts by
-    an order of magnitude, so the edge rule stays.
+    By default each search node branches on the most constrained undecided
+    edge: most IN edges at its ends, then fewest undecided edges there, then
+    lowest id.  Branching at a path end instead slowed thin graphs with
+    2-edge cuts by an order of magnitude, so the edge rule stays.
+
+    With `lowest_first` each node branches on the lowest-id undecided edge
+    and cycles arrive in ascending order of their sorted edge-id tuples.
+    Let d be the lowest edge id in one of two cycles A and B but not the
+    other; A is the smaller exactly when d is in A (both have n edges).  At
+    the node where the search separates A from B, every edge below its
+    branching edge is decided, and the same way for both, so that edge is
+    d; its IN child, which holds A, is searched first.
 
     `visit(s)` runs once the n-th edge is IN; propagation has then set
     every other edge OUT, and s[i] == _IN for i < G.m marks the cycle.  The
-    visitor must not keep or change `s`.  Cycles arrive in search order,
-    not sorted.
+    visitor must not keep or change `s`.  A true return value ends the
+    search.  Without `lowest_first` cycles arrive in search order, not
+    sorted.
     """
     require, forbid = _checked(G, require, forbid)
     n, m = G.n, G.m
@@ -193,23 +207,30 @@ def _search(
                     best, best_in, best_und = i, c, und
         return best
 
-    def descend(s: list[int]) -> None:
+    def lowest_edge(s: list[int]) -> int:
+        try:
+            return s.index(_UND, 0, m)
+        except ValueError:
+            return -1
+
+    pick = lowest_edge if lowest_first else branch_edge
+
+    def descend(s: list[int]) -> bool:
+        """Search below s; true once the visitor has asked to stop."""
         if s[n_in] == n:
-            visit(s)
-            return
-        i = branch_edge(s)
+            return bool(visit(s))
+        i = pick(s)
         if i < 0:
-            return
+            return False
         t = s[:]
         touched: list[int] = []
-        if put_in(t, i, touched) and propagate(t, touched):
-            descend(t)
+        if put_in(t, i, touched) and propagate(t, touched) and descend(t):
+            return True
         s[i] = _OUT
         p, q = eu[i], ev[i]
         s[p + 1] -= 1
         s[q + 1] -= 1
-        if propagate(s, [p, q]):
-            descend(s)
+        return propagate(s, [p, q]) and descend(s)
 
     touched: list[int] = []
     for i in range(m):
@@ -308,17 +329,16 @@ def count_by_trace(G: MultiGraph, groups: Sequence[Iterable[int]]) -> dict:
 
 
 def _least_cycles(G: MultiGraph, require: Iterable[int], k: int) -> list[tuple[int, ...]]:
-    """The k least cycles through `require` as sorted edge-id tuples, in order."""
+    """The k least cycles through `require` as sorted edge-id tuples, in
+    order: the first k that the lowest-id-first search meets."""
     edge_ids = range(G.m)
     least: list[tuple[int, ...]] = []
 
-    def keep(s: list[int]) -> None:
-        c = tuple(compress(edge_ids, map(_is_in, s)))
-        if len(least) < k or c < least[-1]:
-            insort(least, c)
-            del least[k:]
+    def keep(s: list[int]) -> bool:
+        least.append(tuple(compress(edge_ids, map(_is_in, s))))
+        return len(least) >= k
 
-    _search(G, require, (), keep)
+    _search(G, require, (), keep, lowest_first=True)
     return least
 
 
@@ -435,7 +455,12 @@ def second_cycle_lollipop(G: MultiGraph, cycle: Iterable[int], edge_id: int) -> 
             visited.add(new_edges)
             new_seq = seq[: j + 1] + seq[j + 1 :][::-1]
             stack.append((new_seq, new_edges))
-    raise RuntimeError("lollipop walk exhausted without a second cycle (implementation defect)")
+    raise RuntimeError(
+        f"lollipop walk through edge {e.label!r} (n={G.n}, m={G.m}) exhausted"
+        f" {len(visited)} Hamilton paths from the cycle {' '.join(cycle_labels(G, C))}:"
+        f" found 1 Hamilton cycle through the edge where there are at least 2"
+        f" (implementation defect)"
+    )
 
 
 def second_cycle_nearly_cubic(G: MultiGraph) -> tuple[HamiltonCycle, HamiltonCycle]:
@@ -446,7 +471,10 @@ def second_cycle_nearly_cubic(G: MultiGraph) -> tuple[HamiltonCycle, HamiltonCyc
     if not least:
         raise GraphError("graph is not Hamiltonian")
     if len(least) < 2:
-        raise RuntimeError("nearly cubic Hamiltonian graph with a single cycle (defect)")
+        raise RuntimeError(
+            f"nearly cubic graph (n={G.n}, m={G.m}) has 1 Hamilton cycle,"
+            f" {' '.join(cycle_labels(G, least[0]))}, where there are at least 2 (defect)"
+        )
     return frozenset(least[0]), frozenset(least[1])
 
 

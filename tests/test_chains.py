@@ -1,5 +1,6 @@
 import pytest
 
+from cubicham import chains
 from cubicham import (
     ChainError,
     ChainPiece,
@@ -243,3 +244,23 @@ def test_transfer_dot_renders_levels():
     assert "F0:" in dot and "F2:" in dot
     dot2 = transfer_dot(chain_double_ladder(), 1)
     assert "F-1:" in dot2
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (chain_H, "chain_H: 0 certificates from the seed states {0,2} at cut 0, "
+         "but the classification counts 2 limit cycles"),
+        (chain_double_ladder, "chain_double_ladder: 0 x 0 certificates through the central "
+         "state {0,1} at cut 0, but the classification counts 1 x 1 limit cycles there"),
+    ],
+    ids=["one-ended", "two-ended"],
+)
+def test_defect_messages_name_chain_state_and_counts(monkeypatch, make, expected):
+    # certificates fewer than the count: no ray continues from any seed
+    monkeypatch.setattr(
+        chains, "_continuations", lambda direction, analysis: {s: [] for s in analysis.seeds}
+    )
+    with pytest.raises(RuntimeError, match="defect") as exc:
+        count_limit_hamilton_cycles(make())
+    assert expected in str(exc.value)

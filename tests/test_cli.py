@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubicham
 from cubicham import from_json
 from cubicham.cli import main
 
@@ -150,3 +155,17 @@ def test_seed_flag_is_gone(capsys):
         main(["--seed", "1", "hamilton", "count", "k4"])
     assert exc.value.code == 2
     assert "--seed" not in capsys.readouterr().err.splitlines()[0]
+
+
+def test_python_m_cubicham_runs_the_cli():
+    src = str(Path(cubicham.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run_module(*argv):
+        cmd = [sys.executable, "-m", "cubicham", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+
+    proc = run_module("hamilton", "count", "cube")
+    assert proc.returncode == 0 and proc.stdout == "6\n"
+    assert run_module("hamilton", "count", "no-such-graph").returncode == 2

@@ -2,7 +2,9 @@
 (JSON and text), `chain check --depth 6`, `export-dot --levels 1` and
 `--levels 3` and `construct`; the sorted splice label set of every
 certificate at depth pre + 2·period; and, for one-ended chains, the
-`witness_two_cycles` pair.
+`witness_two_cycles` pair.  Also the stdout and exit code of
+`hamilton second --format json --edge e` for every edge of the built-in
+graphs in `SECOND_GRAPHS`.
 
 Every set is sorted, so the files do not depend on PYTHONHASHSEED. After a
 change that is meant to alter these outputs, regenerate them with
@@ -25,7 +27,7 @@ from cubicham import (
     splice_certificate,
     witness_two_cycles,
 )
-from cubicham.cli import main
+from cubicham.cli import _BUILTIN_GRAPHS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -39,10 +41,13 @@ COMMANDS = {
     "construct.json": ["construct", None],
 }
 
+SECOND_GRAPHS = ("cube", "k4", "petersen", "tutte-fragment", "tutte-quotient")
+SECOND_FILE = GOLDEN / "hamilton-second.json"
+
 
 def _stdout(argv: list[str]) -> str:
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     return f"exit {code}\n{buf.getvalue()}"
 
@@ -90,8 +95,26 @@ def capture(name: str) -> dict:
     return out
 
 
+def capture_second() -> dict:
+    """Graph -> edge label -> `hamilton second` output through that edge."""
+    return {
+        graph: {
+            e.label: _stdout(["--format", "json", "hamilton", "second", graph, "--edge", e.label])
+            for e in _BUILTIN_GRAPHS[graph]().edges
+        }
+        for graph in SECOND_GRAPHS
+    }
+
+
 def _path(name: str) -> Path:
     return GOLDEN / f"{name}.json"
+
+
+def _write(path: Path, doc: dict) -> None:
+    # one top-level key per line keeps the files short and diffs local
+    lines = [f"{json.dumps(k)}: {json.dumps(doc[k], sort_keys=True)}" for k in sorted(doc)]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {path}")
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CHAINS))
@@ -103,11 +126,16 @@ def test_builtin_chain_outputs_match_golden(name):
         assert actual[key] == expected[key], f"{name}: {key} differs from the golden file"
 
 
+def test_hamilton_second_matches_golden():
+    expected = json.loads(SECOND_FILE.read_text())
+    actual = capture_second()
+    assert actual.keys() == expected.keys()
+    for graph in expected:
+        assert actual[graph] == expected[graph], f"hamilton second on {graph} differs"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for chain_name in sorted(BUILTIN_CHAINS):
-        doc = capture(chain_name)
-        # one top-level key per line keeps the files short and diffs local
-        lines = [f"{json.dumps(k)}: {json.dumps(doc[k], sort_keys=True)}" for k in sorted(doc)]
-        _path(chain_name).write_text("{\n" + ",\n".join(lines) + "\n}\n")
-        print(f"wrote {_path(chain_name)}")
+        _write(_path(chain_name), capture(chain_name))
+    _write(SECOND_FILE, capture_second())

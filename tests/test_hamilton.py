@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cubicham import hamilton
 from cubicham import (
     GraphError,
     MultiGraph,
@@ -11,6 +12,7 @@ from cubicham import (
     cycle_labels,
     edge_parity_report,
     enumerate_hamilton_cycles,
+    first_hamilton_cycle,
     is_hamilton_cycle,
     k4,
     petersen,
@@ -178,6 +180,64 @@ def test_second_cycle_nearly_cubic():
     assert is_hamilton_cycle(G, a) and is_hamilton_cycle(G, b)
     with pytest.raises(GraphError):
         second_cycle_nearly_cubic(k4())
+
+
+def _subdivided(G: MultiGraph, edge_id: int) -> MultiGraph:
+    """G with edge `edge_id` replaced by a path through a new vertex."""
+    e = G.edges[edge_id]
+    edges = [(None, f.u, f.v) for f in G.edges if f.id != edge_id]
+    return MultiGraph(list(G.vertices) + ["mid"], edges + [(None, e.u, "mid"), (None, "mid", e.v)])
+
+
+def test_second_cycle_nearly_cubic_is_the_two_least_cycles():
+    rng = random.Random(5)
+    for n in (8, 10, 12, 14):
+        G = random_cubic_hamiltonian(n, rng)
+        H = _subdivided(G, min(enumerate_hamilton_cycles(G)[0]))
+        assert H.is_nearly_cubic()
+        assert list(second_cycle_nearly_cubic(H)) == enumerate_hamilton_cycles(H)[:2]
+
+
+def test_first_hamilton_cycle_none_without_a_cycle_through_the_edge():
+    square = build_graph(
+        ["a", "b", "c", "d"],
+        [("ab", "a", "b"), ("bc", "b", "c"), ("cd", "c", "d"), ("da", "d", "a"), ("ac", "a", "c")],
+    )
+    assert first_hamilton_cycle(square) == enumerate_hamilton_cycles(square)[0]
+    assert first_hamilton_cycle(square, {square.edge_by_label("ac").id}) is None
+    P = petersen()
+    assert all(first_hamilton_cycle(P, {e.id}) is None for e in P.edges)
+
+
+def test_least_cycles_visit_at_most_k_cycles(monkeypatch):
+    visits = []
+    search = hamilton._search
+
+    def counting(G, require, forbid, visit, **kwargs):
+        def counted(s):
+            visits.append(1)
+            return visit(s)
+
+        return search(G, require, forbid, counted, **kwargs)
+
+    monkeypatch.setattr(hamilton, "_search", counting)
+    G = tutte_quotient()
+    assert len(enumerate_hamilton_cycles(G)) > 3
+    for k in (1, 2, 3):
+        visits.clear()
+        assert len(hamilton._least_cycles(G, (), k)) == k
+        assert len(visits) == k
+
+
+def test_defect_message_names_graph_and_counts(monkeypatch):
+    G = _subdivided(k4(), 0)
+    only = hamilton._least_cycles(G, (), 1)
+    monkeypatch.setattr(hamilton, "_least_cycles", lambda G, require, k: only)
+    with pytest.raises(RuntimeError) as exc:
+        second_cycle_nearly_cubic(G)
+    message = str(exc.value)
+    assert "n=5, m=7" in message and "1 Hamilton cycle" in message and "at least 2" in message
+    assert " ".join(cycle_labels(G, only[0])) in message
 
 
 def test_parity_report_on_quotient_fragment():

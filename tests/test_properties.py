@@ -17,9 +17,11 @@ from cubicham import (
     is_hamilton_cycle,
     prefix_counts,
     quotient,
+    random_cubic_graph,
     random_cubic_hamiltonian,
     random_odd_degree_graph,
 )
+from cubicham.hamilton import _least_cycles
 from util import naive_hamilton_cycles, naive_multigraph_hamilton_cycles
 
 
@@ -140,6 +142,28 @@ def test_streaming_helpers_match_enumeration(seed, n):
     groups = [G.edges_at(v) for v in rng.sample(G.vertices, min(2, n))] + [ids[:3]]
     by_trace = Counter(tuple(c & frozenset(g) for g in groups) for c in full)
     assert count_by_trace(G, groups) == dict(by_trace)
+
+
+def _assert_least_cycles(G: MultiGraph, req: frozenset) -> None:
+    through = [tuple(sorted(c)) for c in enumerate_hamilton_cycles(G, req)]
+    for k in (1, 2, 3):
+        assert _least_cycles(G, req, k) == through[:k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 7))
+def test_least_cycles_on_random_multigraphs(seed, n):
+    G = _random_multigraph(seed, n)
+    rng = random.Random(seed + 2)
+    _assert_least_cycles(G, frozenset(rng.sample(range(G.m), min(G.m, rng.randint(0, 2)))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(5, 10))
+def test_least_cycles_on_random_cubic_graphs(seed, half):
+    rng = random.Random(seed)
+    G = random_cubic_graph(2 * half, rng)
+    _assert_least_cycles(G, frozenset({rng.randrange(G.m)}))
 
 
 def test_prefix_counts_monotone_on_builtins():
