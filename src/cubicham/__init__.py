@@ -12,6 +12,7 @@ from .multigraph import (
     contract_to_dummy,
     delete_vertex,
     disjoint_union,
+    from_doc,
     from_json,
     max_vertex_disjoint_paths,
     min_edge_cut,

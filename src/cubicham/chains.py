@@ -17,20 +17,28 @@ chain.  A direction holds one step per distinct cut: the pre-period cuts,
 then one period.  `Tail.fold` maps any cut to its step, and is the only
 place a period index is folded.  Every propagation of weights goes through
 `_Direction.moves` and `_Direction.advance`.  A one-ended chain likewise
-keeps the Hamilton cycles of its level-0 truncation (`_initial_data`), the
-seed of every rightward propagation.
+keeps the Hamilton-cycle counts of its level-0 truncation
+(`_initial_counts`), the seed of every rightward propagation.
+
+Layers and the level-0 vector hold counts only, tallied without listing
+cycles.  The cycles themselves (interior edge labels per state pair) are
+enumerated on first use, and only certificates (`_continuations`), the
+witnesses of an Infinite chain (`_two_infinite_witnesses`) and
+`transfer_dot` ask for them.  Each chain also keeps its truncation windows,
+one per level (`_window`), so `end_degree` on both ends of a two-ended
+chain and the level-0 vector build each window once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
 from .hamilton import count_by_trace, enumerate_hamilton_cycles, is_hamilton_cycle
-from .multigraph import GraphError, MultiGraph, from_json as graph_from_json, min_edge_cut
+from .multigraph import GraphError, MultiGraph, from_doc as graph_from_doc, min_edge_cut
 
 State = frozenset  # of cut positions
 Matching = tuple[tuple[str, str], ...]  # (right stub of left piece, left stub of right piece)
@@ -57,10 +65,11 @@ class ChainPiece:
         stubs = [s for s, _ in self.left_ports] + [s for s, _ in self.right_ports]
         if len(set(stubs)) != len(stubs):
             raise ChainError("stub labels must be unique within a piece")
+        labels = {e.label for e in self.graph.edges}
         for stub, v in self.left_ports + self.right_ports:
             if v not in self.graph:
                 raise ChainError(f"port vertex {v!r} not in piece")
-            if stub in {e.label for e in self.graph.edges}:
+            if stub in labels:
                 raise ChainError(f"stub {stub!r} collides with an interior edge label")
 
     def left_stub_vertex(self, stub: str) -> str:
@@ -157,17 +166,22 @@ class OneEndedChain:
         return {"right": right}
 
     @cached_property
-    def _initial_data(self) -> dict:
+    def _windows(self) -> dict:
+        """Truncation minors by level, each built on first use (`_window`)."""
+        return {}
+
+    @cached_property
+    def _initial_counts(self) -> dict:
+        """Hamilton-cycle counts of the level-0 truncation per dummy pair state."""
+        return _truncation_vector(self, _window(self, 0), 0)
+
+    @cached_property
+    def _initial_cycles(self) -> dict:
         """Interior edge labels of the level-0 truncation's Hamilton cycles,
-        per dummy pair state."""
-        G0 = truncation_minor(self, 0)
-        dummy_ids = frozenset(G0.edges_at(DUMMY))
-        pos = {stub: i for i, (stub, _) in enumerate(self.entry_iface)}
-        cycles: dict = {s: [] for s in _states(self.cut_size)}
-        for cycle in enumerate_hamilton_cycles(G0):
-            state = _cut_state(G0, pos, cycle & dummy_ids)
-            cycles[state].append(frozenset(G0.edges[i].label for i in cycle - dummy_ids))
-        return {s: tuple(v) for s, v in cycles.items()}
+        per dummy pair state, in sorted cycle order; for certificates."""
+        pos = _positions(self.entry_iface, 0, 0)
+        cycles = _dummy_cycles(_window(self, 0), (DUMMY,), (pos,))
+        return {s: cycles.get((s,), ()) for s in _states(self.cut_size)}
 
     def piece(self, i: int) -> ChainPiece:
         return self.initial if i == 0 else self.tail.piece(i)
@@ -215,6 +229,11 @@ class TwoEndedChain:
             "right": _Direction(self.right, self.central, False, f"{_name(self)}, right ray"),
         }
 
+    @cached_property
+    def _windows(self) -> dict:
+        """Truncation minors by level, each built on first use (`_window`)."""
+        return {}
+
 
 CutChain = OneEndedChain | TwoEndedChain
 
@@ -248,8 +267,13 @@ def materialize(
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
     for piece, t in zip(pieces, tags):
-        vertices.extend(_tag(v, t) for v in piece.graph.vertices)
-        edges.extend((_tag(e.label, t), _tag(e.u, t), _tag(e.v, t)) for e in piece.graph.edges)
+        G = piece.graph
+        if t is None:
+            vertices += G.vertices
+            edges += [(e.label, e.u, e.v) for e in G.edges]
+        else:
+            vertices += [f"{v}@{t}" for v in G.vertices]
+            edges += [(f"{e.label}@{t}", f"{e.u}@{t}", f"{e.v}@{t}") for e in G.edges]
     for j, matching in enumerate(ifaces):
         lp, rp = pieces[j], pieces[j + 1]
         for rstub, lstub in matching:
@@ -296,6 +320,15 @@ def truncation_minor(chain: CutChain, k: int) -> MultiGraph:
     return materialize(pieces, ifaces, tags, left_dummy=DUMMY_LEFT, right_dummy=DUMMY_RIGHT)
 
 
+def _window(chain: CutChain, k: int) -> MultiGraph:
+    """`truncation_minor(chain, k)`, built once per chain and level and kept
+    on the chain."""
+    windows = chain._windows
+    if k not in windows:
+        windows[k] = truncation_minor(chain, k)
+    return windows[k]
+
+
 def segment_minor(chain: CutChain, n: int) -> MultiGraph:
     """The piece between cuts F(n) and F(n+1) with dummies alpha and beta."""
     if isinstance(chain, OneEndedChain):
@@ -319,16 +352,30 @@ def _states(cut_size: int) -> tuple[State, ...]:
 
 @dataclass(frozen=True)
 class TransferLayer:
-    """Hamilton counts of one segment, bucketed by boundary pair states."""
+    """Hamilton counts of one segment by boundary pair states.
+
+    The cycles behind the counts are enumerated only when `buckets` is
+    first read.
+    """
 
     left_states: tuple[State, ...]
     right_states: tuple[State, ...]
     left_names: tuple[str, ...]  # cut-edge stub name per left position
     right_names: tuple[str, ...]
-    buckets: dict  # (left state, right state) -> tuple of interior edge-label frozensets
+    counts: dict  # (left state, right state) -> number of segment Hamilton cycles, if any
+    segment: MultiGraph = field(compare=False, repr=False)  # with dummies alpha and beta
+
+    @cached_property
+    def buckets(self) -> dict:
+        """(left state, right state) -> tuple of interior edge-label
+        frozensets, keys and cycles in sorted cycle order."""
+        positions = tuple(
+            {stub: i for i, stub in enumerate(names)} for names in (self.left_names, self.right_names)
+        )
+        return _dummy_cycles(self.segment, ("alpha", "beta"), positions)
 
     def mult(self, p: State, q: State) -> int:
-        return len(self.buckets.get((p, q), ()))
+        return self.counts.get((p, q), 0)
 
     def matrix(self) -> list[list[int]]:
         return [[self.mult(p, q) for q in self.right_states] for p in self.left_states]
@@ -351,26 +398,14 @@ def _compute_layer(piece: ChainPiece, left_iface: Matching, right_iface: Matchin
     seg = materialize([piece], [], [None], left_dummy="alpha", right_dummy="beta")
     if not seg.is_simple():
         raise ChainError("segment minor is not simple")
-    lpos = {stub: i for i, (_, stub) in enumerate(left_iface)}
-    rpos = {stub: i for i, (stub, _) in enumerate(right_iface)}
-    alpha_ids = frozenset(seg.edges_at("alpha"))
-    beta_ids = frozenset(seg.edges_at("beta"))
-    buckets: dict = {}
-    for cycle in enumerate_hamilton_cycles(seg):
-        p = frozenset(lpos[seg.edges[i].label] for i in cycle & alpha_ids)
-        q = frozenset(rpos[seg.edges[i].label] for i in cycle & beta_ids)
-        interior = frozenset(
-            seg.edges[i].label for i in cycle - alpha_ids - beta_ids
-        )
-        buckets.setdefault((p, q), []).append(interior)
-    buckets = {k: tuple(v) for k, v in buckets.items()}
-    size = len(left_iface)
+    positions = (_positions(left_iface, 1, None), _positions(right_iface, 0, None))
     return TransferLayer(
-        _states(size),
+        _states(len(left_iface)),
         _states(len(right_iface)),
         tuple(stub for _, stub in left_iface),
         tuple(stub for stub, _ in right_iface),
-        buckets,
+        _dummy_counts(seg, ("alpha", "beta"), positions),
+        seg,
     )
 
 
@@ -395,10 +430,10 @@ class _Direction:
     from cut j to cut j+1 is stored at slot `tail.fold(j)`: the J =
     len(pre) + 1 cuts before the period, then one per period residue.  A
     slot is filled on first use with the rightward `TransferLayer` of its
-    piece and the outward map state -> state -> interior cycles (the
-    layer's buckets, transposed on the left side, with targets in sorted
-    order).  Survival sets are kept per slot as well, for the cut the step
-    leaves.  `name` says which chain and side, for defect messages.
+    piece and the outward map state -> state -> count (the layer's counts,
+    transposed on the left side, with targets in sorted order).  Survival
+    sets are kept per slot as well, for the cut the step leaves.  `name`
+    says which chain and side, for defect messages.
     """
 
     def __init__(self, tail: Tail, first: Matching, leftward: bool, name: str):
@@ -419,10 +454,10 @@ class _Direction:
             piece = self.tail.piece(i + 1)
             if self.leftward:
                 layer = _compute_layer(piece, outer, inner)
-                pairs = {(q, p): cycles for (p, q), cycles in layer.buckets.items()}
+                pairs = {(q, p): n for (p, q), n in layer.counts.items()}
             else:
                 layer = _compute_layer(piece, inner, outer)
-                pairs = layer.buckets
+                pairs = layer.counts
             out = {a: {b: pairs[a, b] for b in self.states if (a, b) in pairs} for a in self.states}
             self._steps[i] = (layer, out)
         return self._steps[i]
@@ -457,18 +492,24 @@ class _Direction:
     def surv(self, j: int) -> frozenset:
         return self.alive[self.tail.fold(j)]
 
-    def moves(self, j: int, s: State) -> list[tuple[State, tuple]]:
+    def moves(self, j: int, s: State) -> list[tuple[State, int]]:
         """Surviving successors at cut j+1 of state s at cut j, in sorted
-        state order, each with its interior cycles."""
+        state order, each with its number of segment cycles."""
         alive = self.surv(j + 1)
-        return [(t, cycles) for t, cycles in self._step(j)[1][s].items() if t in alive]
+        return [(t, n) for t, n in self._step(j)[1][s].items() if t in alive]
+
+    def choices(self, j: int, s: State) -> list[tuple[State, tuple]]:
+        """`moves`, each successor with its interior cycles instead of their
+        number; enumerates the layer's cycles on first use."""
+        buckets = self.layer(j).buckets
+        return [(t, buckets[(t, s) if self.leftward else (s, t)]) for t, _ in self.moves(j, s)]
 
     def advance(self, weights: dict, j: int) -> dict:
         """Weights at cut j carried to cut j+1 along surviving moves."""
         nxt: dict = {}
         for s, c in weights.items():
-            for t, cycles in self.moves(j, s):
-                nxt[t] = nxt.get(t, 0) + c * len(cycles)
+            for t, n in self.moves(j, s):
+                nxt[t] = nxt.get(t, 0) + c * n
         return nxt
 
 
@@ -514,7 +555,7 @@ def _analyze_rays(direction: _Direction, seed: dict) -> RayAnalysis:
     # branching inside the recurrent support cycle means unboundedly many rays
     for jj in range(j_enter, j_repeat):
         for s in sup_list[jj]:
-            out = sum(len(cycles) for _, cycles in direction.moves(jj, s))
+            out = sum(n for _, n in direction.moves(jj, s))
             if out >= 2:
                 # cross-check: recurrent branching must grow the prefix totals
                 if totals[j_repeat] <= totals[j_enter]:
@@ -551,7 +592,7 @@ def _continuations(direction: _Direction, analysis: RayAnalysis) -> dict:
         jj, cur = j, s
         guard = D * (len(direction.states) + 2)
         while True:
-            nxt = [(t, cyc) for t, cycles in direction.moves(jj, cur) for cyc in cycles]
+            nxt = [(t, cyc) for t, cycles in direction.choices(jj, cur) for cyc in cycles]
             if len(nxt) != 1:
                 raise RuntimeError(
                     f"{direction.name}: recurrent state {_show([cur])} at cut {jj}"
@@ -575,7 +616,7 @@ def _continuations(direction: _Direction, analysis: RayAnalysis) -> dict:
         if recurrent(j, s):
             out.append((list(acc), periodic_tail(j, s)))
             return
-        for t, cycles in direction.moves(j, s):
+        for t, cycles in direction.choices(j, s):
             for cyc in cycles:
                 acc.append((s, t, cyc))
                 walk(j + 1, t, acc, out)
@@ -696,28 +737,49 @@ def initial_vector(chain: OneEndedChain) -> dict:
     """Hamilton-cycle counts of the level-0 truncation per dummy pair state."""
     if not isinstance(chain, OneEndedChain):
         raise ChainError("initial vector is defined for one-ended chains")
-    return {s: len(cycles) for s, cycles in chain._initial_data.items()}
+    return dict(chain._initial_counts)
+
+
+def _positions(matching: Matching, side: int, tag) -> dict:
+    """Window edge label -> cut position of the stubs on one side of a
+    matching (0: the left piece's right stubs, 1: the right piece's left
+    stubs), in the piece tagged `tag`."""
+    return {_tag(pair[side], tag): i for i, pair in enumerate(matching)}
 
 
 def _cut_state(G: MultiGraph, pos: dict, ids: Iterable[int]) -> State:
     """Cut positions of the stub edges `ids` at a dummy vertex of G."""
-    return frozenset(pos[G.edges[i].label.rsplit("@", 1)[0]] for i in ids)
+    return frozenset(pos[G.edges[i].label] for i in ids)
 
 
 def _dummy_counts(G: MultiGraph, dummies: tuple[str, ...], positions: tuple[dict, ...]) -> dict:
-    """Hamilton cycles of a truncation minor counted by the pair state they
-    use at each dummy; `positions[k]` maps a stub to its cut position at
-    `dummies[k]`."""
+    """Hamilton cycles of a window or segment minor counted by the pair
+    state they use at each dummy; `positions[k]` maps the label of an edge
+    at `dummies[k]` to its cut position."""
     return {
         tuple(_cut_state(G, pos, trace) for pos, trace in zip(positions, traces)): count
         for traces, count in count_by_trace(G, [G.edges_at(d) for d in dummies]).items()
     }
 
 
-def _truncation_vector(chain: OneEndedChain, k: int) -> dict:
-    """Hamilton-cycle counts of the level-k truncation per dummy pair state."""
-    G = truncation_minor(chain, k)
-    pos = {stub: i for i, (stub, _) in enumerate(chain.iface(k))}
+def _dummy_cycles(G: MultiGraph, dummies: tuple[str, ...], positions: tuple[dict, ...]) -> dict:
+    """The Hamilton cycles of G keyed as in `_dummy_counts`, each as the
+    frozenset of labels of its edges away from the dummies; keys and cycles
+    come in sorted cycle order."""
+    stubs = [frozenset(G.edges_at(d)) for d in dummies]
+    at_dummies = frozenset().union(*stubs)
+    buckets: dict = {}
+    for cycle in enumerate_hamilton_cycles(G):
+        key = tuple(_cut_state(G, pos, cycle & ids) for pos, ids in zip(positions, stubs))
+        interior = frozenset(G.edges[i].label for i in cycle - at_dummies)
+        buckets.setdefault(key, []).append(interior)
+    return {key: tuple(cycles) for key, cycles in buckets.items()}
+
+
+def _truncation_vector(chain: OneEndedChain, G: MultiGraph, k: int) -> dict:
+    """Hamilton-cycle counts of G, the level-k truncation, per dummy pair
+    state."""
+    pos = _positions(chain.iface(k), 0, k)
     vec = {s: 0 for s in _states(chain.cut_size)}
     for (state,), count in _dummy_counts(G, (DUMMY,), (pos,)).items():
         vec[state] = count
@@ -742,13 +804,13 @@ def count_limit_hamilton_cycles(chain: CutChain) -> LimitCount:
 
 def _count_one_ended(chain: OneEndedChain) -> LimitCount:
     direction = chain._directions["right"]
-    init_cycles = chain._initial_data
     analysis = _analyze_rays(direction, initial_vector(chain))
     if analysis.tag == "zero":
         return LimitCount("zero", 0, None, ())
     if analysis.tag == "infinite":
         return LimitCount("infinite", None, analysis.witness, ())
     conts = _continuations(direction, analysis)
+    init_cycles = chain._initial_cycles
     certs = []
     for s in sorted(analysis.seeds, key=sorted):
         for interior in init_cycles[s]:
@@ -833,7 +895,7 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
         w = initial_vector(chain)
         for j in range(k):
             w = _push(w, right.layer(j))
-        actual = _truncation_vector(chain, k)
+        actual = _truncation_vector(chain, truncation_minor(chain, k), k)
         return ConsistencyReport(w == actual, w, actual)
 
     # one row vector per state at the window's left end, pushed rightward
@@ -843,8 +905,8 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
     prod = {a: {b: int(a == b) for b in states} for a in states}
     for layer in layers:
         prod = {a: _push(row, layer) for a, row in prod.items()}
-    lpos = {stub: i for i, (_, stub) in enumerate(chain.left.iface(k))}
-    rpos = {stub: i for i, (stub, _) in enumerate(chain.right.iface(k))}
+    lpos = _positions(chain.left.iface(k), 1, -(k - 1))
+    rpos = _positions(chain.right.iface(k), 0, k)
     actual = {a: {b: 0 for b in states} for a in states}
     G = truncation_minor(chain, k)
     for (a, b), count in _dummy_counts(G, (DUMMY_LEFT, DUMMY_RIGHT), (lpos, rpos)).items():
@@ -863,22 +925,31 @@ def prefix_counts(chain: OneEndedChain, k_max: int) -> list[int]:
     return out
 
 
+END_DEGREE_LEVELS = 8
+
+
 def end_degree(chain: CutChain, end: str = "right") -> int:
-    """Stabilized minimum cut from a fixed finite core to the chosen end."""
-    prev = None
-    for k in range(1, 9):
-        G = truncation_minor(chain, k)
-        if isinstance(chain, OneEndedChain):
-            core = [f"{v}@0" for v in chain.initial.graph.vertices]
-            sink = DUMMY
-        else:
-            core = [f"{v}@0" for v in chain.left.piece(1).graph.vertices]
-            sink = DUMMY_RIGHT if end == "right" else DUMMY_LEFT
-        val = min_edge_cut(G, core, sink)
-        if val == prev:
-            return val
-        prev = val
-    return prev
+    """Minimum cut from a fixed finite core to the chosen end: the first
+    value that the windows of two consecutive levels agree on.
+
+    Raises ChainError, with the value at every level, if no two
+    consecutive levels up to END_DEGREE_LEVELS agree.
+    """
+    if isinstance(chain, OneEndedChain):
+        core = [f"{v}@0" for v in chain.initial.graph.vertices]
+        sink = DUMMY
+    else:
+        core = [f"{v}@0" for v in chain.left.piece(1).graph.vertices]
+        sink = DUMMY_RIGHT if end == "right" else DUMMY_LEFT
+    values: list[int] = []
+    for k in range(1, END_DEGREE_LEVELS + 1):
+        values.append(min_edge_cut(_window(chain, k), core, sink))
+        if k > 1 and values[-1] == values[-2]:
+            return values[-1]
+    raise ChainError(
+        f"{_name(chain)}: the degree of the {end} end does not stabilize up to level"
+        f" {END_DEGREE_LEVELS}; min cuts at levels 1-{END_DEGREE_LEVELS}: {values}"
+    )
 
 
 def witness_two_cycles(
@@ -899,12 +970,12 @@ def witness_two_cycles(
 
 def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
     direction = chain._directions["right"]
-    init_cycles = chain._initial_data
     j_w, s_w, _ = witness
 
     # breadth-first choice path from a seed to the branching state
     seeds = sorted(
-        (s for s, c in init_cycles.items() if c and s in direction.surv(0)), key=sorted
+        (s for s, c in chain._initial_counts.items() if c and s in direction.surv(0)),
+        key=sorted,
     )
     paths = {s: [] for s in seeds}
     level = 0
@@ -913,7 +984,7 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
             break
         nxt: dict = {}
         for s, acc in paths.items():
-            for t, cycles in direction.moves(level, s):
+            for t, cycles in direction.choices(level, s):
                 if t not in nxt:
                     nxt[t] = acc + [(s, t, cycles[0])]
         paths = nxt
@@ -926,8 +997,8 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
             )
     prefix = paths[s_w]
     seed = prefix[0][0] if prefix else s_w
-    interior = init_cycles[seed][0]
-    options = [(t, cyc) for t, cycles in direction.moves(j_w, s_w) for cyc in cycles]
+    interior = chain._initial_cycles[seed][0]
+    options = [(t, cyc) for t, cycles in direction.choices(j_w, s_w) for cyc in cycles]
 
     def greedy_tail(j: int, s: State) -> tuple[list, list]:
         choices = []
@@ -940,7 +1011,7 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
                 cut = seen[key]
                 return choices[:cut], choices[cut:]
             seen[key] = len(choices)
-            t, cycles = direction.moves(jj, cur)[0]
+            t, cycles = direction.choices(jj, cur)[0]
             choices.append((cur, t, cycles[0]))
             cur = t
             jj += 1
@@ -960,7 +1031,7 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
 
 def _piece_to_doc(piece: ChainPiece) -> dict:
     return {
-        "graph": json.loads(piece.graph.to_json()),
+        "graph": piece.graph.to_doc(),
         "left_ports": [list(p) for p in piece.left_ports],
         "right_ports": [list(p) for p in piece.right_ports],
     }
@@ -968,7 +1039,7 @@ def _piece_to_doc(piece: ChainPiece) -> dict:
 
 def _piece_from_doc(doc: dict) -> ChainPiece:
     return ChainPiece(
-        graph_from_json(json.dumps(doc["graph"])),
+        graph_from_doc(doc["graph"]),
         tuple(tuple(p) for p in doc["left_ports"]),
         tuple(tuple(p) for p in doc["right_ports"]),
     )

@@ -321,11 +321,13 @@ def count_by_trace(G: MultiGraph, groups: Sequence[Iterable[int]]) -> dict:
     counts: dict = {}
 
     def tally(s: list[int]) -> None:
-        key = tuple(frozenset([i for i in g if s[i] == _IN]) for g in groups)
+        # a tuple in group order is cheaper to build per cycle than a
+        # frozenset; each distinct trace is converted once, at the end
+        key = tuple([tuple([i for i in g if s[i] == _IN]) for g in groups])
         counts[key] = counts.get(key, 0) + 1
 
     _search(G, (), (), tally)
-    return counts
+    return {tuple(map(frozenset, key)): count for key, count in counts.items()}
 
 
 def _least_cycles(G: MultiGraph, require: Iterable[int], k: int) -> list[tuple[int, ...]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -22,8 +22,9 @@ class SimplifyError(GraphError):
     """Contraction was asked to simplify but would have to merge edges."""
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
+    """One edge; immutable. A named tuple, since graphs build many."""
+
     id: int
     label: str
     u: str
@@ -54,26 +55,25 @@ class MultiGraph:
         if len(set(vs)) != len(vs):
             raise GraphError("duplicate vertex label")
         self.vertices: tuple[str, ...] = vs
-        self._vset = frozenset(vs)
+        self._vset = vset = frozenset(vs)
         recs = []
-        labels: set[str] = set()
+        by_label: dict[str, EdgeRecord] = {}
+        inc: dict[str, list[int]] = {v: [] for v in vs}
         for i, (label, u, v) in enumerate(edges):
-            if u not in self._vset:
+            if u not in vset:
                 raise GraphError(f"unknown endpoint label {u!r}")
-            if v not in self._vset:
+            if v not in vset:
                 raise GraphError(f"unknown endpoint label {v!r}")
             lab = label if label is not None else f"_e{i}"
-            if lab in labels:
+            if lab in by_label:
                 raise GraphError(f"duplicate edge label {lab!r}")
-            labels.add(lab)
-            recs.append(EdgeRecord(i, lab, u, v))
+            by_label[lab] = rec = EdgeRecord(i, lab, u, v)
+            recs.append(rec)
+            inc[u].append(i)
+            if u != v:
+                inc[v].append(i)
         self.edges: tuple[EdgeRecord, ...] = tuple(recs)
-        self._by_label = {e.label: e for e in self.edges}
-        inc: dict[str, list[int]] = {v: [] for v in vs}
-        for e in self.edges:
-            inc[e.u].append(e.id)
-            if not e.is_loop():
-                inc[e.v].append(e.id)
+        self._by_label = by_label
         self._incident = {v: tuple(ids) for v, ids in inc.items()}
 
     # -- queries -----------------------------------------------------------
@@ -118,12 +118,10 @@ class MultiGraph:
     def is_simple(self) -> bool:
         seen = set()
         for e in self.edges:
-            if e.is_loop():
+            if e.u == e.v or (e.u, e.v) in seen:
                 return False
-            key = frozenset(e.ends)
-            if key in seen:
-                return False
-            seen.add(key)
+            seen.add((e.u, e.v))
+            seen.add((e.v, e.u))
         return True
 
     def is_connected(self) -> bool:
@@ -150,12 +148,15 @@ class MultiGraph:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """The graph as the JSON document `to_json` writes, not yet encoded."""
+        return {
             "vertices": [{"label": v} for v in self.vertices],
             "edges": [{"label": e.label, "ends": [e.u, e.v]} for e in self.edges],
         }
-        return json.dumps(doc, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), indent=2)
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]
@@ -188,7 +189,11 @@ def build_graph(
 
 
 def from_json(text: str) -> MultiGraph:
-    doc = json.loads(text)
+    return from_doc(json.loads(text))
+
+
+def from_doc(doc) -> MultiGraph:
+    """A graph from a decoded JSON document, as `from_json` reads it."""
     try:
         vertices = [v["label"] for v in doc["vertices"]]
         edges = [(e["label"], e["ends"][0], e["ends"][1]) for e in doc["edges"]]
@@ -304,49 +309,55 @@ def add_edges(G: MultiGraph, specs: Sequence[tuple[str | None, str, str]]) -> Mu
 # -- flow-based connectivity queries ----------------------------------------
 
 
-class _FlowNet:
-    """Unit-capacity max flow via BFS augmenting paths (Edmonds-Karp)."""
+def _max_flow(n: int, arcs: list[tuple[int, int, int, int]], s: int, t: int) -> int:
+    """Maximum s-t flow on nodes 0..n-1 by shortest augmenting paths
+    (Edmonds-Karp).
 
-    def __init__(self) -> None:
-        self.adj: dict[str, list[list]] = {}
+    Each (u, v, forward, backward) in `arcs` is one residual pair: arc 2i
+    runs u -> v with capacity `forward`, its twin 2i ^ 1 runs v -> u with
+    `backward` (0 for a directed arc, the same for an undirected edge).
+    The search stops once the capacity into t is used up.
+    """
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v, forward, backward in arcs:
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head += (v, u)
+        cap += (forward, backward)
+    bound = sum(cap[a ^ 1] for a in out[t])
+    total = 0
+    while total < bound:
+        via = [-1] * n  # the arc each reached node was reached by
+        via[s] = -2
+        queue = [s]
+        for u in queue:
+            for a in out[u]:
+                v = head[a]
+                if cap[a] and via[v] == -1:
+                    via[v] = a
+                    queue.append(v)
+            if via[t] != -1:
+                break
+        else:
+            return total
+        path = []
+        v = t
+        while v != s:
+            a = via[v]
+            path.append(a)
+            v = head[a ^ 1]
+        push = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= push
+            cap[a ^ 1] += push
+        total += push
+    return total
 
-    def add_node(self, x: str) -> None:
-        self.adj.setdefault(x, [])
 
-    def add_arc(self, u: str, v: str, cap: int) -> None:
-        self.add_node(u)
-        self.add_node(v)
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def max_flow(self, s: str, t: str) -> int:
-        total = 0
-        while True:
-            prev: dict[str, tuple[str, int]] = {s: ("", -1)}
-            queue = [s]
-            while queue and t not in prev:
-                u = queue.pop(0)
-                for i, (v, cap, _) in enumerate(self.adj[u]):
-                    if cap > 0 and v not in prev:
-                        prev[v] = (u, i)
-                        queue.append(v)
-            if t not in prev:
-                return total
-            v = t
-            while v != s:
-                u, i = prev[v]
-                arc = self.adj[u][i]
-                arc[1] -= 1
-                self.adj[arc[0]][arc[2]][1] += 1
-                v = u
-            total += 1
-
-
-_BIG = 10**9
-
-
-def min_edge_cut(G: MultiGraph, sources: Iterable[str], sink: str) -> int:
-    """Maximum number of edge-disjoint source-to-sink paths (= min separating cut)."""
+def _flow_ends(G: MultiGraph, sources: Iterable[str], sink: str) -> frozenset[str]:
+    """The sources, checked: nonempty, known, and without the sink."""
     src = frozenset(sources)
     if not src:
         raise GraphError("sources must be nonempty")
@@ -355,48 +366,34 @@ def min_edge_cut(G: MultiGraph, sources: Iterable[str], sink: str) -> int:
     for v in src | {sink}:
         if v not in G:
             raise GraphError(f"unknown vertex {v!r}")
-    net = _FlowNet()
-    for e in G.edges:
-        if e.is_loop():
-            continue
-        net.add_arc(e.u, e.v, 1)
-        net.add_arc(e.v, e.u, 1)
-    net.add_node(sink)
-    for s in src:
-        net.add_arc("__src__", s, _BIG)
-    net.add_node("__src__")
-    return net.max_flow("__src__", sink)
+    return src
+
+
+_BIG = 10**9
+
+
+def min_edge_cut(G: MultiGraph, sources: Iterable[str], sink: str) -> int:
+    """Maximum number of edge-disjoint source-to-sink paths (= min separating cut)."""
+    src = _flow_ends(G, sources, sink)
+    node = {v: i for i, v in enumerate(G.vertices)}
+    arcs = [(node[e.u], node[e.v], 1, 1) for e in G.edges if e.u != e.v]
+    root = G.n  # joined to every source
+    arcs += [(root, node[v], _BIG, 0) for v in src]
+    return _max_flow(G.n + 1, arcs, root, node[sink])
 
 
 def max_vertex_disjoint_paths(G: MultiGraph, sources: Iterable[str], sink: str) -> int:
     """Maximum number of internally vertex-disjoint source-to-sink paths."""
-    src = frozenset(sources)
-    if not src:
-        raise GraphError("sources must be nonempty")
-    if sink in src:
-        raise GraphError("sink must not be a source")
+    src = _flow_ends(G, sources, sink)
     free = src | {sink}  # not split; may be shared by paths
-    for v in free:
-        if v not in G:
-            raise GraphError(f"unknown vertex {v!r}")
-
-    def head(v: str) -> str:
-        return v if v in free else v + "#in"
-
-    def tail(v: str) -> str:
-        return v if v in free else v + "#out"
-
-    net = _FlowNet()
-    for v in G.vertices:
-        if v not in free:
-            net.add_arc(head(v), tail(v), 1)
+    # a vertex v is entered at node 2i and left from node 2i + 1, or, if
+    # free, both at 2i; an inner vertex passes one path from 2i to 2i + 1
+    enter = {v: 2 * i for i, v in enumerate(G.vertices)}
+    leave = {v: i if v in free else i + 1 for v, i in enter.items()}
+    arcs = [(i, i + 1, 1, 0) for v, i in enter.items() if v not in free]
     for e in G.edges:
-        if e.is_loop():
-            continue
-        net.add_arc(tail(e.u), head(e.v), 1)
-        net.add_arc(tail(e.v), head(e.u), 1)
-    net.add_node(sink)
-    for s in src:
-        net.add_arc("__src__", s, _BIG)
-    net.add_node("__src__")
-    return net.max_flow("__src__", sink)
+        if e.u != e.v:
+            arcs += ((leave[e.u], enter[e.v], 1, 0), (leave[e.v], enter[e.u], 1, 0))
+    root = 2 * G.n
+    arcs += [(root, enter[v], _BIG, 0) for v in src]
+    return _max_flow(root + 1, arcs, root, enter[sink])

@@ -1,6 +1,6 @@
 import pytest
 
-from cubicham import chains
+from cubicham import chains, cli, hamilton
 from cubicham import (
     ChainError,
     ChainPiece,
@@ -165,6 +165,49 @@ def test_end_degrees():
     assert end_degree(chain_Hprime(), "left") == 3
     assert end_degree(chain_Hprime(), "right") == 3
     assert end_degree(chain_double_ladder(), "left") == 2
+
+
+def test_end_degree_raises_when_unstable(monkeypatch, capsys):
+    levels = iter(range(100))
+    monkeypatch.setattr(chains, "min_edge_cut", lambda G, core, sink: next(levels))
+    with pytest.raises(ChainError) as exc:
+        end_degree(chain_Hprime(), "left")
+    message = str(exc.value)
+    assert "chain_Hprime" in message and "left end" in message
+    assert "[0, 1, 2, 3, 4, 5, 6, 7]" in message
+    assert cli.main(["chain", "analyze", "chain-G"]) == 2
+    assert "chain_G: the degree of the right end" in capsys.readouterr().err
+
+
+def test_windows_are_built_once_per_chain(monkeypatch):
+    built = []
+    real = chains.truncation_minor
+    monkeypatch.setattr(chains, "truncation_minor", lambda c, k: built.append(k) or real(c, k))
+    chain = chain_Hprime()
+    assert (end_degree(chain, "left"), end_degree(chain, "right")) == (3, 3)
+    assert built and len(built) == len(set(built))
+    built.clear()
+    chain = chain_H()
+    count_limit_hamilton_cycles(chain)  # Finite: counts, then certificates
+    assert initial_vector(chain) == {S01: 0, S02: 2, S12: 4}
+    assert built == [0]
+
+
+@pytest.mark.parametrize("name, lists", [("chain-G", False), ("chain-H", True)])
+def test_analyze_lists_cycles_only_for_certificates(monkeypatch, capsys, name, lists):
+    calls = []
+    real = hamilton.enumerate_hamilton_cycles
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "enumerate_hamilton_cycles", counted)
+    monkeypatch.setattr(hamilton, "enumerate_hamilton_cycles", counted)
+    assert cli.main(["chain", "analyze", name]) == 0
+    out = capsys.readouterr().out
+    # an Infinite chain has no certificates, so nothing is listed
+    assert ("Infinite" in out, bool(calls)) == (not lists, lists)
 
 
 def test_chain_json_roundtrip():

@@ -127,6 +127,18 @@ def test_malformed_chain_json_is_usage_error(tmp_path, capsys):
     assert code == 2 and "malformed chain JSON" in err
 
 
+@pytest.mark.parametrize(
+    "graph", [5, {"vertices": [{"label": "a"}], "edges": [{"label": "x", "ends": ["a", "b"]}]}]
+)
+def test_malformed_piece_graph_is_usage_error(tmp_path, capsys, graph):
+    doc = json.loads(cubicham.chain_to_json(cubicham.chain_G()))
+    doc["tail"]["period"][0]["graph"] = graph
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "chain", "analyze", str(target))
+    assert code == 2 and "error" in err
+
+
 def test_export_dot(capsys):
     code, out, _ = run(capsys, "export-dot", "k4")
     assert code == 0 and out.startswith("graph")

@@ -16,6 +16,7 @@ from cubicham import (
     OneEndedChain,
     count_by_trace,
     count_limit_hamilton_cycles,
+    initial_vector,
     materialize,
     prefix_counts,
     transfer_layer,
@@ -110,3 +111,16 @@ def test_generated_chain(index):
     lo = 0 if isinstance(chain, OneEndedChain) else 1
     for k in range(lo, 4):
         assert truncation_consistency(chain, k).ok, k
+
+
+@pytest.mark.parametrize("index", range(len(CHAINS)))
+def test_layer_counts_match_cycle_buckets(index):
+    # layers count without listing; the cycles, listed only on demand, must
+    # come in the same numbers, on both sides and in every slot
+    chain = CHAINS[index]
+    for side, tail in _tails(chain):
+        for j in range(len(tail.pre) + 1 + tail.plen):
+            layer = transfer_layer(chain, j if side == "right" else -j - 1)
+            assert layer.counts == {key: len(c) for key, c in layer.buckets.items()}, (side, j)
+    if isinstance(chain, OneEndedChain):
+        assert initial_vector(chain) == {s: len(c) for s, c in chain._initial_cycles.items()}

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import random
 
+import networkx as nx
 import pytest
 
 from cubicham import (
+    EdgeRecord,
     GraphError,
     MultiGraph,
     SimplifyError,
@@ -11,6 +15,7 @@ from cubicham import (
     contract_to_dummy,
     delete_vertex,
     disjoint_union,
+    from_doc,
     from_json,
     k4,
     max_vertex_disjoint_paths,
@@ -138,3 +143,73 @@ def test_min_cut_ladder_like():
     )
     assert min_edge_cut(G, ["a"], "c") == 2
     assert max_vertex_disjoint_paths(G, ["a"], "c") == 2
+
+
+def test_edge_record_is_immutable():
+    e = k4().edge(0)
+    for name in ("id", "label", "u", "v"):
+        with pytest.raises((AttributeError, dataclasses.FrozenInstanceError)):
+            setattr(e, name, getattr(e, name))
+    assert isinstance(e, EdgeRecord)
+    assert e.ends == (e.u, e.v) and not e.is_loop()
+    assert e.other_end(e.u) == e.v and e.other_end(e.v) == e.u
+
+
+def test_from_doc_reads_what_from_json_reads():
+    P = petersen()
+    G = from_doc(json.loads(P.to_json()))
+    assert G.to_json() == P.to_json() == json.dumps(P.to_doc(), indent=2)
+    for doc in ([1, 2], {"vertices": [{"label": "a"}]}, {"vertices": [{}], "edges": []},
+                {"vertices": [{"label": "a"}], "edges": [{"label": "x", "ends": ["a"]}]}):
+        with pytest.raises(GraphError):
+            from_doc(doc)
+
+
+def _random_flow_case(rng: random.Random):
+    """A multigraph with loops and parallel edges, some sources and a sink."""
+    n = rng.randint(2, 9)
+    vs = [f"v{i}" for i in range(n)]
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u = rng.choice(vs)
+        v = u if rng.random() < 0.1 else rng.choice(vs)
+        edges.append((u, v))
+        if rng.random() < 0.2:
+            edges.append((v, u))  # a parallel edge
+    sink = rng.choice(vs)
+    sources = rng.sample([v for v in vs if v != sink], rng.randint(1, min(3, n - 1)))
+    return build_graph(vs, edges), sources, sink
+
+
+def _nx_max_flow(arcs, sources, sink) -> int:
+    D = nx.DiGraph()
+    for u, v in arcs:
+        if D.has_edge(u, v):
+            D[u][v]["capacity"] += 1
+        else:
+            D.add_edge(u, v, capacity=1)
+    D.add_nodes_from([sink, "__root__"])
+    for s in sources:
+        D.add_edge("__root__", s)  # no capacity: unbounded
+    return nx.maximum_flow_value(D, "__root__", sink)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_flows_match_networkx(seed):
+    G, sources, sink = _random_flow_case(random.Random(seed))
+    proper = [e for e in G.edges if not e.is_loop()]
+    arcs = [(e.u, e.v) for e in proper] + [(e.v, e.u) for e in proper]
+    assert min_edge_cut(G, sources, sink) == _nx_max_flow(arcs, sources, sink)
+
+    free = set(sources) | {sink}
+
+    def enter(v):
+        return v if v in free else (v, "in")
+
+    def leave(v):
+        return v if v in free else (v, "out")
+
+    split = [(enter(v), leave(v)) for v in G.vertices if v not in free]
+    arcs = split + [(leave(e.u), enter(e.v)) for e in proper]
+    arcs += [(leave(e.v), enter(e.u)) for e in proper]
+    assert max_vertex_disjoint_paths(G, sources, sink) == _nx_max_flow(arcs, sources, sink)
