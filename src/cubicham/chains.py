@@ -17,16 +17,24 @@ chain.  A direction holds one step per distinct cut: the pre-period cuts,
 then one period.  `Tail.fold` maps any cut to its step, and is the only
 place a period index is folded.  Every propagation of weights goes through
 `_Direction.moves` and `_Direction.advance`.  A one-ended chain likewise
-keeps the Hamilton-cycle counts of its level-0 truncation
-(`_initial_counts`), the seed of every rightward propagation.
+keeps its level-0 truncation (`_window0`) and that window's Hamilton-cycle
+counts (`_initial_counts`), the seed of every rightward propagation.
+
+A piece's segment minor and its Hamilton-cycle counts depend on the piece
+alone, so the piece keeps them, keyed by the stub labels each cycle uses
+on either side (`ChainPiece._counts`).  A transfer layer only re-keys that
+table through the cut positions of its two matchings, so every slot, ray
+side and chain holding the same piece object shares one search.
 
 Layers and the level-0 vector hold counts only, tallied without listing
 cycles.  The cycles themselves (interior edge labels per state pair) are
-enumerated on first use, and only certificates (`_continuations`), the
-witnesses of an Infinite chain (`_two_infinite_witnesses`) and
-`transfer_dot` ask for them.  Each chain also keeps its truncation windows,
-one per level (`_window`), so `end_degree` on both ends of a two-ended
-chain and the level-0 vector build each window once.
+enumerated on first use, once per piece (`ChainPiece._cycles`), and only
+certificates (`_continuations`), the witnesses of an Infinite chain
+(`_two_infinite_witnesses`) and `transfer_dot` ask for them.
+
+`end_degree` builds no truncation windows: its min cut at each level is a
+max flow over integer edge lists that each piece keeps (`ChainPiece._flow`),
+glued outward from the core (`_level_cuts`).
 """
 
 from __future__ import annotations
@@ -35,10 +43,10 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .hamilton import count_by_trace, enumerate_hamilton_cycles, is_hamilton_cycle
-from .multigraph import GraphError, MultiGraph, from_doc as graph_from_doc, min_edge_cut
+from .multigraph import GraphError, MultiGraph, _max_flow, from_doc as graph_from_doc
 
 State = frozenset  # of cut positions
 Matching = tuple[tuple[str, str], ...]  # (right stub of left piece, left stub of right piece)
@@ -83,6 +91,43 @@ class ChainPiece:
             if s == stub:
                 return v
         raise ChainError(f"unknown right stub {stub!r}")
+
+    @cached_property
+    def _segment(self) -> MultiGraph:
+        """The piece with its left stubs on a dummy alpha and its right stubs
+        on a dummy beta, checked simple; stub edges keep the stub labels."""
+        seg = materialize([self], [], [None], left_dummy="alpha", right_dummy="beta")
+        if not seg.is_simple():
+            raise ChainError("segment minor is not simple")
+        return seg
+
+    def _stub_maps(self) -> tuple[dict, dict]:
+        # identity maps: segment tables are keyed by stub labels
+        return ({s: s for s, _ in self.left_ports}, {s: s for s, _ in self.right_ports})
+
+    @cached_property
+    def _counts(self) -> dict:
+        """(left stub pair, right stub pair) -> number of Hamilton cycles of
+        the segment minor through those stubs; pairs no cycle uses are absent."""
+        return _dummy_counts(self._segment, ("alpha", "beta"), self._stub_maps())
+
+    @cached_property
+    def _cycles(self) -> dict:
+        """The segment minor's Hamilton cycles keyed as `_counts`, each as the
+        frozenset of its interior edge labels; keys and cycles in sorted
+        cycle order."""
+        return _dummy_cycles(self._segment, ("alpha", "beta"), self._stub_maps())
+
+    @cached_property
+    def _flow(self) -> tuple[int, list, dict, dict]:
+        """The piece as integers, for max flows: its vertex count, its edges
+        as vertex-index pairs (loops dropped: no path uses one), and the
+        vertex index of each left and each right stub."""
+        index = {v: i for i, v in enumerate(self.graph.vertices)}
+        edges = [(index[e.u], index[e.v]) for e in self.graph.edges if e.u != e.v]
+        left = {s: index[v] for s, v in self.left_ports}
+        right = {s: index[v] for s, v in self.right_ports}
+        return len(index), edges, left, right
 
 
 @dataclass(frozen=True)
@@ -166,21 +211,22 @@ class OneEndedChain:
         return {"right": right}
 
     @cached_property
-    def _windows(self) -> dict:
-        """Truncation minors by level, each built on first use (`_window`)."""
-        return {}
+    def _window0(self) -> MultiGraph:
+        """The level-0 truncation, read by `_initial_counts` and
+        `_initial_cycles`."""
+        return truncation_minor(self, 0)
 
     @cached_property
     def _initial_counts(self) -> dict:
         """Hamilton-cycle counts of the level-0 truncation per dummy pair state."""
-        return _truncation_vector(self, _window(self, 0), 0)
+        return _truncation_vector(self, self._window0, 0)
 
     @cached_property
     def _initial_cycles(self) -> dict:
         """Interior edge labels of the level-0 truncation's Hamilton cycles,
         per dummy pair state, in sorted cycle order; for certificates."""
         pos = _positions(self.entry_iface, 0, 0)
-        cycles = _dummy_cycles(_window(self, 0), (DUMMY,), (pos,))
+        cycles = _dummy_cycles(self._window0, (DUMMY,), (pos,))
         return {s: cycles.get((s,), ()) for s in _states(self.cut_size)}
 
     def piece(self, i: int) -> ChainPiece:
@@ -228,11 +274,6 @@ class TwoEndedChain:
             "left": _Direction(self.left, self.central, True, f"{_name(self)}, left ray"),
             "right": _Direction(self.right, self.central, False, f"{_name(self)}, right ray"),
         }
-
-    @cached_property
-    def _windows(self) -> dict:
-        """Truncation minors by level, each built on first use (`_window`)."""
-        return {}
 
 
 CutChain = OneEndedChain | TwoEndedChain
@@ -320,15 +361,6 @@ def truncation_minor(chain: CutChain, k: int) -> MultiGraph:
     return materialize(pieces, ifaces, tags, left_dummy=DUMMY_LEFT, right_dummy=DUMMY_RIGHT)
 
 
-def _window(chain: CutChain, k: int) -> MultiGraph:
-    """`truncation_minor(chain, k)`, built once per chain and level and kept
-    on the chain."""
-    windows = chain._windows
-    if k not in windows:
-        windows[k] = truncation_minor(chain, k)
-    return windows[k]
-
-
 def segment_minor(chain: CutChain, n: int) -> MultiGraph:
     """The piece between cuts F(n) and F(n+1) with dummies alpha and beta."""
     if isinstance(chain, OneEndedChain):
@@ -337,10 +369,10 @@ def segment_minor(chain: CutChain, n: int) -> MultiGraph:
         piece = chain.piece(n + 1)
     else:
         piece = chain.right.piece(n + 1) if n >= 0 else chain.left.piece(-n)
-    seg = materialize([piece], [], [None], left_dummy="alpha", right_dummy="beta")
-    if not seg.is_simple():
-        raise ChainError(f"segment minor at level {n} is not simple")
-    return seg
+    try:
+        return piece._segment
+    except ChainError:
+        raise ChainError(f"segment minor at level {n} is not simple") from None
 
 
 # -- transfer layers ---------------------------------------------------------
@@ -352,7 +384,8 @@ def _states(cut_size: int) -> tuple[State, ...]:
 
 @dataclass(frozen=True)
 class TransferLayer:
-    """Hamilton counts of one segment by boundary pair states.
+    """Hamilton counts of one segment by boundary pair states: the piece's
+    own tables, re-keyed through the cut positions of the layer's stubs.
 
     The cycles behind the counts are enumerated only when `buckets` is
     first read.
@@ -363,16 +396,13 @@ class TransferLayer:
     left_names: tuple[str, ...]  # cut-edge stub name per left position
     right_names: tuple[str, ...]
     counts: dict  # (left state, right state) -> number of segment Hamilton cycles, if any
-    segment: MultiGraph = field(compare=False, repr=False)  # with dummies alpha and beta
+    piece: ChainPiece = field(compare=False, repr=False)
 
     @cached_property
     def buckets(self) -> dict:
         """(left state, right state) -> tuple of interior edge-label
         frozensets, keys and cycles in sorted cycle order."""
-        positions = tuple(
-            {stub: i for i, stub in enumerate(names)} for names in (self.left_names, self.right_names)
-        )
-        return _dummy_cycles(self.segment, ("alpha", "beta"), positions)
+        return _by_state(self.piece._cycles, self.left_names, self.right_names)
 
     def mult(self, p: State, q: State) -> int:
         return self.counts.get((p, q), 0)
@@ -394,18 +424,27 @@ class TransferLayer:
         return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows)
 
 
+def _by_state(table: dict, left_names: tuple[str, ...], right_names: tuple[str, ...]) -> dict:
+    """A piece table keyed by (left stub pair, right stub pair), re-keyed by
+    the pair states of the stubs' cut positions; the key order is kept."""
+    lpos = {stub: i for i, stub in enumerate(left_names)}
+    rpos = {stub: i for i, stub in enumerate(right_names)}
+    return {
+        (frozenset(lpos[s] for s in a), frozenset(rpos[s] for s in b)): value
+        for (a, b), value in table.items()
+    }
+
+
 def _compute_layer(piece: ChainPiece, left_iface: Matching, right_iface: Matching) -> TransferLayer:
-    seg = materialize([piece], [], [None], left_dummy="alpha", right_dummy="beta")
-    if not seg.is_simple():
-        raise ChainError("segment minor is not simple")
-    positions = (_positions(left_iface, 1, None), _positions(right_iface, 0, None))
+    left_names = tuple(stub for _, stub in left_iface)
+    right_names = tuple(stub for stub, _ in right_iface)
     return TransferLayer(
-        _states(len(left_iface)),
-        _states(len(right_iface)),
-        tuple(stub for _, stub in left_iface),
-        tuple(stub for stub, _ in right_iface),
-        _dummy_counts(seg, ("alpha", "beta"), positions),
-        seg,
+        _states(len(left_names)),
+        _states(len(right_names)),
+        left_names,
+        right_names,
+        _by_state(piece._counts, left_names, right_names),
+        piece,
     )
 
 
@@ -928,22 +967,61 @@ def prefix_counts(chain: OneEndedChain, k_max: int) -> list[int]:
 END_DEGREE_LEVELS = 8
 
 
+def _level_cuts(chain: CutChain, end: str) -> Iterator[int]:
+    """The min cut between the core and the chosen end at levels 1, 2, ...:
+    what `min_edge_cut(truncation_minor(chain, k), core, dummy)` gives,
+    computed as a max flow without building the window.
+
+    The core is the initial piece of a one-ended chain and left piece 1 of
+    a two-ended one.  Node 0 of the flow network is the core, contracted:
+    every vertex of the core is a source, so every cut that separates the
+    core from the dummy keeps the whole core on one side, and contracting
+    it changes no such cut.  Node 1 is the dummy.  The pieces of the
+    chosen ray out to level k are glued on from their integer edge lists.
+    In a two-ended chain the pieces on the other side of the core reach
+    the chosen dummy only through the core, so they carry no flow that the
+    core does not already supply, and they are left out.  One-ended chains
+    have one end and ignore `end`.
+    """
+    leftward = isinstance(chain, TwoEndedChain) and end != "right"
+    if isinstance(chain, OneEndedChain):
+        core, tail, first = chain.initial, chain.tail, chain.entry_iface
+    else:
+        core, tail, first = chain.left.piece(1), chain.left if leftward else chain.right, chain.central
+    # the left tail's matchings pair (right stub of the outer piece, left
+    # stub of the inner one); the other matchings pair them the other way
+    inner, outer = (1, 0) if leftward else (0, 1)
+    frontier = {stub: 0 for stub, _ in (core.left_ports if leftward else core.right_ports)}
+    arcs: list = []
+    n = 2  # nodes so far: the core and the dummy
+    j = 0  # tail pieces glued on
+    if leftward:
+        # left piece 1 is the core itself: at level 1 the dummy takes the
+        # core's left stubs, one unit of flow each
+        j = 1
+        yield len(frontier)
+    while True:
+        j += 1
+        matching = first if j == 1 else tail.iface(j - 1)
+        size, edges, lefts, rights = tail.piece(j)._flow
+        toward, away = (rights, lefts) if leftward else (lefts, rights)
+        arcs += [(frontier[pair[inner]], n + toward[pair[outer]], 1, 1) for pair in matching]
+        arcs += [(n + u, n + v, 1, 1) for u, v in edges]
+        frontier = {stub: n + i for stub, i in away.items()}
+        n += size
+        yield _max_flow(n, arcs + [(x, 1, 1, 1) for x in frontier.values()], 0, 1)
+
+
 def end_degree(chain: CutChain, end: str = "right") -> int:
     """Minimum cut from a fixed finite core to the chosen end: the first
-    value that the windows of two consecutive levels agree on.
+    value that the min cuts of two consecutive levels agree on.
 
     Raises ChainError, with the value at every level, if no two
     consecutive levels up to END_DEGREE_LEVELS agree.
     """
-    if isinstance(chain, OneEndedChain):
-        core = [f"{v}@0" for v in chain.initial.graph.vertices]
-        sink = DUMMY
-    else:
-        core = [f"{v}@0" for v in chain.left.piece(1).graph.vertices]
-        sink = DUMMY_RIGHT if end == "right" else DUMMY_LEFT
     values: list[int] = []
-    for k in range(1, END_DEGREE_LEVELS + 1):
-        values.append(min_edge_cut(_window(chain, k), core, sink))
+    for k, value in zip(range(1, END_DEGREE_LEVELS + 1), _level_cuts(chain, end)):
+        values.append(value)
         if k > 1 and values[-1] == values[-2]:
             return values[-1]
     raise ChainError(

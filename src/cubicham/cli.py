@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 a property violation or mismatch was found,
 2 usage or input error.
+
+The argument parser is built on the first `main` call and reused by every
+later call in the process; each parse starts from a fresh namespace, so no
+option carries over from one call to the next.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import constructions
@@ -284,7 +289,10 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser for every command, built once per process on first use
+    (not at import, which stays cheap)."""
     parser = argparse.ArgumentParser(prog="cubicham")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--jobs", type=int, default=1)
@@ -327,8 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, GraphError, ChainError, json.JSONDecodeError, OSError) as exc:

@@ -168,8 +168,8 @@ def test_end_degrees():
 
 
 def test_end_degree_raises_when_unstable(monkeypatch, capsys):
-    levels = iter(range(100))
-    monkeypatch.setattr(chains, "min_edge_cut", lambda G, core, sink: next(levels))
+    # a min cut that rises at every level never agrees with the level before
+    monkeypatch.setattr(chains, "_level_cuts", lambda chain, end: iter(range(100)))
     with pytest.raises(ChainError) as exc:
         end_degree(chain_Hprime(), "left")
     message = str(exc.value)
@@ -183,14 +183,29 @@ def test_windows_are_built_once_per_chain(monkeypatch):
     built = []
     real = chains.truncation_minor
     monkeypatch.setattr(chains, "truncation_minor", lambda c, k: built.append(k) or real(c, k))
+    # end degrees are max flows on the pieces' own edge lists: no window
     chain = chain_Hprime()
     assert (end_degree(chain, "left"), end_degree(chain, "right")) == (3, 3)
-    assert built and len(built) == len(set(built))
-    built.clear()
+    assert end_degree(chain_H()) == 3
+    assert built == []
     chain = chain_H()
     count_limit_hamilton_cycles(chain)  # Finite: counts, then certificates
     assert initial_vector(chain) == {S01: 0, S02: 2, S12: 4}
     assert built == [0]
+
+
+@pytest.mark.parametrize("make", ALL_CHAINS.values(), ids=list(ALL_CHAINS))
+def test_one_segment_search_per_piece(monkeypatch, make):
+    searched = []
+    real = chains.count_by_trace
+    monkeypatch.setattr(chains, "count_by_trace", lambda G, groups: searched.append(G) or real(G, groups))
+    chain = make()
+    count_limit_hamilton_cycles(chain)
+    tails = [chain.tail] if isinstance(chain, OneEndedChain) else [chain.left, chain.right]
+    pieces = {id(piece) for tail in tails for piece in tail.pre + tail.period}
+    # every slot and side that holds a piece object shares its one search;
+    # a one-ended chain also counts its level-0 window
+    assert len(searched) == len(pieces) + isinstance(chain, OneEndedChain)
 
 
 @pytest.mark.parametrize("name, lists", [("chain-G", False), ("chain-H", True)])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cubicham
-from cubicham import from_json
+from cubicham import cli, from_json
 from cubicham.cli import main
 
 
@@ -181,3 +181,28 @@ def test_python_m_cubicham_runs_the_cli():
     proc = run_module("hamilton", "count", "cube")
     assert proc.returncode == 0 and proc.stdout == "6\n"
     assert run_module("hamilton", "count", "no-such-graph").returncode == 2
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, "hamilton", "count", "cube") == (0, "6\n", "")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_reused_parser_keeps_no_option_between_calls(capsys):
+    code, out, _ = run(capsys, "--format", "json", "chain", "check", "chain-ladder", "--depth", "3")
+    assert (code, json.loads(out)) == (0, {"ok": True, "depths": [0, 1, 2, 3]})
+    # the next call gets the defaults again: text output, depth 2
+    assert run(capsys, "chain", "check", "chain-ladder") == (
+        0, "depth 0: ok\ndepth 1: ok\ndepth 2: ok\n", ""
+    )
+
+
+def test_reused_parser_still_refuses_bad_arguments(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hamilton", "nope", "cube"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(capsys, "hamilton", "count", "cube") == (0, "6\n", "")

@@ -7,29 +7,33 @@ pre-period of 0-2 pieces and a period of 1-3 on each tail, with 2- or
 """
 
 import math
-import random
-from itertools import combinations
+import re
+from itertools import combinations, islice
 
 import pytest
 
 from cubicham import (
+    BUILTIN_CHAINS,
+    ChainError,
     OneEndedChain,
+    chains,
     count_by_trace,
     count_limit_hamilton_cycles,
+    end_degree,
     initial_vector,
     materialize,
+    min_edge_cut,
     prefix_counts,
     transfer_layer,
     truncation_consistency,
+    truncation_minor,
     validate_certificate,
 )
-from util import random_chain
+from util import frontier_count_by_trace, generated_chains
 
-KINDS = [(one_ended, c) for one_ended in (True, False) for c in (2, 3)]
-# Seeds 0-19, plus every seed below 200 whose chain is Finite: only a
-# Finite chain has certificates, and one random chain in thirty is Finite.
-SEEDS = list(range(20)) + [29, 41, 68, 72, 115, 120]
-CHAINS = [random_chain(random.Random(seed), *KINDS[seed % 4]) for seed in SEEDS]
+CHAINS = generated_chains()
+# the generated chains, then the built-ins
+EVERY_CHAIN = CHAINS + [make() for make in BUILTIN_CHAINS.values()]
 
 
 def _tails(chain) -> list:
@@ -49,13 +53,19 @@ def _unrolled(chain, tail, levels: int) -> tuple[list, list]:
     return pieces[: levels + 1], ifaces[: levels + 1]
 
 
-def _matrix(piece, left_iface, right_iface) -> list[list[int]]:
-    """Rightward transfer matrix of one piece, counted from scratch."""
+def _matrix(piece, left_iface, right_iface, frontier: bool = False) -> list[list[int]]:
+    """Rightward transfer matrix of one piece, counted from scratch by the
+    search core or, with `frontier`, by the frontier sweep."""
     seg = materialize([piece], [], [None], left_dummy="alpha", right_dummy="beta")
     lpos = {stub: i for i, (_, stub) in enumerate(left_iface)}
     rpos = {stub: i for i, (stub, _) in enumerate(right_iface)}
+    traces = (
+        frontier_count_by_trace(seg, ("alpha", "beta"))
+        if frontier
+        else count_by_trace(seg, [seg.edges_at("alpha"), seg.edges_at("beta")])
+    )
     counts: dict = {}
-    for (a, b), n in count_by_trace(seg, [seg.edges_at("alpha"), seg.edges_at("beta")]).items():
+    for (a, b), n in traces.items():
         p = frozenset(lpos[seg.edges[i].label] for i in a)
         q = frozenset(rpos[seg.edges[i].label] for i in b)
         counts[p, q] = n
@@ -124,3 +134,57 @@ def test_layer_counts_match_cycle_buckets(index):
             assert layer.counts == {key: len(c) for key, c in layer.buckets.items()}, (side, j)
     if isinstance(chain, OneEndedChain):
         assert initial_vector(chain) == {s: len(c) for s, c in chain._initial_cycles.items()}
+
+
+def _window_cuts(chain, end: str) -> list[int]:
+    """Min cuts between the core and the chosen end's dummy on the
+    truncation windows of levels 1 to END_DEGREE_LEVELS."""
+    if isinstance(chain, OneEndedChain):
+        core, sink = chain.initial, chains.DUMMY
+    else:
+        core = chain.left.piece(1)
+        sink = chains.DUMMY_RIGHT if end == "right" else chains.DUMMY_LEFT
+    sources = [f"{v}@0" for v in core.graph.vertices]
+    return [
+        min_edge_cut(truncation_minor(chain, k), sources, sink)
+        for k in range(1, chains.END_DEGREE_LEVELS + 1)
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
+def test_end_degree_equals_window_min_cuts(index):
+    # end_degree glues piece edge lists into one flow network; the
+    # definition it replaces reads min cuts off the labelled windows
+    chain = EVERY_CHAIN[index]
+    for end in ("right",) if isinstance(chain, OneEndedChain) else ("left", "right"):
+        cuts = _window_cuts(chain, end)
+        assert list(islice(chains._level_cuts(chain, end), len(cuts))) == cuts, end
+        agree = [b for a, b in zip(cuts, cuts[1:]) if a == b]
+        if agree:
+            assert end_degree(chain, end) == agree[0], end
+        else:
+            with pytest.raises(ChainError, match=re.escape(str(cuts))):
+                end_degree(chain, end)
+
+
+@pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
+def test_frontier_sweep_equals_layer_counts(index):
+    # an oracle that shares no code with the search core behind the layers
+    chain = EVERY_CHAIN[index]
+    for side, tail in _tails(chain):
+        pieces, ifaces = _unrolled(chain, tail, len(tail.pre) + 1 + tail.plen)
+        for j in range(1, len(pieces)):  # one level per direction slot
+            if side == "right":
+                layer = transfer_layer(chain, j - 1)
+                expected = _matrix(pieces[j], ifaces[j - 1], ifaces[j], frontier=True)
+            else:
+                layer = transfer_layer(chain, -j)
+                expected = _matrix(pieces[j], ifaces[j], ifaces[j - 1], frontier=True)
+            assert layer.matrix() == expected, (side, j)
+    if isinstance(chain, OneEndedChain):
+        window = truncation_minor(chain, 0)
+        pos = {f"{stub}@0": i for i, (stub, _) in enumerate(chain.entry_iface)}
+        vector = dict.fromkeys(initial_vector(chain), 0)
+        for (trace,), n in frontier_count_by_trace(window, (chains.DUMMY,)).items():
+            vector[frozenset(pos[window.edges[i].label] for i in trace)] = n
+        assert vector == initial_vector(chain)

@@ -4,7 +4,8 @@
 certificate at depth pre + 2·period; and, for one-ended chains, the
 `witness_two_cycles` pair.  Also the stdout and exit code of
 `hamilton second --format json --edge e` for every edge of the built-in
-graphs in `SECOND_GRAPHS`.
+graphs in `SECOND_GRAPHS`, and the stdout and exit code of
+`--format json chain analyze` on every generated chain of `tests/util.py`.
 
 Every set is sorted, so the files do not depend on PYTHONHASHSEED. After a
 change that is meant to alter these outputs, regenerate them with
@@ -15,6 +16,8 @@ change that is meant to alter these outputs, regenerate them with
 import contextlib
 import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,11 +26,13 @@ from cubicham import (
     BUILTIN_CHAINS,
     ChainError,
     OneEndedChain,
+    chain_to_json,
     count_limit_hamilton_cycles,
     splice_certificate,
     witness_two_cycles,
 )
 from cubicham.cli import _BUILTIN_GRAPHS, main
+from util import GENERATED_SEEDS, generated_chains
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -43,6 +48,7 @@ COMMANDS = {
 
 SECOND_GRAPHS = ("cube", "k4", "petersen", "tutte-fragment", "tutte-quotient")
 SECOND_FILE = GOLDEN / "hamilton-second.json"
+GENERATED_FILE = GOLDEN / "generated-analyze.json"
 
 
 def _stdout(argv: list[str]) -> str:
@@ -106,6 +112,24 @@ def capture_second() -> dict:
     }
 
 
+def capture_generated() -> dict:
+    """Seed -> `chain analyze` output on that generated chain. Each chain is
+    read from a file `generated-<seed>.json` in a scratch working directory,
+    so the name the output gives an unnamed chain does not vary."""
+    out = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for seed, chain in zip(GENERATED_SEEDS, generated_chains()):
+                path = Path(f"generated-{seed}.json")
+                path.write_text(chain_to_json(chain))
+                out[str(seed)] = _stdout(["--format", "json", "chain", "analyze", str(path)])
+        finally:
+            os.chdir(cwd)
+    return out
+
+
 def _path(name: str) -> Path:
     return GOLDEN / f"{name}.json"
 
@@ -134,8 +158,17 @@ def test_hamilton_second_matches_golden():
         assert actual[graph] == expected[graph], f"hamilton second on {graph} differs"
 
 
+def test_generated_chain_analyze_matches_golden():
+    expected = json.loads(GENERATED_FILE.read_text())
+    actual = capture_generated()
+    assert actual.keys() == expected.keys()
+    for seed in expected:
+        assert actual[seed] == expected[seed], f"chain analyze on generated chain {seed} differs"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for chain_name in sorted(BUILTIN_CHAINS):
         _write(_path(chain_name), capture(chain_name))
     _write(SECOND_FILE, capture_second())
+    _write(GENERATED_FILE, capture_generated())

@@ -1,6 +1,7 @@
 """Shared test helpers: independent brute-force Hamilton oracles (simple
-graphs, multigraphs), a networkx bridge for isomorphism checks and a
-seeded generator of random cut chains."""
+graphs, multigraphs), a networkx bridge for isomorphism checks, a seeded
+generator of random cut chains and the fixed set of generated chains the
+chain tests share."""
 
 import random
 from itertools import combinations, permutations, product
@@ -130,3 +131,95 @@ def random_chain(rng: random.Random, one_ended: bool, c: int):
         initial = random_piece(rng, 0, c)
         return OneEndedChain(initial, _random_matching(rng, c), _random_tail(rng, c))
     return TwoEndedChain(_random_tail(rng, c), _random_matching(rng, c), _random_tail(rng, c))
+
+
+KINDS = [(one_ended, c) for one_ended in (True, False) for c in (2, 3)]
+# Seeds 0-19, plus every seed below 200 whose chain is Finite: only a
+# Finite chain has certificates, and one random chain in thirty is Finite.
+GENERATED_SEEDS = list(range(20)) + [29, 41, 68, 72, 115, 120]
+
+
+def generated_chains() -> list:
+    """One chain per seed of GENERATED_SEEDS, cycling through KINDS."""
+    return [random_chain(random.Random(seed), *KINDS[seed % 4]) for seed in GENERATED_SEEDS]
+
+
+def frontier_count_by_trace(G: MultiGraph, dummies) -> dict:
+    """Hamilton cycles of G counted by the edges they use at each dummy
+    vertex, keyed as `count_by_trace(G, [G.edges_at(d) for d in dummies])`,
+    by a frontier sweep that shares nothing with the search core.
+
+    Vertices are ordered breadth first from the first dummy and edges by
+    their later end, so a vertex enters the frontier with its first edge
+    and leaves it with its last, where it must have degree 2.  A state
+    maps each frontier vertex to its mate: itself while it has degree 0,
+    the far end of its path at degree 1, and -1 at degree 2.  Joining the
+    two ends of one path closes the cycle, which is allowed only once every
+    vertex has been reached and every other one has degree 2.  The state
+    also carries the sorted edges taken so far at each dummy.  Loops are
+    never in a Hamilton cycle and are skipped.
+    """
+    order = {dummies[0]: 0}
+    queue = [dummies[0]]
+    for v in queue:
+        for i in G.edges_at(v):
+            w = G.edges[i].other_end(v)
+            if w not in order:
+                order[w] = len(order)
+                queue.append(w)
+    if len(order) < G.n:
+        return {}  # disconnected
+    pos = {v: order[v] for v in G.vertices}
+    edges = sorted(
+        (e for e in G.edges if not e.is_loop()),
+        key=lambda e: (max(pos[e.u], pos[e.v]), min(pos[e.u], pos[e.v]), e.id),
+    )
+    last = {}  # vertex -> index of its last edge
+    for t, e in enumerate(edges):
+        last[pos[e.u]] = last[pos[e.v]] = t
+    if len(last) < G.n:
+        return {}  # a vertex without edges
+    reached = 0  # vertices with an edge at or before edge t
+    every_reached = []
+    for t, e in enumerate(edges):
+        reached = max(reached, pos[e.u] + 1, pos[e.v] + 1)
+        every_reached.append(reached == G.n)
+    groups = [[k for k, d in enumerate(dummies) if d in e.ends] for e in edges]
+
+    states = {((), ((),) * len(dummies), False): 1}
+    for t, e in enumerate(edges):
+        u, v = pos[e.u], pos[e.v]
+        nxt: dict = {}
+        for (frontier, trace, closed), count in states.items():
+            mate = dict(frontier)
+            mate.setdefault(u, u)
+            mate.setdefault(v, v)
+            options = [(mate, trace, closed)]  # without the edge
+            if not closed and mate[u] != -1 and mate[v] != -1:
+                taken = tuple(
+                    tr + (e.id,) if k in groups[t] else tr for k, tr in enumerate(trace)
+                )
+                joined = dict(mate)
+                if mate[u] == v:  # the two ends of one path: close the cycle
+                    others = (m for x, m in mate.items() if x not in (u, v))
+                    if every_reached[t] and all(m == -1 for m in others):
+                        joined[u] = joined[v] = -1
+                        options.append((joined, taken, True))
+                else:
+                    a, b = mate[u], mate[v]
+                    for x in (u, v):
+                        if mate[x] != x:
+                            joined[x] = -1
+                    joined[a], joined[b] = b, a
+                    options.append((joined, taken, closed))
+            for m, tr, cl in options:
+                if any(m[x] != -1 for x in (u, v) if last[x] == t):
+                    continue  # a vertex leaves the frontier below degree 2
+                key = (tuple(sorted((x, y) for x, y in m.items() if last[x] != t)), tr, cl)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return {
+        tuple(frozenset(tr) for tr in trace): count
+        for (frontier, trace, closed), count in states.items()
+        if closed
+    }
