@@ -2,16 +2,9 @@
 presentations of one- and two-ended infinite cubic graphs."""
 
 from .multigraph import (
-    EdgeCut,
     EdgeRecord,
     GraphError,
     MultiGraph,
-    SimplifyError,
-    add_edges,
-    build_graph,
-    contract_to_dummy,
-    delete_vertex,
-    disjoint_union,
     from_doc,
     from_json,
     max_vertex_disjoint_paths,
@@ -66,6 +59,7 @@ from .chains import (
     Tail,
     TransferLayer,
     TwoEndedChain,
+    chain_from_doc,
     chain_from_json,
     chain_to_json,
     count_limit_hamilton_cycles,

@@ -1162,7 +1162,11 @@ def chain_to_json(chain: CutChain) -> str:
 
 
 def chain_from_json(text: str) -> CutChain:
-    doc = json.loads(text)
+    return chain_from_doc(json.loads(text))
+
+
+def chain_from_doc(doc) -> CutChain:
+    """A chain from a decoded JSON document, as `chain_from_json` reads it."""
     if not isinstance(doc, dict):
         raise ChainError("malformed chain JSON: not an object")
     try:

@@ -20,6 +20,7 @@ from . import constructions
 from .chains import (
     ChainError,
     OneEndedChain,
+    chain_from_doc,
     chain_from_json,
     chain_to_json,
     count_limit_hamilton_cycles,
@@ -40,7 +41,7 @@ from .hamilton import (
     second_cycle_nearly_cubic,
 )
 from .incidence import check_pair_sum_even, check_uniform_parity, incidence_multigraph
-from .multigraph import GraphError, MultiGraph, from_json as graph_from_json
+from .multigraph import GraphError, MultiGraph, from_doc, from_json
 
 _BUILTIN_GRAPHS = {
     "tutte-fragment": lambda: constructions.tutte_fragment().graph,
@@ -61,7 +62,7 @@ def _load_graph(spec: str) -> MultiGraph:
     path = Path(spec)
     if not path.is_file():
         raise _UsageError(f"unknown graph {spec!r} (not a builtin, not a file)")
-    return graph_from_json(path.read_text())
+    return from_json(path.read_text())
 
 
 def _load_chain(spec: str):
@@ -123,7 +124,7 @@ def _cmd_hamilton(args) -> int:
         _emit(args, str(n), {"count": n})
         return 0
     if args.sub == "list":
-        cycles = [cycle_labels(G, c) for c in enumerate_hamilton_cycles(G, jobs=args.jobs)]
+        cycles = [cycle_labels(G, c) for c in enumerate_hamilton_cycles(G)]
         _emit(args, "\n".join(" ".join(c) for c in cycles), {"cycles": cycles})
         return 0
     if args.sub == "through":
@@ -282,10 +283,10 @@ def _cmd_export_dot(args) -> int:
     if not path.is_file():
         raise _UsageError(f"unknown input {spec!r}")
     doc = json.loads(path.read_text())
-    if "mode" in doc:
-        _write_out(args, transfer_dot(chain_from_json(path.read_text()), args.levels))
+    if isinstance(doc, dict) and "mode" in doc:
+        _write_out(args, transfer_dot(chain_from_doc(doc), args.levels))
     else:
-        _write_out(args, graph_from_json(path.read_text()).to_dot())
+        _write_out(args, from_doc(doc).to_dot())
     return 0
 
 
@@ -295,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     (not at import, which stays cheap)."""
     parser = argparse.ArgumentParser(prog="cubicham")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     parser.add_argument("--out", default=None, help="write machine output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,13 +17,12 @@ child first; that order meets the cycles in ascending sorted edge-id
 order, so the search stops at the k-th cycle instead of visiting them all.
 
 A Hamilton cycle is represented as a frozenset of edge ids; output lists are
-always sorted by the sorted edge-id tuple, so repeated runs (and parallel
-runs) produce identical order.
+always sorted by the sorted edge-id tuple, so repeated runs produce
+identical order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Sequence
@@ -249,54 +248,15 @@ def _search(
         descend(s)
 
 
-def _cycle_tuples(G: MultiGraph, require: Iterable[int], forbid: Iterable[int]):
-    """Sorted edge-id tuples of the matching cycles, in ascending order."""
+def enumerate_hamilton_cycles(
+    G: MultiGraph, require: Iterable[int] = (), forbid: Iterable[int] = ()
+) -> list[HamiltonCycle]:
+    """All Hamilton cycles of G that contain every edge of `require` and
+    none of `forbid`, each once, sorted by edge-id tuple."""
     edge_ids = range(G.m)
     out: list[tuple[int, ...]] = []
     _search(G, require, forbid, lambda s: out.append(tuple(compress(edge_ids, map(_is_in, s)))))
-    out.sort()
-    return out
-
-
-def _enumerate_task(args) -> list[tuple[int, ...]]:
-    return _cycle_tuples(*args)
-
-
-def enumerate_hamilton_cycles(
-    G: MultiGraph,
-    require: Iterable[int] = (),
-    forbid: Iterable[int] = (),
-    jobs: int = 1,
-) -> list[HamiltonCycle]:
-    """All Hamilton cycles of G, each once, sorted by edge-id tuple.
-
-    `require`/`forbid` restrict to cycles containing all/none of the given
-    edge ids.  With `jobs` > 1 the search space is partitioned over a process
-    pool; the merged output is identical to the serial order.
-    """
-    require, forbid = frozenset(require), frozenset(forbid)
-    free = [i for i in range(G.m) if i not in require and i not in forbid]
-    if jobs <= 1 or len(free) < 4:
-        return [frozenset(t) for t in _cycle_tuples(G, require, forbid)]
-
-    splits = 1
-    split_edges: list[int] = []
-    while splits < jobs and split_edges != free:
-        split_edges.append(free[len(split_edges)])
-        splits *= 2
-    tasks = []
-    for mask in range(1 << len(split_edges)):
-        req = set(require)
-        forb = set(forbid)
-        for b, i in enumerate(split_edges):
-            (req if mask >> b & 1 else forb).add(i)
-        tasks.append((G, frozenset(req), frozenset(forb)))
-    merged: list[tuple[int, ...]] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_enumerate_task, tasks):
-            merged.extend(part)
-    merged.sort()
-    return [frozenset(t) for t in merged]
+    return [frozenset(t) for t in sorted(out)]
 
 
 def count_through(G: MultiGraph, require: Iterable[int] = (), forbid: Iterable[int] = ()) -> int:

@@ -46,22 +46,6 @@ class IncidenceMultigraph:
         widths = [max(len(r[j]) for r in rows) for j in range(len(header))]
         return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in rows)
 
-    def to_dot(self, G: MultiGraph) -> str:
-        def name(state: PairState) -> str:
-            return "{" + ",".join(sorted(G.edges[i].label for i in state)) + "}"
-
-        lines = ["graph incidence {", "  rankdir=LR;"]
-        for p in self.left_states:
-            lines.append(f'  "L{name(p)}" [label="{name(p)}"];')
-        for q in self.right_states:
-            lines.append(f'  "R{name(q)}" [label="{name(q)}"];')
-        for p, row in zip(self.left_states, self.table):
-            for q, mult in zip(self.right_states, row):
-                for _ in range(mult):
-                    lines.append(f'  "L{name(p)}" -- "R{name(q)}";')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def pair_states(G: MultiGraph, anchor: str) -> tuple[PairState, ...]:
     """All 2-subsets of the edges at `anchor`, in edge-id order."""

@@ -10,16 +10,12 @@ Loops contribute 2 to the degree of their vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
     """Malformed graph input or an operation precondition violation."""
-
-
-class SimplifyError(GraphError):
-    """Contraction was asked to simplify but would have to merge edges."""
 
 
 class EdgeRecord(NamedTuple):
@@ -89,9 +85,6 @@ class MultiGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge(self, edge_id: int) -> EdgeRecord:
-        return self.edges[edge_id]
-
     def edge_by_label(self, label: str) -> EdgeRecord:
         try:
             return self._by_label[label]
@@ -138,14 +131,6 @@ class MultiGraph:
                     stack.append(w)
         return len(seen) == self.n
 
-    def edge_cut(self, side: Iterable[str]) -> "EdgeCut":
-        s = frozenset(side)
-        bad = s - self._vset
-        if bad:
-            raise GraphError(f"cut side contains unknown vertices: {sorted(bad)}")
-        cut = frozenset(e.id for e in self.edges if (e.u in s) != (e.v in s))
-        return EdgeCut(side=s, cut_edges=cut)
-
     # -- serialization -----------------------------------------------------
 
     def to_doc(self) -> dict:
@@ -168,26 +153,6 @@ class MultiGraph:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class EdgeCut:
-    side: frozenset[str]
-    cut_edges: frozenset[int]
-
-
-def build_graph(
-    vertex_labels: Sequence[str],
-    edge_specs: Sequence[tuple[str | None, str, str] | tuple[str, str]] = (),
-) -> MultiGraph:
-    """Build a graph from vertex labels and (label, u, v) or (u, v) edge specs."""
-    edges = []
-    for spec in edge_specs:
-        if len(spec) == 2:
-            edges.append((None, spec[0], spec[1]))
-        else:
-            edges.append(tuple(spec))
-    return MultiGraph(vertex_labels, edges)
-
-
 def from_json(text: str) -> MultiGraph:
     return from_doc(json.loads(text))
 
@@ -199,43 +164,13 @@ def from_doc(doc) -> MultiGraph:
         edges = [(e["label"], e["ends"][0], e["ends"][1]) for e in doc["edges"]]
     except (KeyError, TypeError, IndexError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
+    for label in (*vertices, *chain.from_iterable(edges)):
+        if not isinstance(label, str):
+            raise GraphError(f"malformed graph JSON: label or end {label!r} is not a string")
     return MultiGraph(vertices, edges)
 
 
 # -- transforms -------------------------------------------------------------
-
-
-def contract_to_dummy(
-    G: MultiGraph, keep: Iterable[str], dummy_label: str, simplify: bool = False
-) -> MultiGraph:
-    """Merge all vertices outside `keep` into one dummy vertex.
-
-    Edges inside the contracted set are dropped; cut edges are re-attached to
-    the dummy.  With `simplify` the result must come out simple (this mirrors
-    an assumption made explicit rather than silently repaired).
-    """
-    keep_set = frozenset(keep)
-    if not keep_set:
-        raise GraphError("keep set must be nonempty")
-    if not keep_set < G._vset:
-        raise GraphError("keep set must be a proper subset of the vertices")
-    if dummy_label in keep_set:
-        raise GraphError(f"dummy label {dummy_label!r} collides with a kept vertex")
-    vertices = [v for v in G.vertices if v in keep_set] + [dummy_label]
-    edges = []
-    for e in G.edges:
-        inside = (e.u in keep_set, e.v in keep_set)
-        if inside == (True, True):
-            edges.append((e.label, e.u, e.v))
-        elif inside == (True, False):
-            edges.append((e.label, e.u, dummy_label))
-        elif inside == (False, True):
-            edges.append((e.label, dummy_label, e.v))
-        # both outside: dropped
-    out = MultiGraph(vertices, edges)
-    if simplify and not out.is_simple():
-        raise SimplifyError("contraction produced parallel edges or loops")
-    return out
 
 
 def quotient(G: MultiGraph, identifications: Sequence[tuple[str, str]]) -> MultiGraph:
@@ -282,28 +217,6 @@ def relabel_vertices(G: MultiGraph, mapping: dict[str, str]) -> MultiGraph:
             raise GraphError(f"unknown label {old!r}")
     sub = lambda v: mapping.get(v, v)
     return MultiGraph([sub(v) for v in G.vertices], [(e.label, sub(e.u), sub(e.v)) for e in G.edges])
-
-
-def disjoint_union(G1: MultiGraph, G2: MultiGraph) -> MultiGraph:
-    overlap = set(G1.vertices) & set(G2.vertices)
-    if overlap:
-        raise GraphError(f"vertex labels overlap: {sorted(overlap)}")
-    vertices = list(G1.vertices) + list(G2.vertices)
-    edges = [(e.label, e.u, e.v) for e in G1.edges] + [(e.label, e.u, e.v) for e in G2.edges]
-    return MultiGraph(vertices, edges)
-
-
-def delete_vertex(G: MultiGraph, vertex: str) -> MultiGraph:
-    if vertex not in G:
-        raise GraphError(f"unknown vertex {vertex!r}")
-    vertices = [v for v in G.vertices if v != vertex]
-    edges = [(e.label, e.u, e.v) for e in G.edges if vertex not in e.ends]
-    return MultiGraph(vertices, edges)
-
-
-def add_edges(G: MultiGraph, specs: Sequence[tuple[str | None, str, str]]) -> MultiGraph:
-    edges = [(e.label, e.u, e.v) for e in G.edges] + [tuple(s) for s in specs]
-    return MultiGraph(G.vertices, edges)
 
 
 # -- flow-based connectivity queries ----------------------------------------

@@ -146,6 +146,44 @@ def test_export_dot(capsys):
     assert code == 0 and "F0:" in out
 
 
+def test_export_dot_reads_graph_and_chain_files(tmp_path, capsys):
+    graph, chain = tmp_path / "g.json", tmp_path / "c.json"
+    run(capsys, "--out", str(graph), "construct", "k4")
+    run(capsys, "--out", str(chain), "construct", "chain-ladder")
+    assert run(capsys, "export-dot", str(graph)) == run(capsys, "export-dot", "k4")
+    assert run(capsys, "export-dot", str(chain), "--levels", "2") == run(
+        capsys, "export-dot", "chain-ladder", "--levels", "2"
+    )
+
+
+@pytest.mark.parametrize("literal", ["3", "null", "true"])
+def test_export_dot_refuses_a_json_literal(tmp_path, capsys, literal):
+    target = tmp_path / "x.json"
+    target.write_text(literal)
+    code, out, err = run(capsys, "export-dot", str(target))
+    assert (code, out) == (2, "") and "malformed graph JSON" in err
+
+
+@pytest.mark.parametrize("where", ["vertex label", "edge label", "edge end"])
+def test_unhashable_graph_labels_are_usage_errors(tmp_path, capsys, where):
+    doc = cubicham.k4().to_doc()
+    if where == "vertex label":
+        doc["vertices"][0]["label"] = ["0"]
+    elif where == "edge label":
+        doc["edges"][0]["label"] = {"a": 1}
+    else:
+        doc["edges"][0]["ends"][1] = ["1"]
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc))
+    for argv in (
+        ["hamilton", "count", str(target)],
+        ["incidence", str(target), "--v", "0", "--w", "1"],
+        ["export-dot", str(target)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "is not a string" in err
+
+
 def test_unknown_graph_is_usage_error(capsys):
     code, _, err = run(capsys, "hamilton", "count", "no-such-thing")
     assert code == 2 and "error" in err
@@ -159,6 +197,10 @@ def test_unknown_edge_label(capsys):
 def test_jobs_flag(capsys):
     code, out, _ = run(capsys, "--jobs", "2", "hamilton", "count", "tutte-quotient")
     assert code == 0 and out.strip() == "6"
+    # accepted and ignored: the listing is the one without the flag
+    listing = run(capsys, "hamilton", "list", "tutte-quotient")
+    assert listing[0] == 0 and len(listing[1].splitlines()) == 6
+    assert run(capsys, "--jobs", "2", "hamilton", "list", "tutte-quotient") == listing
 
 
 def test_seed_flag_is_gone(capsys):
@@ -169,14 +211,18 @@ def test_seed_flag_is_gone(capsys):
     assert "--seed" not in capsys.readouterr().err.splitlines()[0]
 
 
-def test_python_m_cubicham_runs_the_cli():
+def _python(*argv) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's package."""
     src = str(Path(cubicham.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
 
+
+def test_python_m_cubicham_runs_the_cli():
     def run_module(*argv):
-        cmd = [sys.executable, "-m", "cubicham", *argv]
-        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+        return _python("-m", "cubicham", *argv)
 
     proc = run_module("hamilton", "count", "cube")
     assert proc.returncode == 0 and proc.stdout == "6\n"
@@ -206,3 +252,12 @@ def test_reused_parser_still_refuses_bad_arguments(capsys):
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
     assert run(capsys, "hamilton", "count", "cube") == (0, "6\n", "")
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys, cubicham.cli;"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    proc = _python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
