@@ -12,19 +12,20 @@ explicit matchings and never unified by name.
 
 Each ray side of a chain (`right` for a one-ended chain, `left` and `right`
 for a two-ended one) is compiled once into a `_Direction` that the chain
-object keeps, so its layers and survival sets live exactly as long as the
-chain.  A direction holds one step per distinct cut: the pre-period cuts,
-then one period.  `Tail.fold` maps any cut to its step, and is the only
-place a period index is folded.  Every propagation of weights goes through
-`_Direction.moves` and `_Direction.advance`.  A one-ended chain likewise
-keeps its level-0 truncation (`_window0`) and that window's Hamilton-cycle
-counts (`_initial_counts`), the seed of every rightward propagation.
+keeps.  It is the only code that knows how its side is oriented: which
+matching sits at cut j, which piece lies beyond it and which stub of a pair
+faces the core; validation, layers, windows, certificates, end degrees and
+witness names all ask it.  It holds one step per distinct cut (the
+pre-period cuts, then one period; `Tail.fold` is the only period fold),
+and every propagation of weights goes through its `moves` and `advance`.
+A one-ended chain also keeps its level-0 truncation (`_window0`) and that
+window's counts (`_initial_counts`), the seed of every propagation.
 
-A piece's segment minor and its Hamilton-cycle counts depend on the piece
-alone, so the piece keeps them, keyed by the stub labels each cycle uses
-on either side (`ChainPiece._counts`).  A transfer layer only re-keys that
-table through the cut positions of its two matchings, so every slot, ray
-side and chain holding the same piece object shares one search.
+Window and segment minors tabulate their Hamilton cycles by the edge
+labels used at each dummy (`_dummy_counts`, `_dummy_cycles`); `_by_state`
+is the only place labels become cut positions.  A piece keeps its segment
+tables (`ChainPiece._counts`), so every slot, side and chain holding the
+same piece object shares one search.
 
 Layers and the level-0 vector hold counts only, tallied without listing
 cycles.  The cycles themselves (interior edge labels per state pair) are
@@ -101,33 +102,27 @@ class ChainPiece:
             raise ChainError("segment minor is not simple")
         return seg
 
-    def _stub_maps(self) -> tuple[dict, dict]:
-        # identity maps: segment tables are keyed by stub labels
-        return ({s: s for s, _ in self.left_ports}, {s: s for s, _ in self.right_ports})
-
     @cached_property
     def _counts(self) -> dict:
         """(left stub pair, right stub pair) -> number of Hamilton cycles of
         the segment minor through those stubs; pairs no cycle uses are absent."""
-        return _dummy_counts(self._segment, ("alpha", "beta"), self._stub_maps())
+        return _dummy_counts(self._segment, ("alpha", "beta"))
 
     @cached_property
     def _cycles(self) -> dict:
         """The segment minor's Hamilton cycles keyed as `_counts`, each as the
         frozenset of its interior edge labels; keys and cycles in sorted
         cycle order."""
-        return _dummy_cycles(self._segment, ("alpha", "beta"), self._stub_maps())
+        return _dummy_cycles(self._segment, ("alpha", "beta"))
 
     @cached_property
-    def _flow(self) -> tuple[int, list, dict, dict]:
+    def _flow(self) -> tuple[int, list, dict]:
         """The piece as integers, for max flows: its vertex count, its edges
         as vertex-index pairs (loops dropped: no path uses one), and the
-        vertex index of each left and each right stub."""
+        vertex index of each stub."""
         index = {v: i for i, v in enumerate(self.graph.vertices)}
         edges = [(index[e.u], index[e.v]) for e in self.graph.edges if e.u != e.v]
-        left = {s: index[v] for s, v in self.left_ports}
-        right = {s: index[v] for s, v in self.right_ports}
-        return len(index), edges, left, right
+        return len(index), edges, {s: index[v] for s, v in self.left_ports + self.right_ports}
 
 
 @dataclass(frozen=True)
@@ -169,15 +164,22 @@ class Tail:
         return (self.entry_ifaces + self.period_ifaces)[self.fold(j) - 1]
 
 
-def _check_iface(matching: Matching, left: ChainPiece, right: ChainPiece) -> None:
-    if len(matching) not in (2, 3):
-        raise ChainError(f"interface size {len(matching)} unsupported (only 2 or 3)")
-    rstubs = [s for s, _ in matching]
-    lstubs = [s for _, s in matching]
-    if sorted(rstubs) != sorted(s for s, _ in left.right_ports):
-        raise ChainError("interface does not match right boundary of the left piece")
-    if sorted(lstubs) != sorted(s for s, _ in right.left_ports):
-        raise ChainError("interface does not match left boundary of the right piece")
+def _check_chain(chain: CutChain) -> None:
+    """Every distinct matching of every ray side against the pieces on
+    either side of it, in that side's orientation; then one cut size."""
+    sizes = set()
+    for d in chain._directions.values():
+        for j in range(d.J + d.plen):
+            matching, (left, right) = d.matching(j), d.sides(j)
+            sizes.add(len(matching))
+            if len(matching) not in (2, 3):
+                raise ChainError(f"interface size {len(matching)} unsupported (only 2 or 3)")
+            if sorted(a for a, _ in matching) != sorted(s for s, _ in left.right_ports):
+                raise ChainError("interface does not match right boundary of the left piece")
+            if sorted(b for _, b in matching) != sorted(s for s, _ in right.left_ports):
+                raise ChainError("interface does not match left boundary of the right piece")
+    if len(sizes) != 1:
+        raise ChainError("interface size must be constant along the chain")
 
 
 @dataclass(frozen=True)
@@ -190,16 +192,10 @@ class OneEndedChain:
     def __post_init__(self):
         if self.initial.left_ports:
             raise ChainError("initial piece must have no left boundary")
-        _check_iface(self.entry_iface, self.initial, self.tail.piece(1))
-        for j in range(1, len(self.tail.pre) + self.tail.plen + 1):
-            _check_iface(self.tail.iface(j), self.tail.piece(j), self.tail.piece(j + 1))
-        sizes = {len(self.entry_iface)} | {
-            len(self.tail.iface(j)) for j in range(1, len(self.tail.pre) + self.tail.plen + 1)
-        }
-        if len(sizes) != 1:
-            raise ChainError("interface size must be constant along the tail")
+        _check_chain(self)
 
     mode = "one-ended"
+    sides = ("right",)
 
     @property
     def cut_size(self) -> int:
@@ -207,8 +203,7 @@ class OneEndedChain:
 
     @cached_property
     def _directions(self) -> dict:
-        right = _Direction(self.tail, self.entry_iface, False, f"{_name(self)}, right ray")
-        return {"right": right}
+        return {"right": _Direction(self.tail, self.initial, self.entry_iface, "right", self)}
 
     @cached_property
     def _window0(self) -> MultiGraph:
@@ -225,15 +220,15 @@ class OneEndedChain:
     def _initial_cycles(self) -> dict:
         """Interior edge labels of the level-0 truncation's Hamilton cycles,
         per dummy pair state, in sorted cycle order; for certificates."""
-        pos = _positions(self.entry_iface, 0, 0)
-        cycles = _dummy_cycles(self._window0, (DUMMY,), (pos,))
+        names = self._directions["right"].labels(0, bound=True)
+        cycles = _by_state(_dummy_cycles(self._window0, (DUMMY,)), names)
         return {s: cycles.get((s,), ()) for s in _states(self.cut_size)}
 
     def piece(self, i: int) -> ChainPiece:
-        return self.initial if i == 0 else self.tail.piece(i)
+        return self._directions["right"].piece(i)
 
     def iface(self, j: int) -> Matching:
-        return self.entry_iface if j == 0 else self.tail.iface(j)
+        return self._directions["right"].matching(j)
 
 
 @dataclass(frozen=True)
@@ -252,17 +247,10 @@ class TwoEndedChain:
     name: str = ""
 
     def __post_init__(self):
-        _check_iface(self.central, self.left.piece(1), self.right.piece(1))
-        for tail in (self.left, self.right):
-            for j in range(1, len(tail.pre) + tail.plen + 1):
-                _check_iface(tail.iface(j), tail.piece(j + 1), tail.piece(j))
-        sizes = {len(self.central)}
-        for tail in (self.left, self.right):
-            sizes |= {len(tail.iface(j)) for j in range(1, len(tail.pre) + tail.plen + 1)}
-        if len(sizes) != 1:
-            raise ChainError("interface size must be constant")
+        _check_chain(self)
 
     mode = "two-ended"
+    sides = ("left", "right")
 
     @property
     def cut_size(self) -> int:
@@ -271,8 +259,8 @@ class TwoEndedChain:
     @cached_property
     def _directions(self) -> dict:
         return {
-            "left": _Direction(self.left, self.central, True, f"{_name(self)}, left ray"),
-            "right": _Direction(self.right, self.central, False, f"{_name(self)}, right ray"),
+            "left": _Direction(self.left, self.right.piece(1), self.central, "left", self),
+            "right": _Direction(self.right, self.left.piece(1), self.central, "right", self),
         }
 
 
@@ -342,35 +330,39 @@ DUMMY_RIGHT = "dummy_right"
 
 
 def truncation_minor(chain: CutChain, k: int) -> MultiGraph:
-    """Finite minor with the tail(s) beyond level k contracted to dummies."""
+    """Finite minor with the tail(s) beyond level k contracted to dummies:
+    pieces 0..k of the right ray, and on a two-ended chain pieces k..2 of
+    the left ray before them (left piece 1 is piece 0 of the right ray)."""
     if isinstance(chain, OneEndedChain):
         if k < 0:
             raise ChainError("truncation level must be nonnegative")
-        pieces = [chain.piece(i) for i in range(k + 1)]
-        ifaces = [chain.iface(j) for j in range(k)]
-        return materialize(pieces, ifaces, list(range(k + 1)), right_dummy=DUMMY)
-    if k < 1:
-        raise ChainError("two-ended windows need k >= 1")
-    pieces = [chain.left.piece(j) for j in range(k, 0, -1)] + [
-        chain.right.piece(j) for j in range(1, k + 1)
-    ]
-    ifaces = [chain.left.iface(j) for j in range(k - 1, 0, -1)] + [chain.central] + [
-        chain.right.iface(j) for j in range(1, k)
-    ]
-    tags = list(range(-(k - 1), k + 1))
-    return materialize(pieces, ifaces, tags, left_dummy=DUMMY_LEFT, right_dummy=DUMMY_RIGHT)
+        left, outer, dummies = None, range(0), (None, DUMMY)
+    else:
+        if k < 1:
+            raise ChainError("two-ended windows need k >= 1")
+        left, outer, dummies = chain._directions["left"], range(k, 1, -1), (DUMMY_LEFT, DUMMY_RIGHT)
+    right = chain._directions["right"]
+    pieces = [left.piece(j) for j in outer] + [right.piece(j) for j in range(k + 1)]
+    ifaces = [left.matching(j - 1) for j in outer] + [right.matching(j) for j in range(k)]
+    tags = list(range(-len(outer), k + 1))
+    return materialize(pieces, ifaces, tags, *dummies)
+
+
+def _at_level(chain: CutChain, n: int) -> tuple[_Direction, int]:
+    """The ray side and cut j of the segment between cuts F(n) and F(n+1):
+    the segment is piece j+1 of that side, beyond its cut j."""
+    if n >= 0:
+        return chain._directions["right"], n
+    if isinstance(chain, OneEndedChain):
+        raise ChainError(f"one-ended chains have no segment at level {n}")
+    return chain._directions["left"], -n - 1
 
 
 def segment_minor(chain: CutChain, n: int) -> MultiGraph:
     """The piece between cuts F(n) and F(n+1) with dummies alpha and beta."""
-    if isinstance(chain, OneEndedChain):
-        if n < 0:
-            raise ChainError("segment level must be nonnegative")
-        piece = chain.piece(n + 1)
-    else:
-        piece = chain.right.piece(n + 1) if n >= 0 else chain.left.piece(-n)
+    direction, j = _at_level(chain, n)
     try:
-        return piece._segment
+        return direction.piece(j + 1)._segment
     except ChainError:
         raise ChainError(f"segment minor at level {n} is not simple") from None
 
@@ -424,79 +416,108 @@ class TransferLayer:
         return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows)
 
 
-def _by_state(table: dict, left_names: tuple[str, ...], right_names: tuple[str, ...]) -> dict:
-    """A piece table keyed by (left stub pair, right stub pair), re-keyed by
-    the pair states of the stubs' cut positions; the key order is kept."""
-    lpos = {stub: i for i, stub in enumerate(left_names)}
-    rpos = {stub: i for i, stub in enumerate(right_names)}
+def _by_state(table: dict, *names: tuple[str, ...]) -> dict:
+    """A table keyed by the edge labels a cycle uses at each dummy, re-keyed
+    by the pair states of their cut positions: `names[k]` holds the label
+    at each position of dummy k's cut.  The key order is kept.  This is the
+    only place edge labels become cut positions."""
+    positions = [{label: i for i, label in enumerate(cut)} for cut in names]
     return {
-        (frozenset(lpos[s] for s in a), frozenset(rpos[s] for s in b)): value
-        for (a, b), value in table.items()
+        tuple(frozenset(pos[label] for label in used) for pos, used in zip(positions, key)): value
+        for key, value in table.items()
     }
 
 
 def _compute_layer(piece: ChainPiece, left_iface: Matching, right_iface: Matching) -> TransferLayer:
-    left_names = tuple(stub for _, stub in left_iface)
-    right_names = tuple(stub for stub, _ in right_iface)
-    return TransferLayer(
-        _states(len(left_names)),
-        _states(len(right_names)),
-        left_names,
-        right_names,
-        _by_state(piece._counts, left_names, right_names),
-        piece,
-    )
+    left = tuple(stub for _, stub in left_iface)
+    right = tuple(stub for stub, _ in right_iface)
+    counts = _by_state(piece._counts, left, right)
+    return TransferLayer(_states(len(left)), _states(len(right)), left, right, counts, piece)
 
 
 def transfer_layer(chain: CutChain, n: int) -> TransferLayer:
     """Transfer layer between cuts F(n) and F(n+1), rows at F(n)."""
-    if n >= 0:
-        return chain._directions["right"].layer(n)
-    if isinstance(chain, OneEndedChain):
-        raise ChainError(f"one-ended chains have no transfer layer at level {n}")
-    return chain._directions["left"].layer(-n - 1)
+    direction, j = _at_level(chain, n)
+    return direction.layer(j)
 
 
 # -- ray analysis ------------------------------------------------------------
 
 
 class _Direction:
-    """One ray side of a chain, compiled once and kept by the chain.
+    """One ray side of a chain, compiled once and kept by the chain: the
+    only code that knows how the side is oriented.
 
     Cuts are numbered 0, 1, ... outward from the chain's first matching
-    (the entry matching of a one-ended chain, the central one of a
-    two-ended chain); tail piece j sits between cuts j-1 and j.  The step
-    from cut j to cut j+1 is stored at slot `tail.fold(j)`: the J =
-    len(pre) + 1 cuts before the period, then one per period residue.  A
-    slot is filled on first use with the rightward `TransferLayer` of its
+    (entry or central).  Piece 0 is `core`, the piece inside cut 0 (the
+    initial piece, or the other side's piece 1); tail piece j lies between
+    cuts j-1 and j.  Matchings pair stubs in the chain's left-to-right
+    order, which on the left ray runs inward; `sides`, `links` and
+    `labels` turn that into the side's own terms.  The left ray shares cut
+    0 and piece 0 with the right ray, so what it owns starts at
+    `first_cut` = 1.
+
+    The step from cut j to cut j+1 is stored at slot `tail.fold(j)`: the
+    J = len(pre) + 1 cuts before the period, then one per period residue.
+    A slot is filled on first use with the rightward `TransferLayer` of its
     piece and the outward map state -> state -> count (the layer's counts,
     transposed on the left side, with targets in sorted order).  Survival
     sets are kept per slot as well, for the cut the step leaves.  `name`
     says which chain and side, for defect messages.
     """
 
-    def __init__(self, tail: Tail, first: Matching, leftward: bool, name: str):
+    def __init__(self, tail: Tail, core: ChainPiece, first: Matching, side: str, chain: CutChain):
         self.tail = tail
+        self.core = core
         self.first = first
-        self.leftward = leftward
-        self.name = name
+        self.leftward = side == "left"
+        self.first_cut = int(self.leftward)
+        self.name = f"{_name(chain)}, {side} ray"
         self.J = len(tail.pre) + 1  # cuts >= J have periodic survival
         self.plen = tail.plen
         self.states = _states(len(first))
         self._steps: list = [None] * (self.J + self.plen)
 
+    def piece(self, j: int) -> ChainPiece:
+        """The piece inside cut j and beyond cut j-1."""
+        return self.core if j == 0 else self.tail.piece(j)
+
+    def matching(self, j: int) -> Matching:
+        """The matching at cut j, as (left piece's stub, right piece's stub)."""
+        return self.first if j == 0 else self.tail.iface(j)
+
+    def sides(self, j: int) -> tuple[ChainPiece, ChainPiece]:
+        """The pieces on either side of cut j, left one first."""
+        inner, outer = self.piece(j), self.piece(j + 1)
+        return (outer, inner) if self.leftward else (inner, outer)
+
+    def links(self, j: int) -> Matching:
+        """The matching at cut j as (stub of piece j, stub of piece j+1)."""
+        matching = self.matching(j)
+        return tuple((b, a) for a, b in matching) if self.leftward else matching
+
+    def tag(self, j: int) -> int:
+        """The window tag of piece j (`truncation_minor`)."""
+        return 1 - j if self.leftward else j
+
+    def labels(self, j: int, bound: bool = False) -> tuple[str, ...]:
+        """The window edge label at each position of cut j.  Where the cut
+        bounds the window, the edges there are stubs of piece j to the
+        dummy; inside, a glued edge bears the stub of its left piece, which
+        on the left ray is piece j+1."""
+        if bound:
+            return tuple(_tag(a, self.tag(j)) for a, _ in self.links(j))
+        return tuple(_tag(a, self.tag(j + self.first_cut)) for a, _ in self.matching(j))
+
     def _step(self, j: int) -> tuple[TransferLayer, dict]:
         i = self.tail.fold(j)
         if self._steps[i] is None:
-            inner = self.first if i == 0 else self.tail.iface(i)
-            outer = self.tail.iface(i + 1)
-            piece = self.tail.piece(i + 1)
+            near, far = self.matching(i), self.matching(i + 1)
+            left, right = (far, near) if self.leftward else (near, far)
+            layer = _compute_layer(self.piece(i + 1), left, right)
+            pairs = layer.counts
             if self.leftward:
-                layer = _compute_layer(piece, outer, inner)
-                pairs = {(q, p): n for (p, q), n in layer.counts.items()}
-            else:
-                layer = _compute_layer(piece, inner, outer)
-                pairs = layer.counts
+                pairs = {(q, p): n for (p, q), n in pairs.items()}
             out = {a: {b: pairs[a, b] for b in self.states if (a, b) in pairs} for a in self.states}
             self._steps[i] = (layer, out)
         return self._steps[i]
@@ -702,44 +723,20 @@ class LimitCycleCertificate:
         return self.choice_at(level, side)[1]
 
 
-def _cut_edge_labels(chain: OneEndedChain, j: int, state: State) -> set[str]:
-    """Window edge labels of the chosen pair at cut j."""
-    matching = chain.iface(j)
-    return {f"{matching[p][0]}@{j}" for p in state}
-
-
 def splice_certificate(chain: CutChain, cert: LimitCycleCertificate, k: int) -> set[str]:
-    """Edge labels of the certificate's restriction to the level-k window."""
-    if isinstance(chain, OneEndedChain):
-        labels = set(cert.initial_interior)
-        for j in range(0, k + 1):
-            labels |= _cut_edge_labels(chain, j, cert.state_at(j))
+    """Edge labels of the certificate's restriction to the level-k window:
+    the right ray's cuts 0..k and pieces 1..k, then on a two-ended chain
+    the left ray's cuts 1..k and pieces 1..k."""
+    labels = set(cert.initial_interior)
+    for side, direction in chain._directions.items():
+        for j in range(direction.first_cut, k + 1):
+            names = direction.labels(j, bound=j == k)
+            labels |= {names[p] for p in cert.state_at(j, side)}
         for j in range(1, k + 1):
-            left, right, interior = cert.choice_at(j)
-            if left != cert.state_at(j - 1):
+            left, _, interior = cert.choice_at(j, side)
+            if left != cert.state_at(j - 1, side):
                 raise ChainError("certificate states disagree at a shared cut")
-            labels |= {f"{lab}@{j}" for lab in interior}
-        return labels
-    labels: set[str] = set()
-    # right half: choices j cover piece R_j (tag j), cuts F(0)..F(k)
-    for j in range(0, k + 1):
-        state = cert.state_at(j)
-        matching = chain.central if j == 0 else chain.right.iface(j)
-        labels |= {f"{matching[p][0]}@{j}" for p in state}
-    for j in range(1, k + 1):
-        _, _, interior = cert.choice_at(j)
-        labels |= {f"{lab}@{j}" for lab in interior}
-    # left half: choice j covers piece L_j (tag -(j-1)), cuts F(-1)..F(-k)
-    for j in range(1, k + 1):
-        _, _, interior = cert.choice_at(j, "left")
-        labels |= {f"{lab}@{-(j - 1)}" for lab in interior}
-    for j in range(1, k):
-        state = cert.state_at(j, "left")
-        matching = chain.left.iface(j)
-        labels |= {f"{matching[p][0]}@{-j}" for p in state}
-    state = cert.state_at(k, "left")
-    matching = chain.left.iface(k)
-    labels |= {f"{matching[p][1]}@{-(k - 1)}" for p in state}
+            labels |= {_tag(lab, direction.tag(j)) for lab in interior}
     return labels
 
 
@@ -763,6 +760,7 @@ class LimitCount:
     count: int | None
     witness: tuple | None  # (cut level, state, surviving out-multiplicity)
     certificates: tuple[LimitCycleCertificate, ...]
+    side: str | None = None  # the ray side ("left" or "right") the witness is on
 
     def __str__(self) -> str:
         if self.tag == "zero":
@@ -772,6 +770,15 @@ class LimitCount:
         return "Infinite"
 
 
+def witness_stubs(chain: CutChain, result: LimitCount) -> list[str]:
+    """The branching state of an Infinite result as sorted stub names: at
+    each of its cut positions, the left piece's stub in the matching at the
+    witness's cut on the witness's ray side."""
+    level, state, _ = result.witness
+    matching = chain._directions[result.side].matching(level)
+    return sorted(matching[p][0] for p in state)
+
+
 def initial_vector(chain: OneEndedChain) -> dict:
     """Hamilton-cycle counts of the level-0 truncation per dummy pair state."""
     if not isinstance(chain, OneEndedChain):
@@ -779,29 +786,20 @@ def initial_vector(chain: OneEndedChain) -> dict:
     return dict(chain._initial_counts)
 
 
-def _positions(matching: Matching, side: int, tag) -> dict:
-    """Window edge label -> cut position of the stubs on one side of a
-    matching (0: the left piece's right stubs, 1: the right piece's left
-    stubs), in the piece tagged `tag`."""
-    return {_tag(pair[side], tag): i for i, pair in enumerate(matching)}
+def _labels(G: MultiGraph, ids: Iterable[int]) -> frozenset:
+    return frozenset(G.edges[i].label for i in ids)
 
 
-def _cut_state(G: MultiGraph, pos: dict, ids: Iterable[int]) -> State:
-    """Cut positions of the stub edges `ids` at a dummy vertex of G."""
-    return frozenset(pos[G.edges[i].label] for i in ids)
-
-
-def _dummy_counts(G: MultiGraph, dummies: tuple[str, ...], positions: tuple[dict, ...]) -> dict:
-    """Hamilton cycles of a window or segment minor counted by the pair
-    state they use at each dummy; `positions[k]` maps the label of an edge
-    at `dummies[k]` to its cut position."""
+def _dummy_counts(G: MultiGraph, dummies: tuple[str, ...]) -> dict:
+    """Hamilton cycles of a window or segment minor counted by the labels
+    of the edges they use at each dummy."""
     return {
-        tuple(_cut_state(G, pos, trace) for pos, trace in zip(positions, traces)): count
+        tuple(_labels(G, trace) for trace in traces): count
         for traces, count in count_by_trace(G, [G.edges_at(d) for d in dummies]).items()
     }
 
 
-def _dummy_cycles(G: MultiGraph, dummies: tuple[str, ...], positions: tuple[dict, ...]) -> dict:
+def _dummy_cycles(G: MultiGraph, dummies: tuple[str, ...]) -> dict:
     """The Hamilton cycles of G keyed as in `_dummy_counts`, each as the
     frozenset of labels of its edges away from the dummies; keys and cycles
     come in sorted cycle order."""
@@ -809,20 +807,17 @@ def _dummy_cycles(G: MultiGraph, dummies: tuple[str, ...], positions: tuple[dict
     at_dummies = frozenset().union(*stubs)
     buckets: dict = {}
     for cycle in enumerate_hamilton_cycles(G):
-        key = tuple(_cut_state(G, pos, cycle & ids) for pos, ids in zip(positions, stubs))
-        interior = frozenset(G.edges[i].label for i in cycle - at_dummies)
-        buckets.setdefault(key, []).append(interior)
+        key = tuple(_labels(G, cycle & ids) for ids in stubs)
+        buckets.setdefault(key, []).append(_labels(G, cycle - at_dummies))
     return {key: tuple(cycles) for key, cycles in buckets.items()}
 
 
 def _truncation_vector(chain: OneEndedChain, G: MultiGraph, k: int) -> dict:
     """Hamilton-cycle counts of G, the level-k truncation, per dummy pair
     state."""
-    pos = _positions(chain.iface(k), 0, k)
-    vec = {s: 0 for s in _states(chain.cut_size)}
-    for (state,), count in _dummy_counts(G, (DUMMY,), (pos,)).items():
-        vec[state] = count
-    return vec
+    names = chain._directions["right"].labels(k, bound=True)
+    counts = _by_state(_dummy_counts(G, (DUMMY,)), names)
+    return {s: counts.get((s,), 0) for s in _states(chain.cut_size)}
 
 
 def surviving_states(chain: CutChain) -> dict:
@@ -847,7 +842,7 @@ def _count_one_ended(chain: OneEndedChain) -> LimitCount:
     if analysis.tag == "zero":
         return LimitCount("zero", 0, None, ())
     if analysis.tag == "infinite":
-        return LimitCount("infinite", None, analysis.witness, ())
+        return LimitCount("infinite", None, analysis.witness, (), "right")
     conts = _continuations(direction, analysis)
     init_cycles = chain._initial_cycles
     certs = []
@@ -872,18 +867,16 @@ def _count_two_ended(chain: TwoEndedChain) -> LimitCount:
     dirs = chain._directions
     per_state: dict = {}
     for s in _states(chain.cut_size):
-        per_state[s] = {
-            side: _analyze_rays(dirs[side], {s: 1}) for side in ("left", "right")
-        }
+        per_state[s] = {side: _analyze_rays(d, {s: 1}) for side, d in dirs.items()}
     total = 0
     certs = []
     for s in sorted(per_state, key=sorted):
         left, right = per_state[s]["left"], per_state[s]["right"]
         if left.tag == "zero" or right.tag == "zero":
             continue
-        if left.tag == "infinite" or right.tag == "infinite":
-            bad = left if left.tag == "infinite" else right
-            return LimitCount("infinite", None, bad.witness, ())
+        for side, analysis in per_state[s].items():
+            if analysis.tag == "infinite":
+                return LimitCount("infinite", None, analysis.witness, (), side)
         total += left.count * right.count
         lconts = _continuations(dirs["left"], left)[s]
         rconts = _continuations(dirs["right"], right)[s]
@@ -944,12 +937,9 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
     prod = {a: {b: int(a == b) for b in states} for a in states}
     for layer in layers:
         prod = {a: _push(row, layer) for a, row in prod.items()}
-    lpos = _positions(chain.left.iface(k), 1, -(k - 1))
-    rpos = _positions(chain.right.iface(k), 0, k)
-    actual = {a: {b: 0 for b in states} for a in states}
-    G = truncation_minor(chain, k)
-    for (a, b), count in _dummy_counts(G, (DUMMY_LEFT, DUMMY_RIGHT), (lpos, rpos)).items():
-        actual[a][b] = count
+    table = _dummy_counts(truncation_minor(chain, k), (DUMMY_LEFT, DUMMY_RIGHT))
+    counts = _by_state(table, left.labels(k, bound=True), right.labels(k, bound=True))
+    actual = {a: {b: counts.get((a, b), 0) for b in states} for a in states}
     return ConsistencyReport(prod == actual, prod, actual)
 
 
@@ -980,36 +970,23 @@ def _level_cuts(chain: CutChain, end: str) -> Iterator[int]:
     chosen ray out to level k are glued on from their integer edge lists.
     In a two-ended chain the pieces on the other side of the core reach
     the chosen dummy only through the core, so they carry no flow that the
-    core does not already supply, and they are left out.  One-ended chains
-    have one end and ignore `end`.
+    core does not already supply, and they are left out.  The left ray is
+    read for `end` "left" if there is one, the right ray otherwise.
     """
-    leftward = isinstance(chain, TwoEndedChain) and end != "right"
-    if isinstance(chain, OneEndedChain):
-        core, tail, first = chain.initial, chain.tail, chain.entry_iface
-    else:
-        core, tail, first = chain.left.piece(1), chain.left if leftward else chain.right, chain.central
-    # the left tail's matchings pair (right stub of the outer piece, left
-    # stub of the inner one); the other matchings pair them the other way
-    inner, outer = (1, 0) if leftward else (0, 1)
-    frontier = {stub: 0 for stub, _ in (core.left_ports if leftward else core.right_ports)}
+    direction = chain._directions.get(end, chain._directions["right"])
+    j = direction.first_cut  # the core is piece j of either ray
+    frontier = {stub: 0 for stub, _ in direction.links(j)}  # outer stub -> node
     arcs: list = []
     n = 2  # nodes so far: the core and the dummy
-    j = 0  # tail pieces glued on
-    if leftward:
-        # left piece 1 is the core itself: at level 1 the dummy takes the
-        # core's left stubs, one unit of flow each
-        j = 1
-        yield len(frontier)
     while True:
-        j += 1
-        matching = first if j == 1 else tail.iface(j - 1)
-        size, edges, lefts, rights = tail.piece(j)._flow
-        toward, away = (rights, lefts) if leftward else (lefts, rights)
-        arcs += [(frontier[pair[inner]], n + toward[pair[outer]], 1, 1) for pair in matching]
+        if j:  # the window of level j reaches out to cut j
+            yield _max_flow(n, arcs + [(x, 1, 1, 1) for x in frontier.values()], 0, 1)
+        size, edges, stubs = direction.piece(j + 1)._flow
+        arcs += [(frontier[a], n + stubs[b], 1, 1) for a, b in direction.links(j)]
         arcs += [(n + u, n + v, 1, 1) for u, v in edges]
-        frontier = {stub: n + i for stub, i in away.items()}
+        j += 1
+        frontier = {stub: n + stubs[stub] for stub, _ in direction.links(j)}
         n += size
-        yield _max_flow(n, arcs + [(x, 1, 1, 1) for x in frontier.values()], 0, 1)
 
 
 def end_degree(chain: CutChain, end: str = "right") -> int:
@@ -1056,23 +1033,19 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
         key=sorted,
     )
     paths = {s: [] for s in seeds}
-    level = 0
-    while not any(s == s_w for s in paths) or level < j_w:
-        if level == j_w and s_w in paths:
-            break
+    for level in range(j_w):
         nxt: dict = {}
         for s, acc in paths.items():
             for t, cycles in direction.choices(level, s):
                 if t not in nxt:
                     nxt[t] = acc + [(s, t, cycles[0])]
         paths = nxt
-        level += 1
-        if level > j_w:
-            raise RuntimeError(
-                f"{direction.name}: branching state {_show([s_w])} at cut {j_w} is not"
-                f" reached from the seed states {_show(seeds)}; cut {level} holds"
-                f" {_show(paths) or 'no state'} (defect)"
-            )
+    if s_w not in paths:
+        raise RuntimeError(
+            f"{direction.name}: branching state {_show([s_w])} at cut {j_w} is not"
+            f" reached from the seed states {_show(seeds)}; cut {j_w} holds"
+            f" {_show(paths) or 'no state'} (defect)"
+        )
     prefix = paths[s_w]
     seed = prefix[0][0] if prefix else s_w
     interior = chain._initial_cycles[seed][0]
@@ -1169,20 +1142,23 @@ def chain_from_doc(doc) -> CutChain:
     """A chain from a decoded JSON document, as `chain_from_json` reads it."""
     if not isinstance(doc, dict):
         raise ChainError("malformed chain JSON: not an object")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ChainError(f"malformed chain JSON: name {name!r} is not a string")
     try:
         if doc.get("mode") == "one-ended":
             return OneEndedChain(
                 _piece_from_doc(doc["pieces"]["initial"]),
                 tuple(tuple(m) for m in doc["interfaces"]["entry"]),
                 _tail_from_doc(doc["tail"]),
-                doc.get("name", ""),
+                name,
             )
         if doc.get("mode") == "two-ended":
             return TwoEndedChain(
                 _tail_from_doc(doc["left"]),
                 tuple(tuple(m) for m in doc["interfaces"]["central"]),
                 _tail_from_doc(doc["right"]),
-                doc.get("name", ""),
+                name,
             )
     except (ChainError, GraphError):
         raise

@@ -30,6 +30,7 @@ from .chains import (
     transfer_layer,
     truncation_consistency,
     truncation_minor,
+    witness_stubs,
 )
 from .hamilton import (
     count_through,
@@ -199,31 +200,18 @@ def _cmd_incidence(args) -> int:
     return 0 if ok else 1
 
 
-def _state_names(chain, level: int, state) -> list[str]:
-    matching = (
-        chain.iface(level)
-        if isinstance(chain, OneEndedChain)
-        else (chain.central if level == 0 else chain.right.iface(level))
-    )
-    return sorted(matching[p][0] for p in state)
-
-
 def _cmd_chain(args) -> int:
     chain = _load_chain(args.chain)
     if args.sub == "analyze":
         result = count_limit_hamilton_cycles(chain)
         layer = transfer_layer(chain, 1 if isinstance(chain, OneEndedChain) else 0)
-        degrees = (
-            {"right": end_degree(chain)}
-            if isinstance(chain, OneEndedChain)
-            else {"left": end_degree(chain, "left"), "right": end_degree(chain, "right")}
-        )
+        degrees = {side: end_degree(chain, side) for side in chain.sides}
         witness = (
             None
             if result.witness is None
             else {
                 "level": result.witness[0],
-                "state": _state_names(chain, result.witness[0], result.witness[1]),
+                "state": witness_stubs(chain, result),
                 "out_multiplicity": result.witness[2],
             }
         )
@@ -260,13 +248,18 @@ def _cmd_chain(args) -> int:
         return 0
     if args.sub == "check":
         lo = 0 if isinstance(chain, OneEndedChain) else 1
+        depths = list(range(lo, args.depth + 1))
+        if not depths:
+            raise _UsageError(
+                f"--depth must be at least {lo}, the first level of a {chain.mode} chain"
+            )
         lines = []
         ok = True
-        for k in range(lo, args.depth + 1):
+        for k in depths:
             report = truncation_consistency(chain, k)
             ok = ok and report.ok
             lines.append(f"depth {k}: {'ok' if report.ok else 'MISMATCH'}")
-        _emit(args, "\n".join(lines), {"ok": ok, "depths": list(range(lo, args.depth + 1))})
+        _emit(args, "\n".join(lines), {"ok": ok, "depths": depths})
         return 0 if ok else 1
     raise _UsageError(f"unknown chain subcommand {args.sub!r}")
 

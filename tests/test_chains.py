@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cubicham import chains, cli, hamilton
@@ -11,6 +13,7 @@ from cubicham import (
     chain_H,
     chain_Hprime,
     chain_double_ladder,
+    chain_from_doc,
     chain_from_json,
     chain_ladder,
     chain_to_json,
@@ -27,6 +30,7 @@ from cubicham import (
     truncation_minor,
     validate_certificate,
 )
+from util import alternating_double_ladder, alternating_tail
 
 S01, S02, S12 = frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})
 ALL_CHAINS = {
@@ -253,6 +257,44 @@ def test_chain_json_rejects_unknown_mode():
 def test_chain_json_rejects_malformed_documents(text):
     with pytest.raises(ChainError, match="malformed chain JSON"):
         chain_from_json(text)
+
+
+def test_chain_json_name_must_be_a_string():
+    doc = json.loads(chain_to_json(chain_ladder()))
+    doc["name"] = {"a": [1]}
+    with pytest.raises(ChainError, match="name"):
+        chain_from_doc(doc)
+    del doc["name"]
+    assert chain_from_doc(doc).name == ""
+
+
+def _ladder_entry(tail) -> OneEndedChain:
+    return OneEndedChain(chain_ladder().initial, (("ru", "a.lu"), ("rl", "a.ll")), tail)
+
+
+def test_right_tail_is_checked_in_its_own_orientation():
+    # a right tail alternating two rungs with stub names of their own: its
+    # junctions pair piece j with piece j+1, as on a one-ended chain
+    chain, plain = alternating_double_ladder(), chain_double_ladder()
+    result, expected = count_limit_hamilton_cycles(chain), count_limit_hamilton_cycles(plain)
+    assert (str(result), result.count) == (str(expected), expected.count) == ("Finite(1)", 1)
+    for end in ("left", "right"):
+        assert end_degree(chain, end) == end_degree(plain, end)
+    for n in range(-3, 3):
+        assert transfer_layer(chain, n).matrix() == transfer_layer(plain, n).matrix(), n
+    for k in (1, 2, 3):
+        assert truncation_consistency(chain, k).ok, k
+        assert all(validate_certificate(chain, cert, k) for cert in result.certificates), k
+    one_ended = count_limit_hamilton_cycles(_ladder_entry(alternating_tail()))
+    assert str(one_ended) == str(count_limit_hamilton_cycles(chain_ladder())) == "Finite(2)"
+
+
+def test_swapped_right_tail_junctions_refused():
+    # junctions written as on a left tail (piece j+1 before piece j)
+    with pytest.raises(ChainError, match="interface does not match"):
+        alternating_double_ladder(swapped=True)
+    with pytest.raises(ChainError, match="interface does not match"):
+        _ladder_entry(alternating_tail(swapped=True))
 
 
 def test_interface_size_four_refused():

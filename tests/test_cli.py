@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import cubicham
 from cubicham import cli, from_json
 from cubicham.cli import main
+from util import alternating_double_ladder, random_chain, renamed_stubs
 
 
 def run(capsys, *argv):
@@ -111,6 +113,55 @@ def test_chain_analyze(capsys):
 def test_chain_check(capsys):
     code, out, _ = run(capsys, "chain", "check", "chain-double-ladder", "--depth", "3")
     assert code == 0 and out.count("ok") == 3
+
+
+@pytest.mark.parametrize(
+    "chain, depth, first", [("chain-ladder", "-1", 0), ("chain-double-ladder", "0", 1)]
+)
+def test_chain_check_refuses_a_depth_below_the_first_level(capsys, chain, depth, first):
+    code, out, err = run(capsys, "--format", "json", "chain", "check", chain, "--depth", depth)
+    assert (code, out) == (2, "")
+    assert f"--depth must be at least {first}, the first level" in err
+
+
+def test_chain_check_depth_zero_on_a_one_ended_chain(capsys):
+    assert run(capsys, "chain", "check", "chain-ladder", "--depth", "0") == (0, "depth 0: ok\n", "")
+
+
+def test_chain_name_must_be_a_string(tmp_path, capsys):
+    doc = json.loads(cubicham.chain_to_json(cubicham.chain_ladder()))
+    doc["name"] = {"a": [1]}
+    target = tmp_path / "c.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "chain", "analyze", str(target))
+    assert (code, out) == (2, "") and "name" in err
+
+
+def test_swapped_right_tail_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(cubicham.chain_to_json(alternating_double_ladder()))
+    target = tmp_path / "c.json"
+    target.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "chain", "analyze", str(target))
+    assert code == 0 and "classification: Finite(1)" in out
+    # the two junctions of the period written the wrong way round
+    doc["right"]["period_interfaces"].reverse()
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "chain", "analyze", str(target))
+    assert (code, out) == (2, "") and "interface does not match" in err
+
+
+def test_witness_on_the_left_ray_is_named_by_the_left_matching(tmp_path, capsys):
+    # two-ended, Infinite, branching on the left ray at level 2; with every
+    # piece's stubs renamed apart, the state there is named by the right
+    # stubs of left piece 3, which is the left tail's only period piece l1
+    chain = renamed_stubs(random_chain(random.Random(15), False, 3))
+    target = tmp_path / "c.json"
+    target.write_text(cubicham.chain_to_json(chain))
+    code, out, _ = run(capsys, "--format", "json", "chain", "analyze", str(target))
+    witness = {"level": 2, "out_multiplicity": 2, "state": ["l1.R0", "l1.R1"]}
+    assert code == 0 and json.loads(out)["witness"] == witness
+    code, out, _ = run(capsys, "chain", "analyze", str(target))
+    assert "branching witness: level 2, state {l1.R0,l1.R1}, out-multiplicity 2" in out
 
 
 def test_chain_file_roundtrip(tmp_path, capsys):

@@ -31,6 +31,7 @@ from cubicham import (
     tutte_quotient,
 )
 from cubicham.cli import main
+from util import alternating_double_ladder
 
 GRAPH_DOCS = {
     "k4": k4().to_doc(),
@@ -40,6 +41,9 @@ GRAPH_DOCS = {
     "tutte-fragment": tutte_fragment().graph.to_doc(),
 }
 CHAIN_DOCS = {name: json.loads(chain_to_json(build())) for name, build in BUILTIN_CHAINS.items()}
+# a right tail whose period alternates two pieces with stub names of their
+# own, so that mutations reach the orientation of its junctions
+CHAIN_DOCS["alternating-ladder"] = json.loads(chain_to_json(alternating_double_ladder()))
 
 _SCALARS = st.none() | st.booleans() | st.integers(-1, 3) | st.text("ab", max_size=2)
 _VALUES = st.recursive(

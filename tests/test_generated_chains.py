@@ -29,7 +29,7 @@ from cubicham import (
     truncation_minor,
     validate_certificate,
 )
-from util import frontier_count_by_trace, generated_chains
+from util import frontier_count_by_trace, generated_chains, renamed_stubs
 
 CHAINS = generated_chains()
 # the generated chains, then the built-ins
@@ -188,3 +188,32 @@ def test_frontier_sweep_equals_layer_counts(index):
         for (trace,), n in frontier_count_by_trace(window, (chains.DUMMY,)).items():
             vector[frozenset(pos[window.edges[i].label] for i in trace)] = n
         assert vector == initial_vector(chain)
+
+
+def _observed(chain) -> tuple:
+    """What the engine reports on a chain, keyed by cut positions only."""
+    result = count_limit_hamilton_cycles(chain)
+    degrees = []
+    for end in chain.sides:
+        try:
+            degrees.append(end_degree(chain, end))
+        except ChainError as exc:
+            degrees.append(str(exc))
+    layers = [
+        transfer_layer(chain, j if side == "right" else -j - 1).matrix()
+        for side, tail in _tails(chain)
+        for j in range(len(tail.pre) + 1 + tail.plen)
+    ]
+    summary = (str(result), result.count, result.witness, result.side, len(result.certificates))
+    return summary, degrees, layers, truncation_consistency(chain, 3)
+
+
+@pytest.mark.parametrize("index", range(len(CHAINS)))
+def test_stub_names_do_not_matter(index):
+    # every piece gets stub names of its own, so a matching read in the
+    # wrong orientation names stubs of the wrong piece
+    chain = CHAINS[index]
+    renamed = renamed_stubs(chain)
+    assert _observed(renamed) == _observed(chain)
+    for cert in count_limit_hamilton_cycles(renamed).certificates:
+        assert validate_certificate(renamed, cert, 2)

@@ -1,7 +1,9 @@
 """Shared test helpers: independent brute-force Hamilton oracles (simple
 graphs, multigraphs), a networkx bridge for isomorphism checks, a seeded
 generator of random cut chains and the fixed set of generated chains the
-chain tests share."""
+chain tests share, a renaming of every piece's stubs apart that keeps each
+cut's positions, and a ladder whose right tail alternates two rungs with
+stub names of their own."""
 
 import random
 from itertools import combinations, permutations, product
@@ -142,6 +144,73 @@ GENERATED_SEEDS = list(range(20)) + [29, 41, 68, 72, 115, 120]
 def generated_chains() -> list:
     """One chain per seed of GENERATED_SEEDS, cycling through KINDS."""
     return [random_chain(random.Random(seed), *KINDS[seed % 4]) for seed in GENERATED_SEEDS]
+
+
+def _renamed_piece(piece: ChainPiece, slot: str) -> ChainPiece:
+    return ChainPiece(
+        piece.graph,
+        tuple((f"{slot}.{stub}", v) for stub, v in piece.left_ports),
+        tuple((f"{slot}.{stub}", v) for stub, v in piece.right_ports),
+    )
+
+
+def _renamed_tail(tail: Tail, side: str) -> Tail:
+    """Tail piece i in storage order gets slot f"{side}{i}"; a right tail's
+    junction j pairs pieces (j, j+1), a left tail's pairs (j+1, j)."""
+    pieces = tail.pre + tail.period
+    slots = [f"{side}{i}" for i in range(1, len(pieces) + 1)]
+    ifaces = []
+    for j in range(1, len(pieces) + 1):
+        a, b = slots[tail.fold(j) - 1], slots[tail.fold(j + 1) - 1]
+        a, b = (a, b) if side == "r" else (b, a)
+        ifaces.append(tuple((f"{a}.{x}", f"{b}.{y}") for x, y in tail.iface(j)))
+    renamed = tuple(_renamed_piece(p, slot) for p, slot in zip(pieces, slots))
+    n = len(tail.pre)
+    return Tail(renamed[:n], renamed[n:], tuple(ifaces[:n]), tuple(ifaces[n:]))
+
+
+def renamed_stubs(chain):
+    """The chain with every piece's stubs renamed apart: stub s of the
+    piece in slot p becomes "p.s" (slot "i" for the initial piece, "l1",
+    "l2", ... and "r1", "r2", ... for the left and right tail pieces in
+    storage order), and every matching renamed to match."""
+    if isinstance(chain, OneEndedChain):
+        entry = tuple((f"i.{x}", f"r1.{y}") for x, y in chain.entry_iface)
+        initial = _renamed_piece(chain.initial, "i")
+        return OneEndedChain(initial, entry, _renamed_tail(chain.tail, "r"), chain.name)
+    central = tuple((f"l1.{x}", f"r1.{y}") for x, y in chain.central)
+    return TwoEndedChain(
+        _renamed_tail(chain.left, "l"), central, _renamed_tail(chain.right, "r"), chain.name
+    )
+
+
+def _rung(name: str) -> ChainPiece:
+    """A ladder rung u-l whose stubs are named after the rung."""
+    return ChainPiece(
+        MultiGraph(("u", "l"), [("u_l", "u", "l")]),
+        ((f"{name}.lu", "u"), (f"{name}.ll", "l")),
+        ((f"{name}.ru", "u"), (f"{name}.rl", "l")),
+    )
+
+
+def _rungs(a: str, b: str) -> tuple:
+    """The matching that glues rung a on the left to rung b on the right."""
+    return ((f"{a}.ru", f"{b}.lu"), (f"{a}.rl", f"{b}.ll"))
+
+
+def alternating_tail(swapped: bool = False) -> Tail:
+    """A ladder tail whose period alternates rungs a and b, with stub names
+    of their own; `swapped` writes its junctions in the left tail's
+    orientation (each pairing piece j+1 with piece j), which a right tail
+    must refuse."""
+    ab, ba = _rungs("a", "b"), _rungs("b", "a")
+    return Tail((), (_rung("a"), _rung("b")), (), (ba, ab) if swapped else (ab, ba))
+
+
+def alternating_double_ladder(swapped: bool = False) -> TwoEndedChain:
+    """The bi-infinite ladder with `alternating_tail` as its right tail."""
+    left = Tail((), (_rung("c"),), (), (_rungs("c", "c"),))
+    return TwoEndedChain(left, _rungs("c", "a"), alternating_tail(swapped), "alternating_ladder")
 
 
 def frontier_count_by_trace(G: MultiGraph, dummies) -> dict:
