@@ -17,15 +17,17 @@ matching sits at cut j, which piece lies beyond it and which stub of a pair
 faces the core; validation, layers, windows, certificates, end degrees and
 witness names all ask it.  It holds one step per distinct cut (the
 pre-period cuts, then one period; `Tail.fold` is the only period fold),
-and every propagation of weights goes through its `moves` and `advance`.
-A one-ended chain also keeps its level-0 truncation (`_window0`) and that
-window's counts (`_initial_counts`), the seed of every propagation.
+and every propagation of weights goes through its `moves` and `advance`;
+its `ray` is the one walk of a ray to its periodic part.
 
-Window and segment minors tabulate their Hamilton cycles by the edge
-labels used at each dummy (`_dummy_counts`, `_dummy_cycles`); `_by_state`
-is the only place labels become cut positions.  A piece keeps its segment
-tables (`ChainPiece._counts`), so every slot, side and chain holding the
-same piece object shares one search.
+Every piece is tabulated alike: its segment minor's Hamilton cycles by the
+edge labels used at each dummy (`ChainPiece._counts`, `_dummy_counts`), so
+every slot, side and chain holding the same piece object shares one search.
+Level 0 of a one-ended chain is the initial piece's segment, which has only
+the right dummy; its counts (`_initial_counts`) seed every propagation.
+`_by_state` is the only place labels become cut positions.  Truncation
+windows are built only by the oracles (`truncation_consistency`,
+`validate_certificate`) and by `construct truncation`.
 
 Layers and the level-0 vector hold counts only, tallied without listing
 cycles.  The cycles themselves (interior edge labels per state pair) are
@@ -81,39 +83,36 @@ class ChainPiece:
             if stub in labels:
                 raise ChainError(f"stub {stub!r} collides with an interior edge label")
 
-    def left_stub_vertex(self, stub: str) -> str:
-        for s, v in self.left_ports:
-            if s == stub:
-                return v
-        raise ChainError(f"unknown left stub {stub!r}")
-
-    def right_stub_vertex(self, stub: str) -> str:
-        for s, v in self.right_ports:
-            if s == stub:
-                return v
-        raise ChainError(f"unknown right stub {stub!r}")
+    @cached_property
+    def _stub_vertex(self) -> dict:
+        """The interior vertex of each stub, left and right."""
+        return dict(self.left_ports + self.right_ports)
 
     @cached_property
     def _segment(self) -> MultiGraph:
-        """The piece with its left stubs on a dummy alpha and its right stubs
-        on a dummy beta, checked simple; stub edges keep the stub labels."""
-        seg = materialize([self], [], [None], left_dummy="alpha", right_dummy="beta")
-        if not seg.is_simple():
+        """The piece with its left stubs on a dummy alpha, if it has any,
+        and its right stubs on a dummy beta; stub edges keep the stub
+        labels.  Checked simple unless it has no left stubs: an initial
+        piece's minor is its chain's level-0 window, never required simple."""
+        alpha = "alpha" if self.left_ports else None
+        seg = materialize([self], [], [None], left_dummy=alpha, right_dummy="beta")
+        if alpha and not seg.is_simple():
             raise ChainError("segment minor is not simple")
         return seg
 
     @cached_property
     def _counts(self) -> dict:
         """(left stub pair, right stub pair) -> number of Hamilton cycles of
-        the segment minor through those stubs; pairs no cycle uses are absent."""
-        return _dummy_counts(self._segment, ("alpha", "beta"))
+        the segment minor through those stubs, keyed by the right pair alone
+        on an initial piece; pairs no cycle uses are absent."""
+        return _dummy_counts(self._segment, ("alpha", "beta")[not self.left_ports :])
 
     @cached_property
     def _cycles(self) -> dict:
         """The segment minor's Hamilton cycles keyed as `_counts`, each as the
         frozenset of its interior edge labels; keys and cycles in sorted
         cycle order."""
-        return _dummy_cycles(self._segment, ("alpha", "beta"))
+        return _dummy_cycles(self._segment, ("alpha", "beta")[not self.left_ports :])
 
     @cached_property
     def _flow(self) -> tuple[int, list, dict]:
@@ -122,7 +121,7 @@ class ChainPiece:
         vertex index of each stub."""
         index = {v: i for i, v in enumerate(self.graph.vertices)}
         edges = [(index[e.u], index[e.v]) for e in self.graph.edges if e.u != e.v]
-        return len(index), edges, {s: index[v] for s, v in self.left_ports + self.right_ports}
+        return len(index), edges, {s: index[v] for s, v in self._stub_vertex.items()}
 
 
 @dataclass(frozen=True)
@@ -206,23 +205,23 @@ class OneEndedChain:
         return {"right": _Direction(self.tail, self.initial, self.entry_iface, "right", self)}
 
     @cached_property
-    def _window0(self) -> MultiGraph:
-        """The level-0 truncation, read by `_initial_counts` and
-        `_initial_cycles`."""
-        return truncation_minor(self, 0)
-
-    @cached_property
     def _initial_counts(self) -> dict:
-        """Hamilton-cycle counts of the level-0 truncation per dummy pair state."""
-        return _truncation_vector(self, self._window0, 0)
+        """Hamilton-cycle counts of the level-0 truncation per pair state at
+        cut 0: the initial piece's segment counts."""
+        counts = _by_state(self.initial._counts, tuple(a for a, _ in self.entry_iface))
+        return {s: counts.get((s,), 0) for s in _states(self.cut_size)}
 
     @cached_property
     def _initial_cycles(self) -> dict:
         """Interior edge labels of the level-0 truncation's Hamilton cycles,
-        per dummy pair state, in sorted cycle order; for certificates."""
-        names = self._directions["right"].labels(0, bound=True)
-        cycles = _by_state(_dummy_cycles(self._window0, (DUMMY,)), names)
-        return {s: cycles.get((s,), ()) for s in _states(self.cut_size)}
+        as the window labels them, per pair state at cut 0, in sorted cycle
+        order; for certificates."""
+        tag = self._directions["right"].tag(0)
+        cycles = _by_state(self.initial._cycles, tuple(a for a, _ in self.entry_iface))
+        return {
+            s: tuple(frozenset(_tag(lab, tag) for lab in c) for c in cycles.get((s,), ()))
+            for s in _states(self.cut_size)
+        }
 
     def piece(self, i: int) -> ChainPiece:
         return self._directions["right"].piece(i)
@@ -309,8 +308,8 @@ def materialize(
             edges.append(
                 (
                     _tag(rstub, tags[j]),
-                    _tag(lp.right_stub_vertex(rstub), tags[j]),
-                    _tag(rp.left_stub_vertex(lstub), tags[j + 1]),
+                    _tag(lp._stub_vertex[rstub], tags[j]),
+                    _tag(rp._stub_vertex[lstub], tags[j + 1]),
                 )
             )
     if left_dummy is not None:
@@ -572,6 +571,33 @@ class _Direction:
                 nxt[t] = nxt.get(t, 0) + c * n
         return nxt
 
+    def seeds(self, vector: dict) -> dict:
+        """The states of a weight vector at cut 0 that have positive weight
+        and survive, with their weights."""
+        return {s: c for s, c in vector.items() if c > 0 and s in self.surv(0)}
+
+    def ray(self, j: int, s: State, unique: bool = False) -> tuple[list, list]:
+        """The ray from surviving state s at cut j that takes the first
+        surviving move and its first cycle at every cut, as choices (left
+        state, right state, interior edge labels) split into (pre, period)
+        where the pair (slot, state) first recurs.  With `unique`, a state
+        with other than one continuation is a defect.  The walk ends: every
+        surviving state has a surviving move, prefix slots never repeat,
+        and there are finitely many (slot, state) pairs."""
+        choices: list = []
+        seen: dict = {}
+        while (key := (self.tail.fold(j), s)) not in seen:
+            seen[key] = len(choices)
+            options = [(t, cyc) for t, cycles in self.choices(j, s) for cyc in cycles]
+            if unique and len(options) != 1:
+                raise RuntimeError(
+                    f"{self.name}: recurrent state {_show([s])} at cut {j}"
+                    f" has {len(options)} continuations, not 1 (defect)"
+                )
+            choices.append((s, *options[0]))
+            j, s = j + 1, options[0][0]
+        return choices[: seen[key]], choices[seen[key] :]
+
 
 @dataclass(frozen=True)
 class RayAnalysis:
@@ -585,7 +611,7 @@ class RayAnalysis:
 
 
 def _analyze_rays(direction: _Direction, seed: dict) -> RayAnalysis:
-    seeds = {s: c for s, c in seed.items() if c > 0 and s in direction.surv(0)}
+    seeds = direction.seeds(seed)
     if not seeds:
         return RayAnalysis("zero", 0, None, {}, (), None, None)
     weights = dict(seeds)
@@ -636,45 +662,21 @@ def _analyze_rays(direction: _Direction, seed: dict) -> RayAnalysis:
 
 
 def _continuations(direction: _Direction, analysis: RayAnalysis) -> dict:
-    """All surviving ray continuations from each seed state at cut 0.
+    """All surviving ray continuations from each seed state at cut 0: every
+    branch up to the first cut where its state is recurrent, then the one
+    ray from there (`_Direction.ray`).
 
     Returns seed state -> list of (pre_choices, period_choices); a choice is
     (left state, right state, interior edge-label frozenset).
     """
     D = analysis.j_repeat - analysis.j_enter
     sup_cycle = analysis.supports[analysis.j_enter : analysis.j_repeat]
-
-    def recurrent(j: int, s: State) -> bool:
-        return j >= analysis.j_enter and s in sup_cycle[(j - analysis.j_enter) % D]
-
-    def periodic_tail(j: int, s: State) -> list:
-        choices = []
-        jj, cur = j, s
-        guard = D * (len(direction.states) + 2)
-        while True:
-            nxt = [(t, cyc) for t, cycles in direction.choices(jj, cur) for cyc in cycles]
-            if len(nxt) != 1:
-                raise RuntimeError(
-                    f"{direction.name}: recurrent state {_show([cur])} at cut {jj}"
-                    f" has {len(nxt)} continuations, not 1 (defect)"
-                )
-            choices.append((cur, nxt[0][0], nxt[0][1]))
-            cur = nxt[0][0]
-            jj += 1
-            if (jj - j) % D == 0 and cur == s:
-                return choices
-            if jj - j > guard:
-                raise RuntimeError(
-                    f"{direction.name}: periodic tail from state {_show([s])} at cut {j}"
-                    f" is in state {_show([cur])} at cut {jj}, {jj - j} cuts on,"
-                    f" past the guard of {guard} without closing (defect)"
-                )
-
     result: dict = {}
 
     def walk(j: int, s: State, acc: list, out: list) -> None:
-        if recurrent(j, s):
-            out.append((list(acc), periodic_tail(j, s)))
+        if j >= analysis.j_enter and s in sup_cycle[(j - analysis.j_enter) % D]:
+            pre, period = direction.ray(j, s, unique=True)
+            out.append((acc + pre, period))
             return
         for t, cycles in direction.choices(j, s):
             for cyc in cycles:
@@ -812,14 +814,6 @@ def _dummy_cycles(G: MultiGraph, dummies: tuple[str, ...]) -> dict:
     return {key: tuple(cycles) for key, cycles in buckets.items()}
 
 
-def _truncation_vector(chain: OneEndedChain, G: MultiGraph, k: int) -> dict:
-    """Hamilton-cycle counts of G, the level-k truncation, per dummy pair
-    state."""
-    names = chain._directions["right"].labels(k, bound=True)
-    counts = _by_state(_dummy_counts(G, (DUMMY,)), names)
-    return {s: counts.get((s,), 0) for s in _states(chain.cut_size)}
-
-
 def surviving_states(chain: CutChain) -> dict:
     """Greatest-fixed-point survival sets, per cut (prefix) and per residue."""
     out = {
@@ -927,7 +921,9 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
         w = initial_vector(chain)
         for j in range(k):
             w = _push(w, right.layer(j))
-        actual = _truncation_vector(chain, truncation_minor(chain, k), k)
+        table = _dummy_counts(truncation_minor(chain, k), (DUMMY,))
+        counts = _by_state(table, right.labels(k, bound=True))
+        actual = {s: counts.get((s,), 0) for s in _states(chain.cut_size)}
         return ConsistencyReport(w == actual, w, actual)
 
     # one row vector per state at the window's left end, pushed rightward
@@ -946,7 +942,7 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
 def prefix_counts(chain: OneEndedChain, k_max: int) -> list[int]:
     """Total multiplicity of surviving length-k prefixes, for k = 0..k_max."""
     direction = chain._directions["right"]
-    w = {s: c for s, c in initial_vector(chain).items() if c and s in direction.surv(0)}
+    w = direction.seeds(initial_vector(chain))
     out = [sum(w.values())]
     for j in range(k_max):
         w = direction.advance(w, j)
@@ -970,10 +966,10 @@ def _level_cuts(chain: CutChain, end: str) -> Iterator[int]:
     chosen ray out to level k are glued on from their integer edge lists.
     In a two-ended chain the pieces on the other side of the core reach
     the chosen dummy only through the core, so they carry no flow that the
-    core does not already supply, and they are left out.  The left ray is
-    read for `end` "left" if there is one, the right ray otherwise.
+    core does not already supply, and they are left out.  `end` is one of
+    `chain.sides`.
     """
-    direction = chain._directions.get(end, chain._directions["right"])
+    direction = chain._directions[end]
     j = direction.first_cut  # the core is piece j of either ray
     frontier = {stub: 0 for stub, _ in direction.links(j)}  # outer stub -> node
     arcs: list = []
@@ -993,9 +989,11 @@ def end_degree(chain: CutChain, end: str = "right") -> int:
     """Minimum cut from a fixed finite core to the chosen end: the first
     value that the min cuts of two consecutive levels agree on.
 
-    Raises ChainError, with the value at every level, if no two
-    consecutive levels up to END_DEGREE_LEVELS agree.
+    Raises ChainError if the chain has no such end, or, with the value at
+    every level, if no two consecutive levels up to END_DEGREE_LEVELS agree.
     """
+    if end not in chain.sides:
+        raise ChainError(f"{_name(chain)} has no {end!r} end, only {', '.join(chain.sides)}")
     values: list[int] = []
     for k, value in zip(range(1, END_DEGREE_LEVELS + 1), _level_cuts(chain, end)):
         values.append(value)
@@ -1028,10 +1026,7 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
     j_w, s_w, _ = witness
 
     # breadth-first choice path from a seed to the branching state
-    seeds = sorted(
-        (s for s, c in chain._initial_counts.items() if c and s in direction.surv(0)),
-        key=sorted,
-    )
+    seeds = sorted(direction.seeds(chain._initial_counts), key=sorted)
     paths = {s: [] for s in seeds}
     for level in range(j_w):
         nxt: dict = {}
@@ -1050,26 +1045,9 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
     seed = prefix[0][0] if prefix else s_w
     interior = chain._initial_cycles[seed][0]
     options = [(t, cyc) for t, cycles in direction.choices(j_w, s_w) for cyc in cycles]
-
-    def greedy_tail(j: int, s: State) -> tuple[list, list]:
-        choices = []
-        seen: dict = {}
-        jj, cur = j, s
-        while True:
-            # prefix cuts fold to themselves, so only periodic keys can recur
-            key = (direction.tail.fold(jj), cur)
-            if key in seen:
-                cut = seen[key]
-                return choices[:cut], choices[cut:]
-            seen[key] = len(choices)
-            t, cycles = direction.choices(jj, cur)[0]
-            choices.append((cur, t, cycles[0]))
-            cur = t
-            jj += 1
-
     certs = []
     for t, cyc in options[:2]:
-        tail_pre, tail_period = greedy_tail(j_w + 1, t)
+        tail_pre, tail_period = direction.ray(j_w + 1, t)
         pre = prefix + [(s_w, t, cyc)] + tail_pre
         certs.append(
             LimitCycleCertificate("one-ended", seed, interior, tuple(pre), tuple(tail_period))
@@ -1168,7 +1146,9 @@ def chain_from_doc(doc) -> CutChain:
 
 
 def transfer_dot(chain: CutChain, levels: int = 3) -> str:
-    """Layered transfer multigraph (parallel edges drawn separately)."""
+    """Layered transfer multigraph (parallel edges drawn separately), levels >= 1."""
+    if levels < 1:
+        raise ChainError(f"transfer DOT needs at least 1 level, not {levels}")
     lines = ["graph transfer {", "  rankdir=LR;"]
     rng = range(levels) if isinstance(chain, OneEndedChain) else range(-levels, levels)
     for n in rng:

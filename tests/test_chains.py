@@ -29,6 +29,7 @@ from cubicham import (
     truncation_consistency,
     truncation_minor,
     validate_certificate,
+    witness_two_cycles,
 )
 from util import alternating_double_ladder, alternating_tail
 
@@ -171,6 +172,14 @@ def test_end_degrees():
     assert end_degree(chain_double_ladder(), "left") == 2
 
 
+@pytest.mark.parametrize(
+    "make, end", [(chain_H, "bogus"), (chain_H, "left"), (chain_Hprime, "up")]
+)
+def test_end_degree_refuses_an_end_the_chain_lacks(make, end):
+    with pytest.raises(ChainError, match=f"has no '{end}' end"):
+        end_degree(make(), end)
+
+
 def test_end_degree_raises_when_unstable(monkeypatch, capsys):
     # a min cut that rises at every level never agrees with the level before
     monkeypatch.setattr(chains, "_level_cuts", lambda chain, end: iter(range(100)))
@@ -192,10 +201,13 @@ def test_windows_are_built_once_per_chain(monkeypatch):
     assert (end_degree(chain, "left"), end_degree(chain, "right")) == (3, 3)
     assert end_degree(chain_H()) == 3
     assert built == []
+    # level 0 is the initial piece's segment: counting, certificates and
+    # witnesses of a Finite and an Infinite chain build no window either
     chain = chain_H()
-    count_limit_hamilton_cycles(chain)  # Finite: counts, then certificates
+    assert len(count_limit_hamilton_cycles(chain).certificates) == 2
     assert initial_vector(chain) == {S01: 0, S02: 2, S12: 4}
-    assert built == [0]
+    assert len(witness_two_cycles(chain)) == len(witness_two_cycles(chain_G())) == 2
+    assert built == []
 
 
 @pytest.mark.parametrize("make", ALL_CHAINS.values(), ids=list(ALL_CHAINS))
@@ -318,6 +330,19 @@ def test_nonsimple_segment_refused():
         segment_minor(chain, 0)
     with pytest.raises(ChainError):
         transfer_layer(chain, 0)
+
+
+def test_initial_piece_need_not_be_simple():
+    # the initial piece's minor is the level-0 window, which was never
+    # required simple: a ladder with its foot edge o_m doubled is a chain
+    ladder = chain_ladder()
+    graph = ladder.initial.graph
+    edges = [(e.label, e.u, e.v) for e in graph.edges] + [("o_m2", "o", "m")]
+    initial = ChainPiece(MultiGraph(graph.vertices, edges), (), ladder.initial.right_ports)
+    chain = OneEndedChain(initial, ladder.entry_iface, ladder.tail)
+    result = count_limit_hamilton_cycles(chain)
+    assert (str(result), initial_vector(chain), end_degree(chain)) == ("Finite(4)", {S01: 4}, 2)
+    assert all(truncation_consistency(chain, k).ok for k in range(3))
 
 
 def test_truncation_labels_follow_levels():

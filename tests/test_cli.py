@@ -197,6 +197,13 @@ def test_export_dot(capsys):
     assert code == 0 and "F0:" in out
 
 
+@pytest.mark.parametrize("name", ["chain-ladder", "chain-double-ladder"])
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_export_dot_needs_a_level(capsys, name, levels):
+    code, out, err = run(capsys, "export-dot", name, "--levels", levels)
+    assert (code, out) == (2, "") and "at least 1 level" in err
+
+
 def test_export_dot_reads_graph_and_chain_files(tmp_path, capsys):
     graph, chain = tmp_path / "g.json", tmp_path / "c.json"
     run(capsys, "--out", str(graph), "construct", "k4")

@@ -7,6 +7,7 @@ pre-period of 0-2 pieces and a period of 1-3 on each tail, with 2- or
 """
 
 import math
+import random
 import re
 from itertools import combinations, islice
 
@@ -28,12 +29,16 @@ from cubicham import (
     truncation_consistency,
     truncation_minor,
     validate_certificate,
+    witness_two_cycles,
 )
-from util import frontier_count_by_trace, generated_chains, renamed_stubs
+from util import frontier_count_by_trace, generated_chains, random_chain, renamed_stubs
 
 CHAINS = generated_chains()
 # the generated chains, then the built-ins
 EVERY_CHAIN = CHAINS + [make() for make in BUILTIN_CHAINS.values()]
+# the generated chains, then one whose recurrent states return every piece
+# while their support returns every other one
+PERIOD_CHAINS = CHAINS + [random_chain(random.Random(1121), True, 3)]
 
 
 def _tails(chain) -> list:
@@ -217,3 +222,26 @@ def test_stub_names_do_not_matter(index):
     assert _observed(renamed) == _observed(chain)
     for cert in count_limit_hamilton_cycles(renamed).certificates:
         assert validate_certificate(renamed, cert, 2)
+
+
+@pytest.mark.parametrize("index", range(len(PERIOD_CHAINS)))
+def test_certificate_periods_are_shortest(index):
+    # a ray's period ends where its (slot, state) pair first recurs, so no
+    # pair repeats along it; certificates and witnesses alike
+    chain = PERIOD_CHAINS[index]
+    certs = list(count_limit_hamilton_cycles(chain).certificates)
+    if isinstance(chain, OneEndedChain):
+        try:
+            certs += witness_two_cycles(chain)
+        except ChainError:  # Zero, or a single limit cycle
+            pass
+    for cert in certs:
+        depth = 0
+        for side, tail in _tails(chain):
+            pre, period = (
+                (cert.pre, cert.period) if side == "right" else (cert.left_pre, cert.left_period)
+            )
+            pairs = [(tail.fold(len(pre) + i), left) for i, (left, _, _) in enumerate(period)]
+            assert len(set(pairs)) == len(pairs), side
+            depth = max(depth, len(pre) + 3 * len(period))
+        assert validate_certificate(chain, cert, depth)
