@@ -17,8 +17,10 @@ matching sits at cut j, which piece lies beyond it and which stub of a pair
 faces the core; validation, layers, windows, certificates, end degrees and
 witness names all ask it.  It holds one step per distinct cut (the
 pre-period cuts, then one period; `Tail.fold` is the only period fold),
-and every propagation of weights goes through its `moves` and `advance`;
-its `ray` is the one walk of a ray to its periodic part.
+and every propagation of weights goes through its `moves` and `advance`.
+Its `rays` alone enumerates rays, closing each where its (slot, state) pair
+first recurs: certificates (with the shortest pre-period and period) and
+witnesses come from it, and `_analyze_rays` only classifies.
 
 Every piece is tabulated alike: its segment minor's Hamilton cycles by the
 edge labels used at each dummy (`ChainPiece._counts`, `_dummy_counts`), so
@@ -32,8 +34,9 @@ windows are built only by the oracles (`truncation_consistency`,
 Layers and the level-0 vector hold counts only, tallied without listing
 cycles.  The cycles themselves (interior edge labels per state pair) are
 enumerated on first use, once per piece (`ChainPiece._cycles`), and only
-certificates (`_continuations`), the witnesses of an Infinite chain
-(`_two_infinite_witnesses`) and `transfer_dot` ask for them.
+certificates and the witnesses of an Infinite chain ask for them (through
+`_Direction.choices`).  `transfer_dot` draws its edges from the counts and
+names cut states as witnesses are named (`_Direction.stubs`).
 
 `end_degree` builds no truncation windows: its min cut at each level is a
 max flow over integer edge lists that each piece keeps (`ChainPiece._flow`),
@@ -45,7 +48,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from .hamilton import count_by_trace, enumerate_hamilton_cycles, is_hamilton_cycle
@@ -452,8 +455,9 @@ class _Direction:
     initial piece, or the other side's piece 1); tail piece j lies between
     cuts j-1 and j.  Matchings pair stubs in the chain's left-to-right
     order, which on the left ray runs inward; `sides`, `links` and
-    `labels` turn that into the side's own terms.  The left ray shares cut
-    0 and piece 0 with the right ray, so what it owns starts at
+    `labels` turn that into the side's own terms, and `stubs` names a
+    state by the stubs of the piece left of its cut.  The left ray shares
+    cut 0 and piece 0 with the right ray, so what it owns starts at
     `first_cut` = 1.
 
     The step from cut j to cut j+1 is stored at slot `tail.fold(j)`: the
@@ -461,8 +465,10 @@ class _Direction:
     A slot is filled on first use with the rightward `TransferLayer` of its
     piece and the outward map state -> state -> count (the layer's counts,
     transposed on the left side, with targets in sorted order).  Survival
-    sets are kept per slot as well, for the cut the step leaves.  `name`
-    says which chain and side, for defect messages.
+    sets are kept per slot as well, for the cut the step leaves.  `rays`
+    enumerates the surviving rays from a state, for certificates and
+    witnesses alike.  `name` says which chain and side, for defect
+    messages.
     """
 
     def __init__(self, tail: Tail, core: ChainPiece, first: Matching, side: str, chain: CutChain):
@@ -494,6 +500,11 @@ class _Direction:
         """The matching at cut j as (stub of piece j, stub of piece j+1)."""
         matching = self.matching(j)
         return tuple((b, a) for a, b in matching) if self.leftward else matching
+
+    def stubs(self, j: int, s: State) -> list[str]:
+        """State s at cut j as sorted stub names: at each of its positions,
+        the stub of the piece left of the cut in the chain's order."""
+        return sorted(self.matching(j)[p][0] for p in s)
 
     def tag(self, j: int) -> int:
         """The window tag of piece j (`truncation_minor`)."""
@@ -576,27 +587,43 @@ class _Direction:
         and survive, with their weights."""
         return {s: c for s, c in vector.items() if c > 0 and s in self.surv(0)}
 
-    def ray(self, j: int, s: State, unique: bool = False) -> tuple[list, list]:
-        """The ray from surviving state s at cut j that takes the first
-        surviving move and its first cycle at every cut, as choices (left
-        state, right state, interior edge labels) split into (pre, period)
-        where the pair (slot, state) first recurs.  With `unique`, a state
-        with other than one continuation is a defect.  The walk ends: every
-        surviving state has a surviving move, prefix slots never repeat,
-        and there are finitely many (slot, state) pairs."""
-        choices: list = []
+    def rays(self, j: int, s: State, unique: bool = False) -> Iterator[tuple[tuple, tuple]]:
+        """Every surviving ray from state s at cut j, lazily and depth first
+        in choice order (moves in sorted state order, each move's cycles in
+        sorted cycle order), as choices (left state, right state, interior
+        edge labels) split into (pre, period) where the pair (slot, state)
+        first recurs along it.  Each branch closes: every surviving state
+        has a surviving move, prefix slots never repeat, and there are
+        finitely many (slot, state) pairs.  In a Finite count a recurring
+        pair lies on a reachable cycle of the folded graph, where a state
+        with two continuations would give infinitely many rays, so each ray
+        is yielded exactly once.  With `unique`, a state in a yielded period
+        with other than one continuation is a defect."""
+        path: list = []
         seen: dict = {}
-        while (key := (self.tail.fold(j), s)) not in seen:
-            seen[key] = len(choices)
-            options = [(t, cyc) for t, cycles in self.choices(j, s) for cyc in cycles]
-            if unique and len(options) != 1:
-                raise RuntimeError(
-                    f"{self.name}: recurrent state {_show([s])} at cut {j}"
-                    f" has {len(options)} continuations, not 1 (defect)"
-                )
-            choices.append((s, *options[0]))
-            j, s = j + 1, options[0][0]
-        return choices[: seen[key]], choices[seen[key] :]
+
+        def walk(j: int, s: State) -> Iterator[tuple[tuple, tuple]]:
+            key = (self.tail.fold(j), s)
+            if key in seen:
+                start = seen[key]
+                first = j - len(path) + start  # the cut of path[start]
+                for cut, (r, _, _) in enumerate(path[start:] if unique else (), first):
+                    if (n := sum(len(c) for _, c in self.choices(cut, r))) != 1:
+                        raise RuntimeError(
+                            f"{self.name}: recurrent state {_show([r])} at cut {cut}"
+                            f" has {n} continuations, not 1 (defect)"
+                        )
+                yield tuple(path[:start]), tuple(path[start:])
+                return
+            seen[key] = len(path)
+            for t, cycles in self.choices(j, s):
+                for cyc in cycles:
+                    path.append((s, t, cyc))
+                    yield from walk(j + 1, t)
+                    path.pop()
+            del seen[key]
+
+        return walk(j, s)
 
 
 @dataclass(frozen=True)
@@ -659,36 +686,6 @@ def _analyze_rays(direction: _Direction, seed: dict) -> RayAnalysis:
     return RayAnalysis(
         "finite", totals[j_enter], None, seeds, tuple(sup_list), j_enter, j_repeat
     )
-
-
-def _continuations(direction: _Direction, analysis: RayAnalysis) -> dict:
-    """All surviving ray continuations from each seed state at cut 0: every
-    branch up to the first cut where its state is recurrent, then the one
-    ray from there (`_Direction.ray`).
-
-    Returns seed state -> list of (pre_choices, period_choices); a choice is
-    (left state, right state, interior edge-label frozenset).
-    """
-    D = analysis.j_repeat - analysis.j_enter
-    sup_cycle = analysis.supports[analysis.j_enter : analysis.j_repeat]
-    result: dict = {}
-
-    def walk(j: int, s: State, acc: list, out: list) -> None:
-        if j >= analysis.j_enter and s in sup_cycle[(j - analysis.j_enter) % D]:
-            pre, period = direction.ray(j, s, unique=True)
-            out.append((acc + pre, period))
-            return
-        for t, cycles in direction.choices(j, s):
-            for cyc in cycles:
-                acc.append((s, t, cyc))
-                walk(j + 1, t, acc, out)
-                acc.pop()
-
-    for s in analysis.seeds:
-        conts: list = []
-        walk(0, s, [], conts)
-        result[s] = conts
-    return result
 
 
 # -- certificates ------------------------------------------------------------
@@ -773,12 +770,10 @@ class LimitCount:
 
 
 def witness_stubs(chain: CutChain, result: LimitCount) -> list[str]:
-    """The branching state of an Infinite result as sorted stub names: at
-    each of its cut positions, the left piece's stub in the matching at the
-    witness's cut on the witness's ray side."""
+    """The branching state of an Infinite result as sorted stub names, as
+    its ray side names states at the witness's cut (`_Direction.stubs`)."""
     level, state, _ = result.witness
-    matching = chain._directions[result.side].matching(level)
-    return sorted(matching[p][0] for p in state)
+    return chain._directions[result.side].stubs(level, state)
 
 
 def initial_vector(chain: OneEndedChain) -> dict:
@@ -837,17 +832,13 @@ def _count_one_ended(chain: OneEndedChain) -> LimitCount:
         return LimitCount("zero", 0, None, ())
     if analysis.tag == "infinite":
         return LimitCount("infinite", None, analysis.witness, (), "right")
-    conts = _continuations(direction, analysis)
-    init_cycles = chain._initial_cycles
-    certs = []
-    for s in sorted(analysis.seeds, key=sorted):
-        for interior in init_cycles[s]:
-            for pre, period in conts[s]:
-                certs.append(
-                    LimitCycleCertificate(
-                        "one-ended", s, interior, tuple(pre), tuple(period)
-                    )
-                )
+    certs = [
+        LimitCycleCertificate("one-ended", s, interior, pre, period)
+        for s in sorted(analysis.seeds, key=sorted)
+        for interior, (pre, period) in product(
+            chain._initial_cycles[s], direction.rays(0, s, unique=True)
+        )
+    ]
     if len(certs) != analysis.count:
         raise RuntimeError(
             f"{_name(chain)}: {len(certs)} certificates from the seed states"
@@ -872,26 +863,20 @@ def _count_two_ended(chain: TwoEndedChain) -> LimitCount:
             if analysis.tag == "infinite":
                 return LimitCount("infinite", None, analysis.witness, (), side)
         total += left.count * right.count
-        lconts = _continuations(dirs["left"], left)[s]
-        rconts = _continuations(dirs["right"], right)[s]
+        lconts = list(dirs["left"].rays(0, s, unique=True))
+        rconts = list(dirs["right"].rays(0, s, unique=True))
         if len(lconts) * len(rconts) != left.count * right.count:
             raise RuntimeError(
                 f"{_name(chain)}: {len(lconts)} x {len(rconts)} certificates through the"
                 f" central state {_show([s])} at cut 0, but the classification counts"
                 f" {left.count} x {right.count} limit cycles there (defect)"
             )
-        for lpre, lper in lconts:
-            for rpre, rper in rconts:
-                certs.append(
-                    LimitCycleCertificate(
-                        "two-ended",
-                        s,
-                        pre=tuple(rpre),
-                        period=tuple(rper),
-                        left_pre=tuple(lpre),
-                        left_period=tuple(lper),
-                    )
-                )
+        certs += [
+            LimitCycleCertificate(
+                "two-ended", s, pre=rpre, period=rper, left_pre=lpre, left_period=lper
+            )
+            for (lpre, lper), (rpre, rper) in product(lconts, rconts)
+        ]
     if total == 0:
         return LimitCount("zero", 0, None, ())
     return LimitCount("finite", total, None, tuple(certs))
@@ -1027,13 +1012,13 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
 
     # breadth-first choice path from a seed to the branching state
     seeds = sorted(direction.seeds(chain._initial_counts), key=sorted)
-    paths = {s: [] for s in seeds}
+    paths = {s: () for s in seeds}
     for level in range(j_w):
         nxt: dict = {}
         for s, acc in paths.items():
             for t, cycles in direction.choices(level, s):
                 if t not in nxt:
-                    nxt[t] = acc + [(s, t, cycles[0])]
+                    nxt[t] = acc + ((s, t, cycles[0]),)
         paths = nxt
     if s_w not in paths:
         raise RuntimeError(
@@ -1047,11 +1032,9 @@ def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
     options = [(t, cyc) for t, cycles in direction.choices(j_w, s_w) for cyc in cycles]
     certs = []
     for t, cyc in options[:2]:
-        tail_pre, tail_period = direction.ray(j_w + 1, t)
-        pre = prefix + [(s_w, t, cyc)] + tail_pre
-        certs.append(
-            LimitCycleCertificate("one-ended", seed, interior, tuple(pre), tuple(tail_period))
-        )
+        tail_pre, period = next(direction.rays(j_w + 1, t))
+        pre = prefix + ((s_w, t, cyc),) + tail_pre
+        certs.append(LimitCycleCertificate("one-ended", seed, interior, pre, period))
     return certs[0], certs[1]
 
 
@@ -1146,25 +1129,25 @@ def chain_from_doc(doc) -> CutChain:
 
 
 def transfer_dot(chain: CutChain, levels: int = 3) -> str:
-    """Layered transfer multigraph (parallel edges drawn separately), levels >= 1."""
+    """Layered transfer multigraph over cuts F(0) (or F(-levels)) to
+    F(levels), levels >= 1: every pair state of every cut, named as witness
+    states are (`_Direction.stubs`), and one edge per segment cycle."""
     if levels < 1:
         raise ChainError(f"transfer DOT needs at least 1 level, not {levels}")
+    first = 0 if isinstance(chain, OneEndedChain) else -levels
+
+    def node(n: int, s: State) -> str:
+        direction = chain._directions["right" if n >= 0 else "left"]
+        return f'"F{n}:{{{",".join(direction.stubs(abs(n), s))}}}"'
+
+    states = _states(chain.cut_size)
     lines = ["graph transfer {", "  rankdir=LR;"]
-    rng = range(levels) if isinstance(chain, OneEndedChain) else range(-levels, levels)
-    for n in rng:
-        layer = transfer_layer(chain, n)
-        for p in layer.left_states:
-            lines.append(
-                f'  "F{n}:{layer.state_name(layer.left_names, p)}";'
-            )
-        for p, q in layer.buckets:
-            for _ in layer.buckets[(p, q)]:
-                lines.append(
-                    f'  "F{n}:{layer.state_name(layer.left_names, p)}" -- '
-                    f'"F{n + 1}:{layer.state_name(layer.right_names, q)}";'
-                )
-    layer = transfer_layer(chain, levels - 1)
-    for q in layer.right_states:
-        lines.append(f'  "F{levels}:{layer.state_name(layer.right_names, q)}";')
+    lines += [f"  {node(n, s)};" for n in range(first, levels + 1) for s in states]
+    lines += [
+        f"  {node(n, p)} -- {node(n + 1, q)};"
+        for n in range(first, levels)
+        for p, q in product(states, states)
+        for _ in range(transfer_layer(chain, n).mult(p, q))
+    ]
     lines.append("}")
     return "\n".join(lines)

@@ -148,22 +148,21 @@ def _cmd_hamilton(args) -> int:
             },
         )
         return 0 if ok else 1
-    if args.sub == "second":
-        if G.is_simple() and all(G.degree(v) % 2 for v in G.vertices):
-            if not args.edge:
-                raise _UsageError("second needs --edge for all-odd graphs")
-            e = G.edge_by_label(args.edge).id
-            first = first_hamilton_cycle(G, {e})
-            if first is None:
-                print(f"no Hamilton cycle through {args.edge}", file=sys.stderr)
-                return 1
-            second = second_cycle_lollipop(G, first, e)
-        else:
-            first, second = second_cycle_nearly_cubic(G)
-        payload = [cycle_labels(G, first), cycle_labels(G, second)]
-        _emit(args, "\n".join(" ".join(c) for c in payload), {"cycles": payload})
-        return 0
-    raise _UsageError(f"unknown hamilton subcommand {args.sub!r}")
+    # "second", the last of the subcommands argparse admits
+    if G.is_simple() and all(G.degree(v) % 2 for v in G.vertices):
+        if not args.edge:
+            raise _UsageError("second needs --edge for all-odd graphs")
+        e = G.edge_by_label(args.edge).id
+        first = first_hamilton_cycle(G, {e})
+        if first is None:
+            print(f"no Hamilton cycle through {args.edge}", file=sys.stderr)
+            return 1
+        second = second_cycle_lollipop(G, first, e)
+    else:
+        first, second = second_cycle_nearly_cubic(G)
+    payload = [cycle_labels(G, first), cycle_labels(G, second)]
+    _emit(args, "\n".join(" ".join(c) for c in payload), {"cycles": payload})
+    return 0
 
 
 def _cmd_incidence(args) -> int:
@@ -204,7 +203,9 @@ def _cmd_chain(args) -> int:
     chain = _load_chain(args.chain)
     if args.sub == "analyze":
         result = count_limit_hamilton_cycles(chain)
-        layer = transfer_layer(chain, 1 if isinstance(chain, OneEndedChain) else 0)
+        # the first level whose piece and both matchings repeat
+        tail = chain.tail if isinstance(chain, OneEndedChain) else chain.right
+        layer = transfer_layer(chain, len(tail.pre) + 1)
         degrees = {side: end_degree(chain, side) for side in chain.sides}
         witness = (
             None
@@ -246,22 +247,21 @@ def _cmd_chain(args) -> int:
             },
         )
         return 0
-    if args.sub == "check":
-        lo = 0 if isinstance(chain, OneEndedChain) else 1
-        depths = list(range(lo, args.depth + 1))
-        if not depths:
-            raise _UsageError(
-                f"--depth must be at least {lo}, the first level of a {chain.mode} chain"
-            )
-        lines = []
-        ok = True
-        for k in depths:
-            report = truncation_consistency(chain, k)
-            ok = ok and report.ok
-            lines.append(f"depth {k}: {'ok' if report.ok else 'MISMATCH'}")
-        _emit(args, "\n".join(lines), {"ok": ok, "depths": depths})
-        return 0 if ok else 1
-    raise _UsageError(f"unknown chain subcommand {args.sub!r}")
+    # "check", the last of the subcommands argparse admits
+    lo = 0 if isinstance(chain, OneEndedChain) else 1
+    depths = list(range(lo, args.depth + 1))
+    if not depths:
+        raise _UsageError(
+            f"--depth must be at least {lo}, the first level of a {chain.mode} chain"
+        )
+    lines = []
+    ok = True
+    for k in depths:
+        report = truncation_consistency(chain, k)
+        ok = ok and report.ok
+        lines.append(f"depth {k}: {'ok' if report.ok else 'MISMATCH'}")
+    _emit(args, "\n".join(lines), {"ok": ok, "depths": depths})
+    return 0 if ok else 1
 
 
 def _cmd_export_dot(args) -> int:

@@ -143,8 +143,8 @@ class MultiGraph:
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), indent=2)
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph G {"]
         for v in self.vertices:
             lines.append(f'  "{v}";')
         for e in self.edges:

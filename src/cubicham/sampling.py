@@ -7,8 +7,11 @@ from itertools import combinations
 
 from .multigraph import GraphError, MultiGraph
 
+MAX_TRIES = 10000  # draws before a sampler gives up
+EDGE_PROBABILITY = 0.4  # of each pair in `random_odd_degree_graph`'s binomial draw
 
-def random_cubic_graph(n: int, rng: random.Random, max_tries: int = 10000) -> MultiGraph:
+
+def random_cubic_graph(n: int, rng: random.Random) -> MultiGraph:
     """Connected simple cubic graph on n vertices via the pairing model.
 
     Draws a uniform pairing of 3n half-edges and rejects loops, parallel
@@ -17,7 +20,7 @@ def random_cubic_graph(n: int, rng: random.Random, max_tries: int = 10000) -> Mu
     if n < 4 or n % 2:
         raise GraphError("cubic graphs need an even vertex count >= 4")
     labels = [f"v{i}" for i in range(n)]
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         stubs = [i for i in range(n) for _ in range(3)]
         rng.shuffle(stubs)
         pairs = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)]
@@ -31,14 +34,14 @@ def random_cubic_graph(n: int, rng: random.Random, max_tries: int = 10000) -> Mu
     raise GraphError("sampler failed to produce a simple connected cubic graph")
 
 
-def random_cubic_hamiltonian(n: int, rng: random.Random, max_tries: int = 10000) -> MultiGraph:
+def random_cubic_hamiltonian(n: int, rng: random.Random) -> MultiGraph:
     """Hamiltonian connected simple cubic graph: a spanning cycle plus a
     random perfect matching avoiding cycle chords of length 1."""
     if n < 4 or n % 2:
         raise GraphError("cubic graphs need an even vertex count >= 4")
     labels = [f"v{i}" for i in range(n)]
     cycle = [(f"c{i}", labels[i], labels[(i + 1) % n]) for i in range(n)]
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         perm = list(range(n))
         rng.shuffle(perm)
         matching = [(perm[2 * i], perm[2 * i + 1]) for i in range(n // 2)]
@@ -48,9 +51,7 @@ def random_cubic_hamiltonian(n: int, rng: random.Random, max_tries: int = 10000)
     raise GraphError("sampler failed to produce a Hamiltonian cubic graph")
 
 
-def random_odd_degree_graph(
-    n: int, rng: random.Random, p: float = 0.4, max_tries: int = 10000
-) -> MultiGraph:
+def random_odd_degree_graph(n: int, rng: random.Random) -> MultiGraph:
     """Connected simple graph with every degree odd (n must be even).
 
     Samples a binomial random graph, then pairs up the even-degree vertices
@@ -59,9 +60,11 @@ def random_odd_degree_graph(
     if n < 2 or n % 2:
         raise GraphError("all-odd degree sequences need an even vertex count")
     labels = [f"v{i}" for i in range(n)]
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         present = {
-            frozenset((i, j)) for i, j in combinations(range(n), 2) if rng.random() < p
+            frozenset((i, j))
+            for i, j in combinations(range(n), 2)
+            if rng.random() < EDGE_PROBABILITY
         }
         degrees = [0] * n
         for pair in present:

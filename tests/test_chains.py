@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from cubicham import chains, cli, hamilton
 from cubicham import (
+    BUILTIN_CHAINS,
     ChainError,
     ChainPiece,
     MultiGraph,
@@ -371,6 +373,27 @@ def test_transfer_dot_renders_levels():
     assert "F-1:" in dot2
 
 
+@pytest.mark.parametrize("levels", [1, 3])
+@pytest.mark.parametrize("name", sorted(BUILTIN_CHAINS))
+def test_transfer_dot_is_one_layered_graph(monkeypatch, name, levels):
+    # one node per state at each cut, edges only between adjacent cuts, and
+    # edges drawn from the layer counts without listing a cycle
+    def refuse(*args, **kwargs):
+        raise AssertionError("transfer_dot listed Hamilton cycles")
+
+    monkeypatch.setattr(chains, "enumerate_hamilton_cycles", refuse)
+    chain = BUILTIN_CHAINS[name]()
+    dot = transfer_dot(chain, levels)
+    nodes = re.findall(r'^  "(F-?\d+:[^"]*)";$', dot, re.M)
+    edges = re.findall(r'^  "([^"]*)" -- "([^"]*)";$', dot, re.M)
+    assert len(dot.splitlines()) == 3 + len(nodes) + len(edges)
+    cuts = levels + 1 if isinstance(chain, OneEndedChain) else 2 * levels + 1
+    assert len(set(nodes)) == len(nodes) == cuts * len(chain._directions["right"].states)
+    level = {node: int(node[1 : node.index(":")]) for node in nodes}
+    assert edges and all(u in level and v in level for u, v in edges)
+    assert all(level[v] == level[u] + 1 for u, v in edges)
+
+
 @pytest.mark.parametrize(
     "make, expected",
     [
@@ -383,8 +406,29 @@ def test_transfer_dot_renders_levels():
 )
 def test_defect_messages_name_chain_state_and_counts(monkeypatch, make, expected):
     # certificates fewer than the count: no ray continues from any seed
+    monkeypatch.setattr(chains._Direction, "rays", lambda self, j, s, unique=False: iter(()))
+    with pytest.raises(RuntimeError, match="defect") as exc:
+        count_limit_hamilton_cycles(make())
+    assert expected in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (chain_H, "chain_H, right ray: recurrent state {0,2} at cut 1 has 2 continuations"),
+        (chain_double_ladder, "chain_double_ladder, left ray: recurrent state {0,1} at cut 1"
+         " has 2 continuations"),
+    ],
+    ids=["one-ended", "two-ended"],
+)
+def test_defect_messages_name_a_recurrent_branching_state(monkeypatch, make, expected):
+    # every cycle listed twice: the counts still say Finite, but a state in
+    # a certificate's period now continues two ways
+    choices = chains._Direction.choices
     monkeypatch.setattr(
-        chains, "_continuations", lambda direction, analysis: {s: [] for s in analysis.seeds}
+        chains._Direction,
+        "choices",
+        lambda self, j, s: [(t, cycles * 2) for t, cycles in choices(self, j, s)],
     )
     with pytest.raises(RuntimeError, match="defect") as exc:
         count_limit_hamilton_cycles(make())

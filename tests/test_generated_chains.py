@@ -17,7 +17,9 @@ from cubicham import (
     BUILTIN_CHAINS,
     ChainError,
     OneEndedChain,
+    chain_to_json,
     chains,
+    cli,
     count_by_trace,
     count_limit_hamilton_cycles,
     end_degree,
@@ -37,8 +39,22 @@ CHAINS = generated_chains()
 # the generated chains, then the built-ins
 EVERY_CHAIN = CHAINS + [make() for make in BUILTIN_CHAINS.values()]
 # the generated chains, then one whose recurrent states return every piece
-# while their support returns every other one
-PERIOD_CHAINS = CHAINS + [random_chain(random.Random(1121), True, 3)]
+# while their support returns every other one, then two whose certificate
+# rays repeat a (slot, state) pair before their support recurs
+PERIOD_CHAINS = CHAINS + [
+    random_chain(random.Random(1121), True, 3),
+    random_chain(random.Random(577), True, 3),
+    random_chain(random.Random(1235), False, 3),
+]
+
+
+def _right_tail(chain):
+    return chain.tail if isinstance(chain, OneEndedChain) else chain.right
+
+
+# generated chains whose right tail has a pre-period, with every piece's
+# stubs renamed apart, so a pre-period layer prints names of its own
+PRE_PERIOD_CHAINS = [renamed_stubs(c) for c in CHAINS if _right_tail(c).pre]
 
 
 def _tails(chain) -> list:
@@ -226,22 +242,41 @@ def test_stub_names_do_not_matter(index):
 
 @pytest.mark.parametrize("index", range(len(PERIOD_CHAINS)))
 def test_certificate_periods_are_shortest(index):
-    # a ray's period ends where its (slot, state) pair first recurs, so no
-    # pair repeats along it; certificates and witnesses alike
+    # a certificate's ray closes where its (slot, state) pair first recurs,
+    # so no pair repeats along its pre-period and period: both are shortest.
+    # An Infinite chain's witnesses reach the branching state by a
+    # breadth-first prefix, which the ray after it may meet again, so only
+    # their period is checked.  Finite witnesses are certificates.
     chain = PERIOD_CHAINS[index]
-    certs = list(count_limit_hamilton_cycles(chain).certificates)
-    if isinstance(chain, OneEndedChain):
-        try:
-            certs += witness_two_cycles(chain)
-        except ChainError:  # Zero, or a single limit cycle
-            pass
-    for cert in certs:
+    result = count_limit_hamilton_cycles(chain)
+    certs = [(cert, True) for cert in result.certificates]
+    if result.tag == "infinite" and isinstance(chain, OneEndedChain):
+        certs += [(cert, False) for cert in witness_two_cycles(chain)]
+    for cert, whole in certs:
         depth = 0
         for side, tail in _tails(chain):
             pre, period = (
                 (cert.pre, cert.period) if side == "right" else (cert.left_pre, cert.left_period)
             )
-            pairs = [(tail.fold(len(pre) + i), left) for i, (left, _, _) in enumerate(period)]
+            pairs = [(tail.fold(i), left) for i, (left, _, _) in enumerate(pre + period)]
+            pairs = pairs if whole else pairs[len(pre) :]
             assert len(set(pairs)) == len(pairs), side
             depth = max(depth, len(pre) + 3 * len(period))
         assert validate_certificate(chain, cert, depth)
+
+
+@pytest.mark.parametrize("index", range(len(PRE_PERIOD_CHAINS)))
+def test_analyze_prints_a_periodic_layer(tmp_path, capsys, index):
+    # the layer `chain analyze` calls periodic is the one a period further out
+    chain = PRE_PERIOD_CHAINS[index]
+    target = tmp_path / "chain.json"
+    target.write_text(chain_to_json(chain))
+    assert cli.main(["chain", "analyze", str(target)]) == 0
+    out = capsys.readouterr().out
+    tail = _right_tail(chain)
+    periodic = transfer_layer(chain, len(tail.pre) + 1 + tail.plen).to_text()
+    assert f"periodic transfer layer:\n{periodic}\nclassification:" in out
+
+
+def test_pre_period_chains_cover_both_modes():
+    assert {c.mode for c in PRE_PERIOD_CHAINS} == {"one-ended", "two-ended"}
