@@ -19,8 +19,10 @@ witness names all ask it.  It holds one step per distinct cut (the
 pre-period cuts, then one period; `Tail.fold` is the only period fold),
 and every propagation of weights goes through its `moves` and `advance`.
 Its `rays` alone enumerates rays, closing each where its (slot, state) pair
-first recurs: certificates (with the shortest pre-period and period) and
-witnesses come from it, and `_analyze_rays` only classifies.
+first recurs, so every certificate has the shortest pre-period and period;
+`_analyze_rays` only classifies.  A one-ended chain's certificates are one
+lazy stream (`_one_ended_certificates`): a Finite count takes all of it,
+and the two witnesses are its first two, in every class.
 
 Every piece is tabulated alike: its segment minor's Hamilton cycles by the
 edge labels used at each dummy (`ChainPiece._counts`, `_dummy_counts`), so
@@ -34,9 +36,9 @@ windows are built only by the oracles (`truncation_consistency`,
 Layers and the level-0 vector hold counts only, tallied without listing
 cycles.  The cycles themselves (interior edge labels per state pair) are
 enumerated on first use, once per piece (`ChainPiece._cycles`), and only
-certificates and the witnesses of an Infinite chain ask for them (through
-`_Direction.choices`).  `transfer_dot` draws its edges from the counts and
-names cut states as witnesses are named (`_Direction.stubs`).
+certificates, witnesses included, ask for them (`_Direction.choices`).
+`transfer_dot` draws its edges from the counts and names cut states as
+witnesses are named (`_Direction.stubs`).
 
 `end_degree` builds no truncation windows: its min cut at each level is a
 max flow over integer edge lists that each piece keeps (`ChainPiece._flow`),
@@ -48,7 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product, tee
 from typing import Iterable, Iterator
 
 from .hamilton import count_by_trace, enumerate_hamilton_cycles, is_hamilton_cycle
@@ -68,7 +70,8 @@ class ChainPiece:
 
     A port (stub, vertex) stands for a half-edge named `stub` attached to
     the interior vertex `vertex`; gluing two matched stubs produces one cut
-    edge, attaching stubs to a dummy produces dummy edges.
+    edge, attaching stubs to a dummy produces dummy edges.  Every vertex
+    has degree 3 once its stubs are counted (a loop counts 2).
     """
 
     graph: MultiGraph
@@ -80,11 +83,19 @@ class ChainPiece:
         if len(set(stubs)) != len(stubs):
             raise ChainError("stub labels must be unique within a piece")
         labels = {e.label for e in self.graph.edges}
+        degree = dict.fromkeys(self.graph.vertices, 0)
+        for e in self.graph.edges:
+            degree[e.u] += 1
+            degree[e.v] += 1  # so a loop counts 2
         for stub, v in self.left_ports + self.right_ports:
             if v not in self.graph:
                 raise ChainError(f"port vertex {v!r} not in piece")
             if stub in labels:
                 raise ChainError(f"stub {stub!r} collides with an interior edge label")
+            degree[v] += 1
+        for v, d in degree.items():
+            if d != 3:
+                raise ChainError(f"piece vertex {v!r} has degree {d} with its stubs, not 3")
 
     @cached_property
     def _stub_vertex(self) -> dict:
@@ -825,27 +836,42 @@ def count_limit_hamilton_cycles(chain: CutChain) -> LimitCount:
     return _count_two_ended(chain)
 
 
-def _count_one_ended(chain: OneEndedChain) -> LimitCount:
+def _one_ended_certificates(
+    chain: OneEndedChain, unique: bool = False
+) -> Iterator[LimitCycleCertificate]:
+    """Lazily, a certificate per sorted seed state at cut 0, level-0 cycle
+    of that state (sorted cycle order) and ray from it (`rays` order).
+
+    A certificate is fixed by its choice sequence, closed where its (slot,
+    state) pair first recurs, so two distinct certificates are two distinct
+    limit cycles, whether the chain is Finite or Infinite.  An Infinite
+    chain yields at least two: a branching state in its recurrent support
+    is reached from a seed without a pair recurring, and each of its
+    continuations closes a ray of its own.  `unique` is passed on to `rays`."""
     direction = chain._directions["right"]
-    analysis = _analyze_rays(direction, initial_vector(chain))
+    for s in sorted(direction.seeds(chain._initial_counts), key=sorted):
+        cycles = chain._initial_cycles[s]
+        # nested loops, not `product`, which would list every ray before the
+        # first; `tee` walks the rays once for all the level-0 cycles
+        for interior, rays in zip(cycles, tee(direction.rays(0, s, unique), len(cycles))):
+            for pre, period in rays:
+                yield LimitCycleCertificate("one-ended", s, interior, pre, period)
+
+
+def _count_one_ended(chain: OneEndedChain) -> LimitCount:
+    analysis = _analyze_rays(chain._directions["right"], initial_vector(chain))
     if analysis.tag == "zero":
         return LimitCount("zero", 0, None, ())
     if analysis.tag == "infinite":
         return LimitCount("infinite", None, analysis.witness, (), "right")
-    certs = [
-        LimitCycleCertificate("one-ended", s, interior, pre, period)
-        for s in sorted(analysis.seeds, key=sorted)
-        for interior, (pre, period) in product(
-            chain._initial_cycles[s], direction.rays(0, s, unique=True)
-        )
-    ]
+    certs = tuple(_one_ended_certificates(chain, unique=True))
     if len(certs) != analysis.count:
         raise RuntimeError(
             f"{_name(chain)}: {len(certs)} certificates from the seed states"
             f" {_show(analysis.seeds)} at cut 0, but the classification counts"
             f" {analysis.count} limit cycles (defect)"
         )
-    return LimitCount("finite", analysis.count, None, tuple(certs))
+    return LimitCount("finite", analysis.count, None, certs)
 
 
 def _count_two_ended(chain: TwoEndedChain) -> LimitCount:
@@ -993,48 +1019,15 @@ def end_degree(chain: CutChain, end: str = "right") -> int:
 def witness_two_cycles(
     chain: OneEndedChain,
 ) -> tuple[LimitCycleCertificate, LimitCycleCertificate]:
-    """Two distinct limit-cycle certificates of a Hamiltonian one-ended chain."""
+    """Two distinct limit-cycle certificates of a Hamiltonian one-ended
+    chain: the first two of `_one_ended_certificates`, in every class."""
     if not isinstance(chain, OneEndedChain):
         raise ChainError("witness extraction is defined for one-ended chains")
-    result = count_limit_hamilton_cycles(chain)
-    if result.tag == "zero":
+    certs = list(islice(_one_ended_certificates(chain), 2))
+    if not certs:
         raise ChainError("chain limit is not Hamiltonian")
-    if result.tag == "finite":
-        if result.count < 2:
-            raise ChainError("analysis found a single limit Hamilton cycle")
-        return result.certificates[0], result.certificates[1]
-    return _two_infinite_witnesses(chain, result.witness)
-
-
-def _two_infinite_witnesses(chain: OneEndedChain, witness: tuple) -> tuple:
-    direction = chain._directions["right"]
-    j_w, s_w, _ = witness
-
-    # breadth-first choice path from a seed to the branching state
-    seeds = sorted(direction.seeds(chain._initial_counts), key=sorted)
-    paths = {s: () for s in seeds}
-    for level in range(j_w):
-        nxt: dict = {}
-        for s, acc in paths.items():
-            for t, cycles in direction.choices(level, s):
-                if t not in nxt:
-                    nxt[t] = acc + ((s, t, cycles[0]),)
-        paths = nxt
-    if s_w not in paths:
-        raise RuntimeError(
-            f"{direction.name}: branching state {_show([s_w])} at cut {j_w} is not"
-            f" reached from the seed states {_show(seeds)}; cut {j_w} holds"
-            f" {_show(paths) or 'no state'} (defect)"
-        )
-    prefix = paths[s_w]
-    seed = prefix[0][0] if prefix else s_w
-    interior = chain._initial_cycles[seed][0]
-    options = [(t, cyc) for t, cycles in direction.choices(j_w, s_w) for cyc in cycles]
-    certs = []
-    for t, cyc in options[:2]:
-        tail_pre, period = next(direction.rays(j_w + 1, t))
-        pre = prefix + ((s_w, t, cyc),) + tail_pre
-        certs.append(LimitCycleCertificate("one-ended", seed, interior, pre, period))
+    if len(certs) < 2:
+        raise ChainError("analysis found a single limit Hamilton cycle")
     return certs[0], certs[1]
 
 

@@ -312,39 +312,52 @@ def test_swapped_right_tail_junctions_refused():
 
 
 def test_interface_size_four_refused():
-    graph = MultiGraph(("x",), [])
-    ports_l = tuple((f"l{i}", "x") for i in range(4))
-    ports_r = tuple((f"r{i}", "x") for i in range(4))
-    piece = ChainPiece(graph, ports_l, ports_r)
-    initial = ChainPiece(graph, (), ports_r)
+    # cubic pieces: a tail piece of two edges, each end with a stub either
+    # side, and an initial 4-cycle with one stub at each vertex
+    xs = [f"x{i}" for i in range(4)]
+    ports_l = tuple((f"l{i}", x) for i, x in enumerate(xs))
+    ports_r = tuple((f"r{i}", x) for i, x in enumerate(xs))
+    piece = ChainPiece(MultiGraph(xs, [("a", "x0", "x1"), ("b", "x2", "x3")]), ports_l, ports_r)
+    ring = [(f"c{i}", x, xs[i - 1]) for i, x in enumerate(xs)]
+    initial = ChainPiece(MultiGraph(xs, ring), (), ports_r)
     iface = tuple((f"r{i}", f"l{i}") for i in range(4))
-    with pytest.raises(ChainError):
+    with pytest.raises(ChainError, match="interface size 4 unsupported"):
         OneEndedChain(initial, iface, Tail((), (piece,), (), (iface,)))
 
 
 def test_nonsimple_segment_refused():
-    graph = MultiGraph(("x",), [])
-    piece = ChainPiece(graph, (("l1", "x"), ("l2", "x")), (("r1", "x"), ("r2", "x")))
-    initial = ChainPiece(graph, (), (("r1", "x"), ("r2", "x")))
+    # both left stubs on x: the segment minor joins x to alpha twice
+    graph = MultiGraph(("x", "y"), [("xy", "x", "y")])
+    piece = ChainPiece(graph, (("l1", "x"), ("l2", "x")), (("r1", "y"), ("r2", "y")))
+    digon = MultiGraph(("a", "b"), [("ab1", "a", "b"), ("ab2", "a", "b")])
+    initial = ChainPiece(digon, (), (("r1", "a"), ("r2", "b")))
     iface = (("r1", "l1"), ("r2", "l2"))
     chain = OneEndedChain(initial, iface, Tail((), (piece,), (), (iface,)))
-    with pytest.raises(ChainError):
+    with pytest.raises(ChainError, match="segment minor at level 0 is not simple"):
         segment_minor(chain, 0)
-    with pytest.raises(ChainError):
+    with pytest.raises(ChainError, match="segment minor is not simple"):
         transfer_layer(chain, 0)
 
 
 def test_initial_piece_need_not_be_simple():
     # the initial piece's minor is the level-0 window, which was never
-    # required simple: a ladder with its foot edge o_m doubled is a chain
+    # required simple: a digon on the ladder's tail is a chain, and each of
+    # its two edges closes the one ladder ray
     ladder = chain_ladder()
-    graph = ladder.initial.graph
-    edges = [(e.label, e.u, e.v) for e in graph.edges] + [("o_m2", "o", "m")]
-    initial = ChainPiece(MultiGraph(graph.vertices, edges), (), ladder.initial.right_ports)
+    digon = MultiGraph(("u1", "l1"), [("d_1", "u1", "l1"), ("d_2", "u1", "l1")])
+    initial = ChainPiece(digon, (), ladder.initial.right_ports)
     chain = OneEndedChain(initial, ladder.entry_iface, ladder.tail)
     result = count_limit_hamilton_cycles(chain)
-    assert (str(result), initial_vector(chain), end_degree(chain)) == ("Finite(4)", {S01: 4}, 2)
-    assert all(truncation_consistency(chain, k).ok for k in range(3))
+    assert (str(result), initial_vector(chain), end_degree(chain)) == ("Finite(2)", {S01: 2}, 2)
+    assert all(truncation_consistency(chain, k).ok for k in range(4))
+
+
+def test_non_cubic_piece_refused():
+    # the ladder with its foot edge o_m doubled: o and m have degree 4
+    graph = chain_ladder().initial.graph
+    edges = [(e.label, e.u, e.v) for e in graph.edges] + [("o_m2", "o", "m")]
+    with pytest.raises(ChainError, match="piece vertex 'o' has degree 4"):
+        ChainPiece(MultiGraph(graph.vertices, edges), (), chain_ladder().initial.right_ports)
 
 
 def test_truncation_labels_follow_levels():
@@ -356,8 +369,9 @@ def test_truncation_labels_follow_levels():
 def test_mismatched_interface_rejected():
     graph = MultiGraph(("x", "y"), [("xy", "x", "y")])
     piece = ChainPiece(graph, (("lu", "x"), ("ll", "y")), (("ru", "x"), ("rl", "y")))
-    initial = ChainPiece(graph, (), (("ru", "x"), ("rl", "y")))
-    with pytest.raises(ChainError):
+    digon = MultiGraph(("x", "y"), [("xy1", "x", "y"), ("xy2", "x", "y")])
+    initial = ChainPiece(digon, (), (("ru", "x"), ("rl", "y")))
+    with pytest.raises(ChainError, match="interface does not match left boundary"):
         OneEndedChain(
             initial,
             (("ru", "nope"), ("rl", "ll")),

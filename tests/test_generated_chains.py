@@ -244,25 +244,46 @@ def test_stub_names_do_not_matter(index):
 def test_certificate_periods_are_shortest(index):
     # a certificate's ray closes where its (slot, state) pair first recurs,
     # so no pair repeats along its pre-period and period: both are shortest.
-    # An Infinite chain's witnesses reach the branching state by a
-    # breadth-first prefix, which the ray after it may meet again, so only
-    # their period is checked.  Finite witnesses are certificates.
+    # The witnesses of an Infinite chain are certificates as well.
     chain = PERIOD_CHAINS[index]
     result = count_limit_hamilton_cycles(chain)
-    certs = [(cert, True) for cert in result.certificates]
+    certs = list(result.certificates)
     if result.tag == "infinite" and isinstance(chain, OneEndedChain):
-        certs += [(cert, False) for cert in witness_two_cycles(chain)]
-    for cert, whole in certs:
+        certs += witness_two_cycles(chain)
+    for cert in certs:
         depth = 0
         for side, tail in _tails(chain):
             pre, period = (
                 (cert.pre, cert.period) if side == "right" else (cert.left_pre, cert.left_period)
             )
             pairs = [(tail.fold(i), left) for i, (left, _, _) in enumerate(pre + period)]
-            pairs = pairs if whole else pairs[len(pre) :]
             assert len(set(pairs)) == len(pairs), side
             depth = max(depth, len(pre) + 3 * len(period))
         assert validate_certificate(chain, cert, depth)
+
+
+def test_witnesses_walk_at_most_two_rays(monkeypatch):
+    # the certificate stream is lazy: two witnesses of an Infinite chain
+    # walk at most two rays, however many rays leave its seed states
+    drawn = []
+    rays = chains._Direction.rays
+
+    def counted(self, j, s, unique=False):
+        for ray in rays(self, j, s, unique):
+            drawn.append(ray)
+            yield ray
+
+    monkeypatch.setattr(chains._Direction, "rays", counted)
+    infinite = [
+        index
+        for index, chain in enumerate(CHAINS)
+        if isinstance(chain, OneEndedChain) and count_limit_hamilton_cycles(chain).tag == "infinite"
+    ]
+    assert infinite
+    for index in infinite:
+        drawn.clear()
+        witness_two_cycles(CHAINS[index])
+        assert len(drawn) <= 2, index
 
 
 @pytest.mark.parametrize("index", range(len(PRE_PERIOD_CHAINS)))
