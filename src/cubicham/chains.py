@@ -40,9 +40,10 @@ certificates, witnesses included, ask for them (`_Direction.choices`).
 `transfer_dot` draws its edges from the counts and names cut states as
 witnesses are named (`_Direction.stubs`).
 
-`end_degree` builds no truncation windows: its min cut at each level is a
-max flow over integer edge lists that each piece keeps (`ChainPiece._flow`),
-glued outward from the core (`_level_cuts`).
+`end_degree` is exact and builds no truncation windows.  It takes the min
+cut at one level that the period and the cut size fix, deepening it only
+when the value there drops, as a max flow over integer edge lists that each
+piece keeps (`ChainPiece._flow`), glued outward from the core (`_level_cut`).
 """
 
 from __future__ import annotations
@@ -961,20 +962,17 @@ def prefix_counts(chain: OneEndedChain, k_max: int) -> list[int]:
     return out
 
 
-END_DEGREE_LEVELS = 8
-
-
-def _level_cuts(chain: CutChain, end: str) -> Iterator[int]:
-    """The min cut between the core and the chosen end at levels 1, 2, ...:
+def _level_cut(chain: CutChain, end: str, k: int) -> int:
+    """The min cut between the core and the chosen end at level k >= 1:
     what `min_edge_cut(truncation_minor(chain, k), core, dummy)` gives,
-    computed as a max flow without building the window.
+    computed as one max flow without building the window.
 
     The core is the initial piece of a one-ended chain and left piece 1 of
     a two-ended one.  Node 0 of the flow network is the core, contracted:
     every vertex of the core is a source, so every cut that separates the
     core from the dummy keeps the whole core on one side, and contracting
     it changes no such cut.  Node 1 is the dummy.  The pieces of the
-    chosen ray out to level k are glued on from their integer edge lists.
+    chosen ray out to cut k are glued on from their integer edge lists.
     In a two-ended chain the pieces on the other side of the core reach
     the chosen dummy only through the core, so they carry no flow that the
     core does not already supply, and they are left out.  `end` is one of
@@ -985,35 +983,49 @@ def _level_cuts(chain: CutChain, end: str) -> Iterator[int]:
     frontier = {stub: 0 for stub, _ in direction.links(j)}  # outer stub -> node
     arcs: list = []
     n = 2  # nodes so far: the core and the dummy
-    while True:
-        if j:  # the window of level j reaches out to cut j
-            yield _max_flow(n, arcs + [(x, 1, 1, 1) for x in frontier.values()], 0, 1)
+    while j < k:
         size, edges, stubs = direction.piece(j + 1)._flow
         arcs += [(frontier[a], n + stubs[b], 1, 1) for a, b in direction.links(j)]
         arcs += [(n + u, n + v, 1, 1) for u, v in edges]
         j += 1
         frontier = {stub: n + stubs[stub] for stub, _ in direction.links(j)}
         n += size
+    return _max_flow(n, arcs + [(x, 1, 1, 1) for x in frontier.values()], 0, 1)
 
 
 def end_degree(chain: CutChain, end: str = "right") -> int:
-    """Minimum cut from a fixed finite core to the chosen end: the first
-    value that the min cuts of two consecutive levels agree on.
+    """Minimum cut from a fixed finite core to the chosen end: the limit of
+    the level min cuts m_k, exactly, from one max flow at a level that the
+    chain's period fixes.
 
-    Raises ChainError if the chain has no such end, or, with the value at
-    every level, if no two consecutive levels up to END_DEGREE_LEVELS agree.
+    Min cuts never rise with the level: the dummy at level k+1 contracts
+    part of what the dummy at level k contracts.  Let c be the cut size,
+    J = len(pre) + 1 the first cut from which cuts repeat with the period
+    P, and N(d) the number of vectors in {out, in, unused}^c with d more
+    out than in (c = 3: N = 1, 3, 6 for d = 3, 2, 1; c = 2: N = 1, 2 for
+    d = 2, 1).  Suppose m_K = d >= 1 at K = J + N(d) * P.  A max flow of
+    value d at level K that uses no edge both ways gives each cut up to K
+    one of those N(d) orientation states, with net flow d outward.  The
+    N(d) + 1 cuts J, J + P, ..., K share a residue, so two of them share a
+    state, and the flow between them can be repeated with the period: that
+    is a flow of value d to every level, so m_k >= d for all k and the
+    limit is d.
+    Starting from d = c, the loop takes m = m_K; it stops if m is d, or 0
+    (then m_k = 0 from K on), and otherwise sets d = m.  N grows as d
+    falls, so K only deepens and the loop ends.
+
+    Raises ChainError if the chain has no such end.
     """
     if end not in chain.sides:
         raise ChainError(f"{_name(chain)} has no {end!r} end, only {', '.join(chain.sides)}")
-    values: list[int] = []
-    for k, value in zip(range(1, END_DEGREE_LEVELS + 1), _level_cuts(chain, end)):
-        values.append(value)
-        if k > 1 and values[-1] == values[-2]:
-            return values[-1]
-    raise ChainError(
-        f"{_name(chain)}: the degree of the {end} end does not stabilize up to level"
-        f" {END_DEGREE_LEVELS}; min cuts at levels 1-{END_DEGREE_LEVELS}: {values}"
-    )
+    direction = chain._directions[end]
+    d = chain.cut_size
+    while True:
+        orientations = sum(sum(v) == d for v in product((1, -1, 0), repeat=chain.cut_size))
+        m = _level_cut(chain, end, direction.J + orientations * direction.plen)
+        if m in (d, 0):
+            return m
+        d = m
 
 
 def witness_two_cycles(

@@ -182,18 +182,6 @@ def test_end_degree_refuses_an_end_the_chain_lacks(make, end):
         end_degree(make(), end)
 
 
-def test_end_degree_raises_when_unstable(monkeypatch, capsys):
-    # a min cut that rises at every level never agrees with the level before
-    monkeypatch.setattr(chains, "_level_cuts", lambda chain, end: iter(range(100)))
-    with pytest.raises(ChainError) as exc:
-        end_degree(chain_Hprime(), "left")
-    message = str(exc.value)
-    assert "chain_Hprime" in message and "left end" in message
-    assert "[0, 1, 2, 3, 4, 5, 6, 7]" in message
-    assert cli.main(["chain", "analyze", "chain-G"]) == 2
-    assert "chain_G: the degree of the right end" in capsys.readouterr().err
-
-
 def test_windows_are_built_once_per_chain(monkeypatch):
     built = []
     real = chains.truncation_minor

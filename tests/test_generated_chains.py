@@ -8,15 +8,15 @@ pre-period of 0-2 pieces and a period of 1-3 on each tail, with 2- or
 
 import math
 import random
-import re
-from itertools import combinations, islice
+from itertools import combinations
 
 import pytest
 
 from cubicham import (
     BUILTIN_CHAINS,
-    ChainError,
     OneEndedChain,
+    Tail,
+    TwoEndedChain,
     chain_to_json,
     chains,
     cli,
@@ -25,6 +25,7 @@ from cubicham import (
     end_degree,
     initial_vector,
     materialize,
+    max_vertex_disjoint_paths,
     min_edge_cut,
     prefix_counts,
     transfer_layer,
@@ -157,35 +158,31 @@ def test_layer_counts_match_cycle_buckets(index):
         assert initial_vector(chain) == {s: len(c) for s, c in chain._initial_cycles.items()}
 
 
-def _window_cuts(chain, end: str) -> list[int]:
-    """Min cuts between the core and the chosen end's dummy on the
-    truncation windows of levels 1 to END_DEGREE_LEVELS."""
+def _window_cut(chain, end: str, k: int, flow=min_edge_cut) -> int:
+    """The max flow between the core and the chosen end's dummy on the
+    truncation window of level k, by `min_edge_cut` or another oracle."""
     if isinstance(chain, OneEndedChain):
         core, sink = chain.initial, chains.DUMMY
     else:
         core = chain.left.piece(1)
         sink = chains.DUMMY_RIGHT if end == "right" else chains.DUMMY_LEFT
-    sources = [f"{v}@0" for v in core.graph.vertices]
-    return [
-        min_edge_cut(truncation_minor(chain, k), sources, sink)
-        for k in range(1, chains.END_DEGREE_LEVELS + 1)
-    ]
+    return flow(truncation_minor(chain, k), [f"{v}@0" for v in core.graph.vertices], sink)
 
 
 @pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
 def test_end_degree_equals_window_min_cuts(index):
-    # end_degree glues piece edge lists into one flow network; the
-    # definition it replaces reads min cuts off the labelled windows
+    # a level's max flow glues piece edge lists into one network; the
+    # definition it replaces reads the min cut off the labelled window.
+    # The end degree is the min cut of a window far past any level
+    # end_degree looks at, by both oracles: on cubic windows edge- and
+    # vertex-disjoint paths agree.
     chain = EVERY_CHAIN[index]
-    for end in ("right",) if isinstance(chain, OneEndedChain) else ("left", "right"):
-        cuts = _window_cuts(chain, end)
-        assert list(islice(chains._level_cuts(chain, end), len(cuts))) == cuts, end
-        agree = [b for a, b in zip(cuts, cuts[1:]) if a == b]
-        if agree:
-            assert end_degree(chain, end) == agree[0], end
-        else:
-            with pytest.raises(ChainError, match=re.escape(str(cuts))):
-                end_degree(chain, end)
+    for end, tail in _tails(chain):
+        for k in range(1, len(tail.pre) + 2 + 6 * tail.plen):
+            assert chains._level_cut(chain, end, k) == _window_cut(chain, end, k), (end, k)
+        k = len(tail.pre) + 8 * tail.plen + 4
+        oracles = {_window_cut(chain, end, k, f) for f in (min_edge_cut, max_vertex_disjoint_paths)}
+        assert oracles == {end_degree(chain, end)}, end
 
 
 @pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
@@ -214,12 +211,7 @@ def test_frontier_sweep_equals_layer_counts(index):
 def _observed(chain) -> tuple:
     """What the engine reports on a chain, keyed by cut positions only."""
     result = count_limit_hamilton_cycles(chain)
-    degrees = []
-    for end in chain.sides:
-        try:
-            degrees.append(end_degree(chain, end))
-        except ChainError as exc:
-            degrees.append(str(exc))
+    degrees = [end_degree(chain, end) for end in chain.sides]
     layers = [
         transfer_layer(chain, j if side == "right" else -j - 1).matrix()
         for side, tail in _tails(chain)
@@ -238,6 +230,45 @@ def test_stub_names_do_not_matter(index):
     assert _observed(renamed) == _observed(chain)
     for cert in count_limit_hamilton_cycles(renamed).certificates:
         assert validate_certificate(renamed, cert, 2)
+
+
+def _doubled(tail: Tail) -> Tail:
+    """The same tail with its period written out twice."""
+    return Tail(tail.pre, tail.period * 2, tail.entry_ifaces, tail.period_ifaces * 2)
+
+
+def _entered(tail: Tail) -> Tail:
+    """The same tail with its first period piece and the matching after it
+    moved into the pre-period, and the period rotated to follow them."""
+    period, ifaces = tail.period, tail.period_ifaces
+    return Tail(
+        tail.pre + period[:1],
+        period[1:] + period[:1],
+        tail.entry_ifaces + ifaces[:1],
+        ifaces[1:] + ifaces[:1],
+    )
+
+
+def _retailed(chain, redo):
+    """The chain with `redo` applied to every tail."""
+    if isinstance(chain, OneEndedChain):
+        return OneEndedChain(chain.initial, chain.entry_iface, redo(chain.tail), chain.name)
+    return TwoEndedChain(redo(chain.left), chain.central, redo(chain.right), chain.name)
+
+
+@pytest.mark.parametrize("index", range(len(CHAINS)))
+def test_presentation_of_the_period_does_not_matter(index):
+    # one limit graph, with its period doubled or entered one piece later:
+    # the class, count, certificates and end degrees are the graph's own
+    def seen(chain):
+        result = count_limit_hamilton_cycles(chain)
+        degrees = [end_degree(chain, end) for end in chain.sides]
+        return str(result), result.count, len(result.certificates), degrees
+
+    chain = CHAINS[index]
+    expected = seen(chain)
+    for redo in (_doubled, _entered):
+        assert seen(_retailed(chain, redo)) == expected, redo.__name__
 
 
 @pytest.mark.parametrize("index", range(len(PERIOD_CHAINS)))
