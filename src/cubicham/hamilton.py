@@ -8,6 +8,9 @@ inside their visitors, so their tallies take O(n + m) space whatever the
 number of cycles.  `enumerate_hamilton_cycles` collects every cycle.  The
 search itself holds one (m + 3n + 1)-int state list per branching level on
 the current path, so O(depth * (m + n)) ints with depth at most m.
+Every move the search makes, branched or forced, runs through one
+forced-move loop, the only place an edge goes IN; it examines a vertex
+only when the move just made can force it.
 
 The core has two branch orders.  Full searches (counts, tallies, listing)
 branch on the most constrained undecided edge, which keeps the search tree
@@ -96,12 +99,28 @@ def _search(
     Loops are OUT from the start, and IN edges always form vertex-disjoint
     paths.  The mate of a path end is the offset of the path's other end
     (an isolated vertex is its own mate), so joining two paths rewrites two
-    entries.  An edge between the two ends of one path closes it and is
-    accepted only as the n-th IN edge.  When a join leaves ends a and b with
-    fewer than n - 1 edges IN, every undecided a-b edge is set OUT at once.
-    After each move, degree-2 propagation sets the rest of a vertex's edges
-    OUT once it has two IN, and all of them IN when exactly as many are
-    undecided as it still needs; a vertex left short fails the branch.
+    entries.  When a join leaves ends a and b with fewer than n - 1 edges
+    IN, every undecided a-b edge is set OUT at once, so an edge that closes
+    a path can only go IN as the n-th edge, closing a Hamilton cycle.  The
+    scan reads a's incidence tuple (a per-search neighbour set to skip
+    it sped up dense graphs but slowed the small searches of segment
+    minors, so there is none).
+
+    Every move goes through `settle`, the one forced-move loop.  It takes
+    edges to put IN (the branch edge, the required edges, or the undecided
+    edges of a vertex that needs all of them, read from its incidence tuple
+    in place; decided edges are skipped) and a stack of vertices to
+    examine.  A vertex is pushed only when the move just made can force it:
+    its IN-degree reached 2 with undecided edges left, which then go OUT;
+    or its undecided count plus IN-degree fell to 2 or below, when every
+    undecided edge it has must go IN.  A popped vertex that can no longer
+    reach IN-degree 2 fails the branch.  A vertex left with at most two
+    edges once loops and forbidden edges are OUT is pushed before the first
+    move, since no move made it fall.  So the loop never misses a forced
+    vertex and stops with none left, whatever the order of its moves.  The
+    required edges enter as one `todo`, which skips those already decided:
+    one that an earlier move forced IN is fine, one that is a loop or was
+    forced OUT is not, so the search goes on only if all of them are IN.
 
     By default each search node branches on the most constrained undecided
     edge: most IN edges at its ends, then fewest undecided edges there, then
@@ -116,7 +135,7 @@ def _search(
     branching edge is decided, and the same way for both, so that edge is
     d; its IN child, which holds A, is searched first.
 
-    `visit(s)` runs once the n-th edge is IN; propagation has then set
+    `visit(s)` runs once the n-th edge is IN; `settle` has then set
     every other edge OUT, and s[i] == _IN for i < G.m marks the cycle.  The
     visitor must not keep or change `s`.  A true return value ends the
     search.  Without `lowest_first` cycles arrive in search order, not
@@ -130,6 +149,7 @@ def _search(
     base = {v: m + 3 * k for k, v in enumerate(G.vertices)}
     eu = [base[e.u] for e in G.edges]
     ev = [base[e.v] for e in G.edges]
+    ends = [p + q for p, q in zip(eu, ev)]  # minus one end's offset gives the other's
     n_in = m + 3 * n  # index of the IN-edge count
     s = [_UND] * (n_in + 1)
     inc: list[tuple[int, ...]] = [()] * n_in
@@ -138,58 +158,76 @@ def _search(
         s[p + 1] = len(inc[p])
         s[p + 2] = p
 
-    def put_in(s: list[int], i: int, touched: list[int]) -> bool:
-        p, q = eu[i], ev[i]
-        dp, dq = s[p], s[q]
-        if dp == 2 or dq == 2:
-            return False
-        s[i] = _IN
-        s[p] = dp + 1
-        s[q] = dq + 1
-        s[p + 1] -= 1
-        s[q + 1] -= 1
-        touched.append(p)
-        touched.append(q)
-        t = s[n_in] + 1
-        s[n_in] = t
-        a = s[p + 2]
-        if a == q:
-            return t == n
-        b = s[q + 2]
-        s[a + 2] = b
-        s[b + 2] = a
-        if t < last:
-            ab = a + b
-            for j in inc[a]:
-                if not s[j] and eu[j] + ev[j] == ab:
-                    s[j] = _OUT
-                    s[a + 1] -= 1
-                    s[b + 1] -= 1
-                    touched.append(a)
-                    touched.append(b)
-        return True
-
-    def propagate(s: list[int], touched: list[int]) -> bool:
-        while touched:
-            p = touched.pop()
-            need = 2 - s[p]
-            und = s[p + 1]
-            if und <= need:
-                if und < need:
+    def settle(s: list[int], todo: Iterable[int], touched: list[int]) -> bool:
+        """Put each undecided edge of `todo` IN, then make every move that
+        the vertices on `touched` force, until none is left; false once the
+        branch has no Hamilton cycle.  Edges go IN nowhere else."""
+        while True:
+            for i in todo:
+                if s[i]:
+                    continue
+                p, q = eu[i], ev[i]
+                dp, dq = s[p] + 1, s[q] + 1
+                if dp > 2 or dq > 2:
                     return False
-                if und:
+                s[i] = _IN
+                s[p] = dp
+                s[q] = dq
+                up = s[p + 1] - 1
+                uq = s[q + 1] - 1
+                s[p + 1] = up
+                s[q + 1] = uq
+                if dp == 2 and up:
+                    touched.append(p)
+                if dq == 2 and uq:
+                    touched.append(q)
+                t = s[n_in] + 1
+                s[n_in] = t
+                a = s[p + 2]
+                if a == q:  # the n-th edge, closing the cycle
+                    continue
+                b = s[q + 2]
+                s[a + 2] = b
+                s[b + 2] = a
+                if t < last:
+                    ab = a + b
+                    for j in inc[a]:
+                        if not s[j] and ends[j] == ab:
+                            s[j] = _OUT
+                            ua = s[a + 1] - 1
+                            ub = s[b + 1] - 1
+                            s[a + 1] = ua
+                            s[b + 1] = ub
+                            if ua <= 1:
+                                touched.append(a)
+                            if ub <= 1:
+                                touched.append(b)
+            while touched:
+                p = touched.pop()
+                und = s[p + 1]
+                if not und:
+                    if s[p] < 2:
+                        return False
+                    continue
+                d = s[p]
+                if d == 2:
                     for j in inc[p]:
-                        if not s[j] and not put_in(s, j, touched):
-                            return False
-            elif not need:
-                for j in inc[p]:
-                    if not s[j]:
-                        s[j] = _OUT
-                        q = eu[j] + ev[j] - p
-                        s[q + 1] -= 1
-                        touched.append(q)
-                s[p + 1] = 0
-        return True
+                        if not s[j]:
+                            s[j] = _OUT
+                            q = ends[j] - p
+                            u = s[q + 1] - 1
+                            s[q + 1] = u
+                            dq = s[q]
+                            if dq < 2 and u + dq <= 2:
+                                touched.append(q)
+                    s[p + 1] = 0
+                elif und + d == 2:
+                    todo = inc[p]
+                    break
+                elif und + d < 2:
+                    return False
+            else:
+                return True
 
     def branch_edge(s: list[int]) -> int:
         best, best_in, best_und = -1, -1, 0
@@ -222,29 +260,24 @@ def _search(
         if i < 0:
             return False
         t = s[:]
-        touched: list[int] = []
-        if put_in(t, i, touched) and propagate(t, touched) and descend(t):
+        if settle(t, (i,), []) and descend(t):
             return True
         s[i] = _OUT
         p, q = eu[i], ev[i]
         s[p + 1] -= 1
         s[q + 1] -= 1
-        return propagate(s, [p, q]) and descend(s)
+        return settle(s, (), [p, q]) and descend(s)
 
-    touched: list[int] = []
     for i in range(m):
         p, q = eu[i], ev[i]
         if p == q or i in forbid:
             s[i] = _OUT
             s[p + 1] -= 1
-            touched.append(p)
             if p != q:
                 s[q + 1] -= 1
-                touched.append(q)
-    for i in require:
-        if s[i] or not put_in(s, i, touched):
-            return
-    if propagate(s, touched):
+    # no move made these fall to two undecided edges or fewer: push them now
+    touched = [p for p in base.values() if s[p + 1] <= 2]
+    if settle(s, require, touched) and all(s[i] == _IN for i in require):
         descend(s)
 
 

@@ -4,8 +4,10 @@
 certificate at depth pre + 2·period; and, for one-ended chains, the
 `witness_two_cycles` pair.  Also the stdout and exit code of
 `hamilton second --format json --edge e` for every edge of the built-in
-graphs in `SECOND_GRAPHS`, and the stdout and exit code of
-`--format json chain analyze` on every generated chain of `tests/util.py`.
+graphs in `SECOND_GRAPHS`, the stdout and exit code of
+`--format json chain analyze` on every generated chain of `tests/util.py`,
+and those of `--format json` `hamilton count`, `hamilton parity`,
+`hamilton second` and `incidence` on the sampled graphs of `audit_graphs`.
 
 Every set is sorted, so the files do not depend on PYTHONHASHSEED. After a
 change that is meant to alter these outputs, regenerate them with
@@ -17,6 +19,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 from pathlib import Path
 
@@ -28,6 +31,8 @@ from cubicham import (
     OneEndedChain,
     chain_to_json,
     count_limit_hamilton_cycles,
+    random_cubic_graph,
+    random_odd_degree_graph,
     splice_certificate,
     witness_two_cycles,
 )
@@ -49,6 +54,7 @@ COMMANDS = {
 SECOND_GRAPHS = ("cube", "k4", "petersen", "tutte-fragment", "tutte-quotient")
 SECOND_FILE = GOLDEN / "hamilton-second.json"
 GENERATED_FILE = GOLDEN / "generated-analyze.json"
+GRAPHS_FILE = GOLDEN / "hamilton-graphs.json"
 
 
 def _stdout(argv: list[str]) -> str:
@@ -112,21 +118,63 @@ def capture_second() -> dict:
     }
 
 
+@contextlib.contextmanager
+def _scratch_cwd():
+    """Run the block in a fresh temporary working directory, so the input
+    files the commands read have the same relative paths in every run."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
 def capture_generated() -> dict:
     """Seed -> `chain analyze` output on that generated chain. Each chain is
     read from a file `generated-<seed>.json` in a scratch working directory,
     so the name the output gives an unnamed chain does not vary."""
     out = {}
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            for seed, chain in zip(GENERATED_SEEDS, generated_chains()):
-                path = Path(f"generated-{seed}.json")
-                path.write_text(chain_to_json(chain))
-                out[str(seed)] = _stdout(["--format", "json", "chain", "analyze", str(path)])
-        finally:
-            os.chdir(cwd)
+    with _scratch_cwd():
+        for seed, chain in zip(GENERATED_SEEDS, generated_chains()):
+            path = Path(f"generated-{seed}.json")
+            path.write_text(chain_to_json(chain))
+            out[str(seed)] = _stdout(["--format", "json", "chain", "analyze", str(path)])
+    return out
+
+
+def audit_graphs() -> dict:
+    """Name -> graph: `random_cubic_graph(n, Random(s))` for n in {20, 40}
+    and s in {1, 2}, and the dense all-odd graph of the benchmark (the
+    n=16 draw when one Random(2) draws `random_odd_degree_graph` for
+    n = 12, 14, 16 in turn; m=48, 22 145 Hamilton cycles)."""
+    graphs = {
+        f"cubic-{n}-{s}": random_cubic_graph(n, random.Random(s)) for n in (20, 40) for s in (1, 2)
+    }
+    rng = random.Random(2)
+    graphs["odd-16"] = [random_odd_degree_graph(n, rng) for n in (12, 14, 16)][-1]
+    return graphs
+
+
+def capture_graphs() -> dict:
+    """Graph name -> command -> output of the graph commands on that graph,
+    read from `<name>.json` in a scratch working directory; `second` runs
+    through the edge of lowest id and `incidence` at v0 and v1."""
+    out = {}
+    with _scratch_cwd():
+        for name, G in audit_graphs().items():
+            path = f"{name}.json"
+            Path(path).write_text(G.to_json())
+            out[name] = {
+                command: _stdout(["--format", "json", *argv])
+                for command, argv in (
+                    ("count", ["hamilton", "count", path]),
+                    ("parity", ["hamilton", "parity", path]),
+                    ("second", ["hamilton", "second", path, "--edge", G.edges[0].label]),
+                    ("incidence", ["incidence", path, "--v", "v0", "--w", "v1"]),
+                )
+            }
     return out
 
 
@@ -166,9 +214,18 @@ def test_generated_chain_analyze_matches_golden():
         assert actual[seed] == expected[seed], f"chain analyze on generated chain {seed} differs"
 
 
+def test_graph_commands_match_golden():
+    expected = json.loads(GRAPHS_FILE.read_text())
+    actual = capture_graphs()
+    assert actual.keys() == expected.keys()
+    for name in expected:
+        assert actual[name] == expected[name], f"graph commands on {name} differ"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for chain_name in sorted(BUILTIN_CHAINS):
         _write(_path(chain_name), capture(chain_name))
     _write(SECOND_FILE, capture_second())
     _write(GENERATED_FILE, capture_generated())
+    _write(GRAPHS_FILE, capture_graphs())

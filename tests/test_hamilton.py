@@ -6,6 +6,7 @@ from cubicham import hamilton
 from cubicham import (
     GraphError,
     MultiGraph,
+    count_by_trace,
     count_through,
     cube,
     cycle_labels,
@@ -15,12 +16,14 @@ from cubicham import (
     is_hamilton_cycle,
     k4,
     petersen,
+    random_cubic_graph,
     random_cubic_hamiltonian,
+    random_odd_degree_graph,
     second_cycle_lollipop,
     second_cycle_nearly_cubic,
     tutte_quotient,
 )
-from util import naive_hamilton_cycles
+from util import frontier_count_by_trace, naive_hamilton_cycles, naive_multigraph_hamilton_cycles
 
 
 def test_k4_has_three_cycles():
@@ -248,3 +251,77 @@ def test_cycle_labels_sorted():
     C = enumerate_hamilton_cycles(G)[0]
     labels = cycle_labels(G, C)
     assert labels == sorted(labels) and len(labels) == 4
+
+
+# Mid-size graphs: long chains of forced moves, and on the all-odd graphs
+# vertices of degree 5 and 7, which the n <= 7 property tests barely reach.
+MID_CUBIC = [(12 + 2 * (seed % 5), seed) for seed in range(10)]
+MID_ODD = [(n, seed) for n in (8, 10, 12) for seed in range(10)]
+
+
+def _sorted_cycles(G, require=()):
+    return [tuple(sorted(c)) for c in enumerate_hamilton_cycles(G, require)]
+
+
+@pytest.mark.parametrize("kind, n, seed", [("cubic", *c) for c in MID_CUBIC] + [("odd", *c) for c in MID_ODD])
+def test_count_by_trace_matches_frontier_oracle_on_mid_size_graphs(kind, n, seed):
+    sample = random_cubic_graph if kind == "cubic" else random_odd_degree_graph
+    G = sample(n, random.Random(seed))
+    anchors = random.Random(seed).sample(G.vertices, 2)
+    expected = frontier_count_by_trace(G, anchors)
+    assert count_by_trace(G, [G.edges_at(v) for v in anchors]) == expected
+    assert count_through(G) == sum(expected.values())
+
+
+@pytest.mark.parametrize("n, seed", MID_ODD)
+def test_least_cycles_match_sorted_enumeration_on_all_odd_graphs(n, seed):
+    G = random_odd_degree_graph(n, random.Random(seed))
+    v = G.vertices[seed % n]
+    requires = [(), G.edges_at(v)[:1], G.edges_at(v)[:2]]
+    for require in requires:
+        cycles = _sorted_cycles(G, require)
+        for k in (1, 2, 3):
+            assert hamilton._least_cycles(G, require, k) == cycles[:k]
+
+
+def _closing_edge_cases():
+    """Two multigraphs with two parallel a-b edges, each with the path
+    whose join is checked.  In the first, joining a and b through x (a-x
+    and x-b IN) leaves them path ends with 2 of 5 edges IN and both a-b
+    edges undecided: both must go OUT.  In the second, the path a-x-y-b
+    joins them with 3 of 4 edges IN, so each a-b edge closes a cycle."""
+    early = MultiGraph(
+        ["a", "x", "b", "y", "z"],
+        [
+            ("ax", "a", "x"), ("xb", "x", "b"), ("ab1", "a", "b"), ("ab2", "a", "b"),
+            ("bz", "b", "z"), ("zy", "z", "y"), ("ya", "y", "a"), ("by", "b", "y"),
+            ("za", "z", "a"), ("xy", "x", "y"),
+        ],
+    )
+    last = MultiGraph(
+        ["a", "x", "y", "b"],
+        [
+            ("ax", "a", "x"), ("xy", "x", "y"), ("yb", "y", "b"), ("ab1", "a", "b"),
+            ("ab2", "a", "b"), ("ay", "a", "y"), ("xb", "x", "b"),
+        ],
+    )
+    return [(early, ("ax", "xb")), (last, ("ax", "xy", "yb"))]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["join-before-last-edge", "join-at-last-edge"])
+def test_closing_edge_rule_on_parallel_edges(case):
+    G, path = _closing_edge_cases()[case]
+    path = tuple(G.edge_by_label(lab).id for lab in path)
+    ab = {G.edge_by_label(lab).id for lab in ("ab1", "ab2")}
+    naive = naive_multigraph_hamilton_cycles(G)
+    for require in ((), path):
+        expected = [c for c in naive if set(require) <= set(c)]
+        assert _sorted_cycles(G, require) == expected
+        assert count_through(G, require) == len(expected)
+        for k in (1, 2, 3):
+            assert hamilton._least_cycles(G, require, k) == expected[:k]
+    ab_used = [set(c) & ab for c in naive if set(path) <= set(c)]
+    if case == 0:
+        assert ab_used and not any(ab_used)  # both a-b edges OUT
+    else:
+        assert sorted(map(sorted, ab_used)) == [[i] for i in sorted(ab)]  # each closes one
