@@ -25,13 +25,18 @@ lazy stream (`_one_ended_certificates`): a Finite count takes all of it,
 and the two witnesses are its first two, in every class.
 
 Every piece is tabulated alike: its segment minor's Hamilton cycles by the
-edge labels used at each dummy (`ChainPiece._counts`, `_dummy_counts`), so
-every slot, side and chain holding the same piece object shares one search.
-Level 0 of a one-ended chain is the initial piece's segment, which has only
-the right dummy; its counts (`_initial_counts`) seed every propagation.
-`_by_state` is the only place labels become cut positions.  Truncation
-windows are built only by the oracles (`truncation_consistency`,
-`validate_certificate`) and by `construct truncation`.
+stub labels used at each dummy (`ChainPiece._counts`), so every slot, side
+and chain holding the same piece object shares one search.  The search
+runs on the piece's integer form with the dummies and stub edges appended
+in `materialize`'s order (`ChainPiece._minor`), so no labeled minor is
+built and each stub edge's id names its stub; the order of the search,
+and so of every table's keys and cycles, is that of the labeled minor,
+which only `segment_minor` builds.  Level 0 of a one-ended chain is the
+initial piece's segment, which has only the right dummy; its counts
+(`_initial_counts`) seed every propagation.  `_by_state` is the only place
+labels become cut positions.  Truncation windows are built only by the
+oracles (`truncation_consistency`, `validate_certificate`) and by
+`construct truncation`.
 
 Layers and the level-0 vector hold counts only, tallied without listing
 cycles.  The cycles themselves (interior edge labels per state pair) are
@@ -42,8 +47,9 @@ witnesses are named (`_Direction.stubs`).
 
 `end_degree` is exact and builds no truncation windows.  It takes the min
 cut at one level that the period and the cut size fix, deepening it only
-when the value there drops, as a max flow over integer edge lists that each
-piece keeps (`ChainPiece._flow`), glued outward from the core (`_level_cut`).
+when the value there drops, as a max flow over the same integer form of
+each piece (`ChainPiece._flow`, the piece's only one), glued outward from
+the core (`_level_cut`).
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ from functools import cached_property
 from itertools import combinations, islice, product, tee
 from typing import Iterable, Iterator
 
-from .hamilton import count_by_trace, enumerate_hamilton_cycles, is_hamilton_cycle
-from .multigraph import GraphError, MultiGraph, _max_flow, from_doc as graph_from_doc
+from .hamilton import _sorted_cycles, _trace_counts, count_by_trace, is_hamilton_cycle
+from .multigraph import GraphError, Ints, MultiGraph, _max_flow, _simple, from_doc as graph_from_doc
 
 State = frozenset  # of cut positions
 Matching = tuple[tuple[str, str], ...]  # (right stub of left piece, left stub of right piece)
@@ -104,39 +110,72 @@ class ChainPiece:
         return dict(self.left_ports + self.right_ports)
 
     @cached_property
-    def _segment(self) -> MultiGraph:
-        """The piece with its left stubs on a dummy alpha, if it has any,
-        and its right stubs on a dummy beta; stub edges keep the stub
-        labels.  Checked simple unless it has no left stubs: an initial
-        piece's minor is its chain's level-0 window, never required simple."""
-        alpha = "alpha" if self.left_ports else None
-        seg = materialize([self], [], [None], left_dummy=alpha, right_dummy="beta")
-        if alpha and not seg.is_simple():
+    def _flow(self) -> tuple[int, list, dict]:
+        """The piece as integers: its vertex count, its edges as vertex-index
+        pairs (`MultiGraph.ints`, loops included), and the vertex index of
+        each stub.  Max flows (`_level_cut`) and the tabulation (`_minor`)
+        both read it."""
+        size, edges = self.graph.ints
+        index = {v: i for i, v in enumerate(self.graph.vertices)}
+        return size, edges, {s: index[v] for s, v in self._stub_vertex.items()}
+
+    def _minor(self) -> tuple[Ints, tuple[range, ...], list[str]]:
+        """The segment minor in integer form, in `materialize`'s order:
+        the piece's vertices, then alpha if the piece has left stubs, then
+        beta; the piece's edges, then the left-stub edges to alpha in
+        `left_ports` order, then the right-stub edges to beta in
+        `right_ports` order.  Also the ids of the stub edges at each dummy
+        (beta's alone on an initial piece) and the label of every edge,
+        stub edges bearing their stubs'.  Refused unless simple when the
+        piece has left stubs: an initial piece's minor is its chain's
+        level-0 window, never required simple."""
+        size, edges, stubs = self._flow
+        left = [(size, stubs[s]) for s, _ in self.left_ports]
+        beta = size + bool(left)
+        right = [(stubs[s], beta) for s, _ in self.right_ports]
+        graph = (beta + 1, edges + left + right)
+        if left and not _simple(graph):
             raise ChainError("segment minor is not simple")
-        return seg
+        m, k = len(edges), len(edges) + len(left)
+        groups = (range(m, k), range(k, k + len(right)))[not left :]
+        names = [e.label for e in self.graph.edges]
+        names += [s for s, _ in self.left_ports + self.right_ports]
+        return graph, groups, names
+
+    @cached_property
+    def _segment(self) -> MultiGraph:
+        """The segment minor as a labeled graph, for `segment_minor`: the
+        piece with its left stubs on a dummy alpha, if it has any, and its
+        right stubs on a dummy beta; stub edges keep the stub labels.
+        Refused where `_minor` refuses it."""
+        self._minor()
+        alpha = "alpha" if self.left_ports else None
+        return materialize([self], [], [None], left_dummy=alpha, right_dummy="beta")
 
     @cached_property
     def _counts(self) -> dict:
         """(left stub pair, right stub pair) -> number of Hamilton cycles of
         the segment minor through those stubs, keyed by the right pair alone
-        on an initial piece; pairs no cycle uses are absent."""
-        return _dummy_counts(self._segment, ("alpha", "beta")[not self.left_ports :])
+        on an initial piece, in the order the search meets them; pairs no
+        cycle uses are absent."""
+        graph, groups, names = self._minor()
+        return {
+            tuple(frozenset([names[i] for i in trace]) for trace in key): count
+            for key, count in _trace_counts(graph, groups).items()
+        }
 
     @cached_property
     def _cycles(self) -> dict:
         """The segment minor's Hamilton cycles keyed as `_counts`, each as the
         frozenset of its interior edge labels; keys and cycles in sorted
         cycle order."""
-        return _dummy_cycles(self._segment, ("alpha", "beta")[not self.left_ports :])
-
-    @cached_property
-    def _flow(self) -> tuple[int, list, dict]:
-        """The piece as integers, for max flows: its vertex count, its edges
-        as vertex-index pairs (loops dropped: no path uses one), and the
-        vertex index of each stub."""
-        index = {v: i for i, v in enumerate(self.graph.vertices)}
-        edges = [(index[e.u], index[e.v]) for e in self.graph.edges if e.u != e.v]
-        return len(index), edges, {s: index[v] for s, v in self._stub_vertex.items()}
+        graph, groups, names = self._minor()
+        interior = len(self.graph.edges)
+        buckets: dict = {}
+        for cycle in _sorted_cycles(graph):
+            key = tuple(frozenset([names[i] for i in cycle if i in ids]) for ids in groups)
+            buckets.setdefault(key, []).append(frozenset([names[i] for i in cycle if i < interior]))
+        return {key: tuple(cycles) for key, cycles in buckets.items()}
 
 
 @dataclass(frozen=True)
@@ -795,30 +834,13 @@ def initial_vector(chain: OneEndedChain) -> dict:
     return dict(chain._initial_counts)
 
 
-def _labels(G: MultiGraph, ids: Iterable[int]) -> frozenset:
-    return frozenset(G.edges[i].label for i in ids)
-
-
 def _dummy_counts(G: MultiGraph, dummies: tuple[str, ...]) -> dict:
-    """Hamilton cycles of a window or segment minor counted by the labels
-    of the edges they use at each dummy."""
+    """Hamilton cycles of a labeled minor, such as a truncation window,
+    counted by the labels of the edges they use at each dummy."""
     return {
-        tuple(_labels(G, trace) for trace in traces): count
+        tuple(frozenset(G.edges[i].label for i in trace) for trace in traces): count
         for traces, count in count_by_trace(G, [G.edges_at(d) for d in dummies]).items()
     }
-
-
-def _dummy_cycles(G: MultiGraph, dummies: tuple[str, ...]) -> dict:
-    """The Hamilton cycles of G keyed as in `_dummy_counts`, each as the
-    frozenset of labels of its edges away from the dummies; keys and cycles
-    come in sorted cycle order."""
-    stubs = [frozenset(G.edges_at(d)) for d in dummies]
-    at_dummies = frozenset().union(*stubs)
-    buckets: dict = {}
-    for cycle in enumerate_hamilton_cycles(G):
-        key = tuple(_labels(G, cycle & ids) for ids in stubs)
-        buckets.setdefault(key, []).append(_labels(G, cycle - at_dummies))
-    return {key: tuple(cycles) for key, cycles in buckets.items()}
 
 
 def surviving_states(chain: CutChain) -> dict:
@@ -986,7 +1008,7 @@ def _level_cut(chain: CutChain, end: str, k: int) -> int:
     while j < k:
         size, edges, stubs = direction.piece(j + 1)._flow
         arcs += [(frontier[a], n + stubs[b], 1, 1) for a, b in direction.links(j)]
-        arcs += [(n + u, n + v, 1, 1) for u, v in edges]
+        arcs += [(n + u, n + v, 1, 1) for u, v in edges if u != v]  # no path uses a loop
         j += 1
         frontier = {stub: n + stubs[stub] for stub, _ in direction.links(j)}
         n += size

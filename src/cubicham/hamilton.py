@@ -2,10 +2,14 @@
 and the lollipop exchange walk for a second cycle through a fixed edge.
 
 Every cycle query runs on one backtracking core, `_search`, which calls a
-visitor once per Hamilton cycle and builds nothing itself.  The counting
-helpers (`count_through`, `count_by_trace`, `edge_parity_report`) tally
-inside their visitors, so their tallies take O(n + m) space whatever the
-number of cycles.  `enumerate_hamilton_cycles` collects every cycle.  The
+visitor once per Hamilton cycle and builds nothing itself.  The core reads
+a graph in integer form: a vertex count and one pair of endpoint indices
+per edge, which every `MultiGraph` computes once (`MultiGraph.ints`) and
+the chain engine builds for its segment minors without labels
+(`_trace_counts`, `_sorted_cycles`).  The counting helpers
+(`count_through`, `count_by_trace`, `edge_parity_report`) tally inside
+their visitors, so their tallies take O(n + m) space whatever the number
+of cycles.  `enumerate_hamilton_cycles` collects every cycle.  The
 search itself holds one (m + 3n + 1)-int state list per branching level on
 the current path, so O(depth * (m + n)) ints with depth at most m.
 Every move the search makes, branched or forced, runs through one
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Sequence
 
-from .multigraph import GraphError, MultiGraph
+from .multigraph import GraphError, Ints, MultiGraph
 
 HamiltonCycle = frozenset  # of edge ids
 
@@ -67,26 +71,33 @@ def is_hamilton_cycle(G: MultiGraph, edge_ids: Iterable[int]) -> bool:
     return len(seen) == G.n
 
 
-def _checked(G: MultiGraph, require: Iterable[int], forbid: Iterable[int]):
+def _checked(m: int, require: Iterable[int], forbid: Iterable[int]):
     require = frozenset(require)
     forbid = frozenset(forbid)
     if require & forbid:
         raise GraphError("require and forbid overlap")
     for i in require | forbid:
-        if not 0 <= i < G.m:
+        if not 0 <= i < m:
             raise GraphError(f"unknown edge id {i}")
     return require, forbid
 
 
 def _search(
-    G: MultiGraph,
+    graph: Ints,
     require: Iterable[int],
     forbid: Iterable[int],
     visit: Callable[[list[int]], bool | None],
     lowest_first: bool = False,
 ) -> None:
-    """Call `visit(s)` once for each Hamilton cycle of G that contains every
-    edge of `require` and none of `forbid`, until a call returns true.
+    """Call `visit(s)` once for each Hamilton cycle of an integer graph that
+    contains every edge of `require` and none of `forbid`, until a call
+    returns true.
+
+    `graph` is (n, edges): vertices are 0..n-1, and edge i joins the two
+    vertices of edges[i] (`MultiGraph.ints`, or a graph that the chain
+    engine builds without labels).  Edge ids are list positions and the
+    incidence order of each vertex is ascending id, as in a `MultiGraph`,
+    so a labeled graph and its integer form are searched alike.
 
     The whole search state is one flat int list `s`: the state of edge i at
     s[i] (_UND, _IN or _OUT); for the vertex whose block starts at offset p
@@ -124,8 +135,10 @@ def _search(
 
     By default each search node branches on the most constrained undecided
     edge: most IN edges at its ends, then fewest undecided edges there, then
-    lowest id.  Branching at a path end instead slowed thin graphs with
-    2-edge cuts by an order of magnitude, so the edge rule stays.
+    lowest id.  The scan starts at the lowest undecided edge, since every
+    edge below it is decided.  Branching at a path end instead slowed thin
+    graphs with 2-edge cuts by an order of magnitude, so the edge rule
+    stays.
 
     With `lowest_first` each node branches on the lowest-id undecided edge
     and cycles arrive in ascending order of their sorted edge-id tuples.
@@ -136,26 +149,32 @@ def _search(
     d; its IN child, which holds A, is searched first.
 
     `visit(s)` runs once the n-th edge is IN; `settle` has then set
-    every other edge OUT, and s[i] == _IN for i < G.m marks the cycle.  The
+    every other edge OUT, and s[i] == _IN for i < m marks the cycle.  The
     visitor must not keep or change `s`.  A true return value ends the
     search.  Without `lowest_first` cycles arrive in search order, not
     sorted.
     """
-    require, forbid = _checked(G, require, forbid)
-    n, m = G.n, G.m
+    n, edges = graph
+    m = len(edges)
+    require, forbid = _checked(m, require, forbid)
     if n == 0:
         return
     last = n - 1
-    base = {v: m + 3 * k for k, v in enumerate(G.vertices)}
-    eu = [base[e.u] for e in G.edges]
-    ev = [base[e.v] for e in G.edges]
-    ends = [p + q for p, q in zip(eu, ev)]  # minus one end's offset gives the other's
     n_in = m + 3 * n  # index of the IN-edge count
+    base = range(m, n_in, 3)  # the offset of each vertex
+    eu = [m + 3 * u for u, _ in edges]
+    ev = [m + 3 * v for _, v in edges]
+    ends = [p + q for p, q in zip(eu, ev)]  # minus one end's offset gives the other's
+    at: list[list[int]] = [[] for _ in base]
+    for i, (u, v) in enumerate(edges):
+        at[u].append(i)
+        if u != v:
+            at[v].append(i)
     s = [_UND] * (n_in + 1)
-    inc: list[tuple[int, ...]] = [()] * n_in
-    for v, p in base.items():
-        inc[p] = G.edges_at(v)
-        s[p + 1] = len(inc[p])
+    inc: list = [()] * n_in
+    for p, ids in zip(base, at):
+        inc[p] = ids
+        s[p + 1] = len(ids)
         s[p + 2] = p
 
     def settle(s: list[int], todo: Iterable[int], touched: list[int]) -> bool:
@@ -230,8 +249,12 @@ def _search(
                 return True
 
     def branch_edge(s: list[int]) -> int:
+        try:
+            first = s.index(_UND, 0, m)  # every edge below it is decided
+        except ValueError:
+            return -1
         best, best_in, best_und = -1, -1, 0
-        for i in range(m):
+        for i in range(first, m):
             if s[i]:
                 continue
             p, q = eu[i], ev[i]
@@ -276,9 +299,20 @@ def _search(
             if p != q:
                 s[q + 1] -= 1
     # no move made these fall to two undecided edges or fewer: push them now
-    touched = [p for p in base.values() if s[p + 1] <= 2]
+    touched = [p for p in base if s[p + 1] <= 2]
     if settle(s, require, touched) and all(s[i] == _IN for i in require):
         descend(s)
+
+
+def _sorted_cycles(
+    graph: Ints, require: Iterable[int] = (), forbid: Iterable[int] = ()
+) -> list[tuple[int, ...]]:
+    """The Hamilton cycles of an integer graph through `require` and
+    avoiding `forbid`, each as its sorted edge-id tuple, in sorted order."""
+    edge_ids = range(len(graph[1]))
+    out: list[tuple[int, ...]] = []
+    _search(graph, require, forbid, lambda s: out.append(tuple(compress(edge_ids, map(_is_in, s)))))
+    return sorted(out)
 
 
 def enumerate_hamilton_cycles(
@@ -286,10 +320,7 @@ def enumerate_hamilton_cycles(
 ) -> list[HamiltonCycle]:
     """All Hamilton cycles of G that contain every edge of `require` and
     none of `forbid`, each once, sorted by edge-id tuple."""
-    edge_ids = range(G.m)
-    out: list[tuple[int, ...]] = []
-    _search(G, require, forbid, lambda s: out.append(tuple(compress(edge_ids, map(_is_in, s)))))
-    return [frozenset(t) for t in sorted(out)]
+    return [frozenset(t) for t in _sorted_cycles(G.ints, require, forbid)]
 
 
 def count_through(G: MultiGraph, require: Iterable[int] = (), forbid: Iterable[int] = ()) -> int:
@@ -300,8 +331,26 @@ def count_through(G: MultiGraph, require: Iterable[int] = (), forbid: Iterable[i
         nonlocal count
         count += 1
 
-    _search(G, require, forbid, tally)
+    _search(G.ints, require, forbid, tally)
     return count
+
+
+def _trace_counts(graph: Ints, groups: Sequence[Iterable[int]]) -> dict:
+    """Hamilton cycles of an integer graph counted by their traces on the
+    edge groups, in the order the search first meets each trace.  A key is
+    a tuple with one tuple per group, of the edges in that group the cycle
+    uses, in group order; traces that no cycle has are absent."""
+    groups = [tuple(g) for g in groups]
+    counts: dict = {}
+
+    def tally(s: list[int]) -> None:
+        # a tuple in group order is cheaper to build per cycle than a
+        # frozenset; callers convert each distinct trace once
+        key = tuple([tuple([i for i in g if s[i] == _IN]) for g in groups])
+        counts[key] = counts.get(key, 0) + 1
+
+    _search(graph, (), (), tally)
+    return counts
 
 
 def count_by_trace(G: MultiGraph, groups: Sequence[Iterable[int]]) -> dict:
@@ -310,17 +359,9 @@ def count_by_trace(G: MultiGraph, groups: Sequence[Iterable[int]]) -> dict:
     A key is a tuple with one frozenset per group, of the edges in that
     group the cycle uses; traces that no cycle has are absent.
     """
-    groups = [tuple(g) for g in groups]
-    counts: dict = {}
-
-    def tally(s: list[int]) -> None:
-        # a tuple in group order is cheaper to build per cycle than a
-        # frozenset; each distinct trace is converted once, at the end
-        key = tuple([tuple([i for i in g if s[i] == _IN]) for g in groups])
-        counts[key] = counts.get(key, 0) + 1
-
-    _search(G, (), (), tally)
-    return {tuple(map(frozenset, key)): count for key, count in counts.items()}
+    return {
+        tuple(map(frozenset, key)): count for key, count in _trace_counts(G.ints, groups).items()
+    }
 
 
 def _least_cycles(G: MultiGraph, require: Iterable[int], k: int) -> list[tuple[int, ...]]:
@@ -333,7 +374,7 @@ def _least_cycles(G: MultiGraph, require: Iterable[int], k: int) -> list[tuple[i
         least.append(tuple(compress(edge_ids, map(_is_in, s))))
         return len(least) >= k
 
-    _search(G, require, (), keep, lowest_first=True)
+    _search(G.ints, require, (), keep, lowest_first=True)
     return least
 
 
@@ -373,7 +414,7 @@ def edge_parity_report(G: MultiGraph) -> EdgeParityReport:
         for i in compress(edge_ids, map(_is_in, s)):
             tally[i] += 1
 
-    _search(G, (), (), visit)
+    _search(G.ints, (), (), visit)
     counts = dict(zip(edge_ids, tally))
     odd_degrees = all(G.degree(v) % 2 == 1 for v in G.vertices)
     odd_edges = tuple(i for i in edge_ids if tally[i] % 2 == 1) if odd_degrees else ()

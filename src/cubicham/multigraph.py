@@ -14,6 +14,9 @@ from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 
+Ints = tuple[int, list[tuple[int, int]]]  # a graph's vertex count and edge end indices
+
+
 class GraphError(ValueError):
     """Malformed graph input or an operation precondition violation."""
 
@@ -44,7 +47,7 @@ class EdgeRecord(NamedTuple):
 class MultiGraph:
     """Finite multigraph with labeled vertices and edges, loops allowed."""
 
-    __slots__ = ("vertices", "edges", "_vset", "_incident", "_by_label")
+    __slots__ = ("vertices", "edges", "_vset", "_incident", "_by_label", "_ints")
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[tuple[str | None, str, str]]):
         vs = tuple(vertices)
@@ -71,6 +74,7 @@ class MultiGraph:
         self.edges: tuple[EdgeRecord, ...] = tuple(recs)
         self._by_label = by_label
         self._incident = {v: tuple(ids) for v, ids in inc.items()}
+        self._ints: Ints | None = None
 
     # -- queries -----------------------------------------------------------
 
@@ -84,6 +88,16 @@ class MultiGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @property
+    def ints(self) -> Ints:
+        """The graph in integer form, which the Hamilton search reads: the
+        vertex count and, per edge id, the positions of its two ends in
+        `vertices`.  Computed on first use, once."""
+        if self._ints is None:
+            index = dict(zip(self.vertices, range(len(self.vertices))))
+            self._ints = (len(index), [(index[u], index[v]) for _, _, u, v in self.edges])
+        return self._ints
 
     def edge_by_label(self, label: str) -> EdgeRecord:
         try:
@@ -109,13 +123,7 @@ class MultiGraph:
         return degs.count(2) == 1 and degs.count(3) == len(degs) - 1
 
     def is_simple(self) -> bool:
-        seen = set()
-        for e in self.edges:
-            if e.u == e.v or (e.u, e.v) in seen:
-                return False
-            seen.add((e.u, e.v))
-            seen.add((e.v, e.u))
-        return True
+        return _simple(self.ints)
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -151,6 +159,15 @@ class MultiGraph:
             lines.append(f'  "{e.u}" -- "{e.v}" [label="{e.label}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _simple(ints: Ints) -> bool:
+    """Whether a graph in integer form (`MultiGraph.ints`) has neither a
+    loop nor two edges with the same ends."""
+    edges = ints[1]
+    # a loop is left out and parallel edges coincide, so either makes it short
+    ends = {(u, v) if u < v else (v, u) for u, v in edges if u != v}
+    return len(ends) == len(edges)
 
 
 def from_json(text: str) -> MultiGraph:

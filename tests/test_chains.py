@@ -203,8 +203,10 @@ def test_windows_are_built_once_per_chain(monkeypatch):
 @pytest.mark.parametrize("make", ALL_CHAINS.values(), ids=list(ALL_CHAINS))
 def test_one_segment_search_per_piece(monkeypatch, make):
     searched = []
-    real = chains.count_by_trace
-    monkeypatch.setattr(chains, "count_by_trace", lambda G, groups: searched.append(G) or real(G, groups))
+    real = chains._trace_counts
+    monkeypatch.setattr(
+        chains, "_trace_counts", lambda graph, groups: searched.append(graph) or real(graph, groups)
+    )
     chain = make()
     count_limit_hamilton_cycles(chain)
     tails = [chain.tail] if isinstance(chain, OneEndedChain) else [chain.left, chain.right]
@@ -214,17 +216,35 @@ def test_one_segment_search_per_piece(monkeypatch, make):
     assert len(searched) == len(pieces) + isinstance(chain, OneEndedChain)
 
 
+@pytest.mark.parametrize("make", ALL_CHAINS.values(), ids=list(ALL_CHAINS))
+def test_analysis_builds_no_labeled_minor(monkeypatch, make):
+    # pieces are tabulated and cut from their integer form: classifying a
+    # chain, certificates included, and its end degrees build no minor
+    built = []
+    real = chains.materialize
+    monkeypatch.setattr(
+        chains, "materialize", lambda *args, **kw: built.append(1) or real(*args, **kw)
+    )
+    chain = make()
+    count_limit_hamilton_cycles(chain)
+    for end in chain.sides:
+        end_degree(chain, end)
+    assert built == []
+
+
 @pytest.mark.parametrize("name, lists", [("chain-G", False), ("chain-H", True)])
 def test_analyze_lists_cycles_only_for_certificates(monkeypatch, capsys, name, lists):
     calls = []
-    real = hamilton.enumerate_hamilton_cycles
+    real = hamilton._sorted_cycles
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(chains, "enumerate_hamilton_cycles", counted)
-    monkeypatch.setattr(hamilton, "enumerate_hamilton_cycles", counted)
+    # every listing of cycles, of a labeled graph or a piece's integer
+    # minor, goes through `_sorted_cycles`
+    monkeypatch.setattr(chains, "_sorted_cycles", counted)
+    monkeypatch.setattr(hamilton, "_sorted_cycles", counted)
     assert cli.main(["chain", "analyze", name]) == 0
     out = capsys.readouterr().out
     # an Infinite chain has no certificates, so nothing is listed
@@ -383,7 +403,8 @@ def test_transfer_dot_is_one_layered_graph(monkeypatch, name, levels):
     def refuse(*args, **kwargs):
         raise AssertionError("transfer_dot listed Hamilton cycles")
 
-    monkeypatch.setattr(chains, "enumerate_hamilton_cycles", refuse)
+    monkeypatch.setattr(chains, "_sorted_cycles", refuse)
+    monkeypatch.setattr(hamilton, "_sorted_cycles", refuse)
     chain = BUILTIN_CHAINS[name]()
     dot = transfer_dot(chain, levels)
     nodes = re.findall(r'^  "(F-?\d+:[^"]*)";$', dot, re.M)

@@ -14,9 +14,13 @@ import pytest
 
 from cubicham import (
     BUILTIN_CHAINS,
+    ChainError,
+    ChainPiece,
+    MultiGraph,
     OneEndedChain,
     Tail,
     TwoEndedChain,
+    chain_ladder,
     chain_to_json,
     chains,
     cli,
@@ -34,7 +38,13 @@ from cubicham import (
     validate_certificate,
     witness_two_cycles,
 )
-from util import frontier_count_by_trace, generated_chains, random_chain, renamed_stubs
+from util import (
+    dummy_cycles,
+    frontier_count_by_trace,
+    generated_chains,
+    random_chain,
+    renamed_stubs,
+)
 
 CHAINS = generated_chains()
 # the generated chains, then the built-ins
@@ -156,6 +166,62 @@ def test_layer_counts_match_cycle_buckets(index):
             assert layer.counts == {key: len(c) for key, c in layer.buckets.items()}, (side, j)
     if isinstance(chain, OneEndedChain):
         assert initial_vector(chain) == {s: len(c) for s, c in chain._initial_cycles.items()}
+
+
+def _pieces(chain) -> list:
+    """Every piece of a chain: the initial one, then each tail's."""
+    first = [chain.initial] if isinstance(chain, OneEndedChain) else []
+    return first + [piece for _, tail in _tails(chain) for piece in tail.pre + tail.period]
+
+
+def _labeled_tables(piece) -> tuple[list, list]:
+    """A piece's counts and cycles from its labeled segment minor, searched
+    through its labels, as item lists so the key order counts too."""
+    seg, dummies = piece._segment, ("alpha", "beta")[not piece.left_ports :]
+    counts, cycles = chains._dummy_counts(seg, dummies), dummy_cycles(seg, dummies)
+    return list(counts.items()), list(cycles.items())
+
+
+@pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
+def test_integer_tabulation_matches_labeled_minor(index):
+    # pieces are tabulated from their integer form; keys, counts, cycles and
+    # their order must be those of the labeled minor
+    for piece in _pieces(EVERY_CHAIN[index]):
+        assert (list(piece._counts.items()), list(piece._cycles.items())) == _labeled_tables(piece)
+
+
+def test_integer_tabulation_of_nonsimple_minors():
+    # an initial piece's minor need not be simple: a digon, which has
+    # cycles, and a vertex with a loop, which has none
+    ports = chain_ladder().initial.right_ports
+    digon_graph = MultiGraph(("u1", "l1"), [("d_1", "u1", "l1"), ("d_2", "u1", "l1")])
+    digon = ChainPiece(digon_graph, (), ports)
+    looped = ChainPiece(
+        MultiGraph(("a", "b", "c"), [("aa", "a", "a"), ("ab", "a", "b"), ("bc", "b", "c")]),
+        (),
+        (("r1", "b"), ("r2", "c"), ("r3", "c")),
+    )
+    for piece in (digon, looped):
+        assert (list(piece._counts.items()), list(piece._cycles.items())) == _labeled_tables(piece)
+    assert (len(digon._counts), len(looped._counts)) == (1, 0)
+    # with left stubs it must be: two left stubs on one vertex, and a loop
+    parallel = ChainPiece(
+        MultiGraph(("x", "y"), [("xy", "x", "y")]),
+        (("l1", "x"), ("l2", "x")),
+        (("r1", "y"), ("r2", "y")),
+    )
+    loop = ChainPiece(
+        MultiGraph(
+            ("x", "y", "z", "w"),
+            [("xx", "x", "x"), ("yz", "y", "z"), ("yw", "y", "w"), ("zw", "z", "w")],
+        ),
+        (("l1", "x"), ("l2", "y")),
+        (("r1", "z"), ("r2", "w")),
+    )
+    for piece in (parallel, loop):
+        for table in ("_counts", "_cycles", "_segment"):
+            with pytest.raises(ChainError, match="segment minor is not simple"):
+                getattr(piece, table)
 
 
 def _window_cut(chain, end: str, k: int, flow=min_edge_cut) -> int:

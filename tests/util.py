@@ -2,8 +2,9 @@
 graphs, multigraphs), a networkx bridge for isomorphism checks, a seeded
 generator of random cut chains and the fixed set of generated chains the
 chain tests share, a renaming of every piece's stubs apart that keeps each
-cut's positions, and a ladder whose right tail alternates two rungs with
-stub names of their own."""
+cut's positions, a ladder whose right tail alternates two rungs with stub
+names of their own, and the labeled listing of a minor's cycles by dummy
+edges that the chain engine's integer tabulation is checked against."""
 
 import random
 from itertools import combinations, permutations, product
@@ -16,6 +17,7 @@ from cubicham import (
     OneEndedChain,
     Tail,
     TwoEndedChain,
+    enumerate_hamilton_cycles,
     random_cubic_graph,
 )
 
@@ -292,3 +294,23 @@ def frontier_count_by_trace(G: MultiGraph, dummies) -> dict:
         for (frontier, trace, closed), count in states.items()
         if closed
     }
+
+
+def dummy_cycles(G: MultiGraph, dummies) -> dict:
+    """The Hamilton cycles of G keyed by the labels of the edges they use at
+    each dummy vertex, as `chains._dummy_counts` keys them, each as the
+    frozenset of labels of its edges away from the dummies; keys and cycles
+    come in sorted cycle order.  Built from the labeled graph, through
+    `enumerate_hamilton_cycles`."""
+    stubs = [frozenset(G.edges_at(d)) for d in dummies]
+    at_dummies = frozenset().union(*stubs)
+
+    def labels(ids):
+        return frozenset(G.edges[i].label for i in ids)
+
+    buckets: dict = {}
+    for cycle in enumerate_hamilton_cycles(G):
+        buckets.setdefault(tuple(labels(cycle & ids) for ids in stubs), []).append(
+            labels(cycle - at_dummies)
+        )
+    return {key: tuple(cycles) for key, cycles in buckets.items()}
