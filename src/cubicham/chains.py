@@ -36,7 +36,9 @@ initial piece's segment, which has only the right dummy; its counts
 (`_initial_counts`) seed every propagation.  `_by_state` is the only place
 labels become cut positions.  Truncation windows are built only by the
 oracles (`truncation_consistency`, `validate_certificate`) and by
-`construct truncation`.
+`construct truncation`; the brute force of `truncation_consistency`
+counts a window's cycles with the memoized search (`_dummy_counts`)
+instead of listing them, so it reaches deep levels.
 
 Layers and the level-0 vector hold counts only, tallied without listing
 cycles.  The cycles themselves (interior edge labels per state pair) are
@@ -60,7 +62,7 @@ from functools import cached_property
 from itertools import combinations, islice, product, tee
 from typing import Iterable, Iterator
 
-from .hamilton import _sorted_cycles, _trace_counts, count_by_trace, is_hamilton_cycle
+from .hamilton import _memo_trace_counts, _sorted_cycles, _trace_counts, is_hamilton_cycle
 from .multigraph import GraphError, Ints, MultiGraph, _max_flow, _simple, from_doc as graph_from_doc
 
 State = frozenset  # of cut positions
@@ -836,10 +838,13 @@ def initial_vector(chain: OneEndedChain) -> dict:
 
 def _dummy_counts(G: MultiGraph, dummies: tuple[str, ...]) -> dict:
     """Hamilton cycles of a labeled minor, such as a truncation window,
-    counted by the labels of the edges they use at each dummy."""
+    counted by the labels of the edges they use at each dummy.  The count
+    is memoized (`hamilton._memo_trace_counts`): a window has a 2- or
+    3-edge cut at every junction, so its cost grows polynomially with the
+    window's length where listing its cycles would double per level."""
     return {
         tuple(frozenset(G.edges[i].label for i in trace) for trace in traces): count
-        for traces, count in count_by_trace(G, [G.edges_at(d) for d in dummies]).items()
+        for traces, count in _memo_trace_counts(G.ints, [G.edges_at(d) for d in dummies]).items()
     }
 
 

@@ -27,6 +27,7 @@ from cubicham import (
     count_by_trace,
     count_limit_hamilton_cycles,
     end_degree,
+    hamilton,
     initial_vector,
     materialize,
     max_vertex_disjoint_paths,
@@ -42,6 +43,7 @@ from util import (
     dummy_cycles,
     frontier_count_by_trace,
     generated_chains,
+    memo_count_by_trace,
     random_chain,
     renamed_stubs,
 )
@@ -150,8 +152,9 @@ def test_generated_chain(index):
     for cert in result.certificates:
         assert validate_certificate(chain, cert, depth)
 
+    # windows are counted by the memoized search, so six levels are cheap
     lo = 0 if isinstance(chain, OneEndedChain) else 1
-    for k in range(lo, 4):
+    for k in range(lo, 7):
         assert truncation_consistency(chain, k).ok, k
 
 
@@ -272,6 +275,21 @@ def test_frontier_sweep_equals_layer_counts(index):
         for (trace,), n in frontier_count_by_trace(window, (chains.DUMMY,)).items():
             vector[frozenset(pos[window.edges[i].label] for i in trace)] = n
         assert vector == initial_vector(chain)
+
+
+@pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
+def test_memoized_window_counts_match_visitor_and_frontier(index):
+    # the window brute force runs on the memoized counter; it must give the
+    # visitor search's table, in its order, and the frontier sweep's counts
+    chain = EVERY_CHAIN[index]
+    one_ended = isinstance(chain, OneEndedChain)
+    dummies = (chains.DUMMY,) if one_ended else (chains.DUMMY_LEFT, chains.DUMMY_RIGHT)
+    for k in range(0 if one_ended else 1, 5):
+        window = truncation_minor(chain, k)
+        groups = [window.edges_at(d) for d in dummies]
+        memo = hamilton._memo_trace_counts(window.ints, groups)
+        assert list(memo.items()) == list(hamilton._trace_counts(window.ints, groups).items()), k
+        assert memo_count_by_trace(window, groups) == frontier_count_by_trace(window, dummies), k
 
 
 def _observed(chain) -> tuple:

@@ -23,7 +23,12 @@ from cubicham import (
     second_cycle_nearly_cubic,
     tutte_quotient,
 )
-from util import frontier_count_by_trace, naive_hamilton_cycles, naive_multigraph_hamilton_cycles
+from util import (
+    frontier_count_by_trace,
+    memo_count_by_trace,
+    naive_hamilton_cycles,
+    naive_multigraph_hamilton_cycles,
+)
 
 
 def test_k4_has_three_cycles():
@@ -268,9 +273,56 @@ def test_count_by_trace_matches_frontier_oracle_on_mid_size_graphs(kind, n, seed
     sample = random_cubic_graph if kind == "cubic" else random_odd_degree_graph
     G = sample(n, random.Random(seed))
     anchors = random.Random(seed).sample(G.vertices, 2)
-    expected = frontier_count_by_trace(G, anchors)
-    assert count_by_trace(G, [G.edges_at(v) for v in anchors]) == expected
+    # adjacent anchors: the edges between them lie in both groups
+    a = anchors[0]
+    adjacent = [a, G.edges[G.edges_at(a)[0]].other_end(a)]
+    for pair in (anchors, adjacent):
+        groups = [G.edges_at(v) for v in pair]
+        expected = frontier_count_by_trace(G, pair)
+        assert count_by_trace(G, groups) == expected
+        memo = hamilton._memo_trace_counts(G.ints, groups)
+        assert list(memo.items()) == list(hamilton._trace_counts(G.ints, groups).items())
+        assert memo_count_by_trace(G, groups) == expected
     assert count_through(G) == sum(expected.values())
+
+
+# Two search nodes whose residual problems differ only in what the memo key
+# must keep.  With the key reduced to the undecided edges, the node that puts
+# edge 0-1 of K5 IN and the one that puts it OUT share a key; so do the nodes
+# that put 0-1 and 0-2 IN.  Both leave 0-1 decided and the same edges open,
+# but with 0 and 1 path ends in one and untouched in the other, and only the
+# IN-degrees (which the path-end mates carry) tell them apart.  Traced on the
+# edges at vertex 0, the first sharing hands the OUT child the IN child's
+# table: one edge more at vertex 0 instead of two.  The total stays 12.
+K5 = MultiGraph(
+    [f"v{i}" for i in range(5)],
+    [(None, f"v{i}", f"v{j}") for i in range(5) for j in range(i + 1, 5)],
+)
+
+# A cubic graph on ten vertices where the search meets two nodes with the
+# same decided edges and the same four path ends v2, v4, v8 and v9, paired
+# differently: IN edges v8-v5-v1-v2 and v4-v7-v3-v9 in one, v8-v5-v7-v4 and
+# v2-v1-v3-v9 in the other.  A key with the IN-degrees but without the mates
+# of the path ends counts 8 Hamilton cycles here instead of 7.
+PAIRED_ENDS = MultiGraph(
+    [f"v{i}" for i in range(10)],
+    [
+        (None, f"v{u}", f"v{v}")
+        for u, v in [
+            (5, 8), (4, 7), (1, 5), (8, 6), (2, 1), (7, 3), (0, 6), (3, 1),
+            (2, 4), (2, 0), (9, 3), (4, 6), (0, 9), (5, 7), (9, 8),
+        ]
+    ],
+)
+
+
+@pytest.mark.parametrize("G", [K5, PAIRED_ENDS], ids=["in-degrees", "path-end-mates"])
+def test_memo_key_keeps_the_residual_problem(G):
+    groups = [G.edges_at("v0")]
+    expected = frontier_count_by_trace(G, ["v0"])
+    assert count_by_trace(G, groups) == expected
+    assert memo_count_by_trace(G, groups) == expected
+    assert memo_count_by_trace(G, []) == {(): sum(expected.values())}
 
 
 @pytest.mark.parametrize("n, seed", MID_ODD)

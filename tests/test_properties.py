@@ -22,7 +22,7 @@ from cubicham import (
     random_odd_degree_graph,
 )
 from cubicham.hamilton import _least_cycles
-from util import naive_hamilton_cycles, naive_multigraph_hamilton_cycles
+from util import memo_count_by_trace, naive_hamilton_cycles, naive_multigraph_hamilton_cycles
 
 
 def _random_simple_graph(seed: int, n: int) -> MultiGraph:
@@ -142,6 +142,8 @@ def test_streaming_helpers_match_enumeration(seed, n):
     groups = [G.edges_at(v) for v in rng.sample(G.vertices, min(2, n))] + [ids[:3]]
     by_trace = Counter(tuple(c & frozenset(g) for g in groups) for c in full)
     assert count_by_trace(G, groups) == dict(by_trace)
+    # the memoized counter, on loops, parallel edges and overlapping groups
+    assert memo_count_by_trace(G, groups) == dict(by_trace)
 
 
 def _assert_least_cycles(G: MultiGraph, req: frozenset) -> None:

@@ -3,8 +3,9 @@ graphs, multigraphs), a networkx bridge for isomorphism checks, a seeded
 generator of random cut chains and the fixed set of generated chains the
 chain tests share, a renaming of every piece's stubs apart that keeps each
 cut's positions, a ladder whose right tail alternates two rungs with stub
-names of their own, and the labeled listing of a minor's cycles by dummy
-edges that the chain engine's integer tabulation is checked against."""
+names of their own, the labeled listing of a minor's cycles by dummy
+edges that the chain engine's integer tabulation is checked against, and
+the memoized search's trace counts keyed as `count_by_trace` keys them."""
 
 import random
 from itertools import combinations, permutations, product
@@ -18,6 +19,7 @@ from cubicham import (
     Tail,
     TwoEndedChain,
     enumerate_hamilton_cycles,
+    hamilton,
     random_cubic_graph,
 )
 
@@ -294,6 +296,13 @@ def frontier_count_by_trace(G: MultiGraph, dummies) -> dict:
         for (frontier, trace, closed), count in states.items()
         if closed
     }
+
+
+def memo_count_by_trace(G: MultiGraph, groups) -> dict:
+    """The memoized search's table (`hamilton._memo_trace_counts`), keyed as
+    `count_by_trace` keys it."""
+    table = hamilton._memo_trace_counts(G.ints, groups)
+    return {tuple(map(frozenset, key)): count for key, count in table.items()}
 
 
 def dummy_cycles(G: MultiGraph, dummies) -> dict:
