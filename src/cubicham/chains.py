@@ -24,21 +24,26 @@ first recurs, so every certificate has the shortest pre-period and period;
 lazy stream (`_one_ended_certificates`): a Finite count takes all of it,
 and the two witnesses are its first two, in every class.
 
+Windows and segment minors are glued in one place, `_glue`, in integer
+form from each piece's one integer form (`ChainPiece._flow`); `materialize`
+only puts labels on what `_glue` builds, so a labeled window and its
+integer form are the same graph, searched alike.
+
 Every piece is tabulated alike: its segment minor's Hamilton cycles by the
 stub labels used at each dummy (`ChainPiece._counts`), so every slot, side
 and chain holding the same piece object shares one search.  The search
-runs on the piece's integer form with the dummies and stub edges appended
-in `materialize`'s order (`ChainPiece._minor`), so no labeled minor is
-built and each stub edge's id names its stub; the order of the search,
-and so of every table's keys and cycles, is that of the labeled minor,
-which only `segment_minor` builds.  Level 0 of a one-ended chain is the
-initial piece's segment, which has only the right dummy; its counts
+runs on the minor's integer form (`ChainPiece._minor`), so no labeled
+minor is built and each stub edge's id names its stub; the order of the
+search, and so of every table's keys and cycles, is that of the labeled
+minor, which only `segment_minor` builds.  Level 0 of a one-ended chain is
+the initial piece's segment, which has only the right dummy; its counts
 (`_initial_counts`) seed every propagation.  `_by_state` is the only place
-labels become cut positions.  Truncation windows are built only by the
-oracles (`truncation_consistency`, `validate_certificate`) and by
-`construct truncation`; the brute force of `truncation_consistency`
-counts a window's cycles with the memoized search (`_dummy_counts`)
-instead of listing them, so it reaches deep levels.
+stub labels, or the ids of the edges at a dummy, become cut positions.
+Truncation windows are built only by the oracles (`truncation_consistency`,
+`validate_certificate`) and by `construct truncation`.  The brute force of
+`truncation_consistency` (`_window_counts`) counts a window in integer form,
+without labels, with the memoized search, which sweeps it along the chain
+instead of listing its cycles, so it reaches deep levels.
 
 Layers and the level-0 vector hold counts only, tallied without listing
 cycles.  The cycles themselves (interior edge labels per state pair) are
@@ -121,25 +126,17 @@ class ChainPiece:
         index = {v: i for i, v in enumerate(self.graph.vertices)}
         return size, edges, {s: index[v] for s, v in self._stub_vertex.items()}
 
-    def _minor(self) -> tuple[Ints, tuple[range, ...], list[str]]:
-        """The segment minor in integer form, in `materialize`'s order:
-        the piece's vertices, then alpha if the piece has left stubs, then
-        beta; the piece's edges, then the left-stub edges to alpha in
-        `left_ports` order, then the right-stub edges to beta in
-        `right_ports` order.  Also the ids of the stub edges at each dummy
-        (beta's alone on an initial piece) and the label of every edge,
-        stub edges bearing their stubs'.  Refused unless simple when the
-        piece has left stubs: an initial piece's minor is its chain's
-        level-0 window, never required simple."""
-        size, edges, stubs = self._flow
-        left = [(size, stubs[s]) for s, _ in self.left_ports]
-        beta = size + bool(left)
-        right = [(stubs[s], beta) for s, _ in self.right_ports]
-        graph = (beta + 1, edges + left + right)
-        if left and not _simple(graph):
+    def _minor(self) -> tuple[Ints, list[range], list[str]]:
+        """The segment minor in integer form (`_glue`): the piece with its
+        left stubs on a dummy alpha, if it has any, and its right stubs on
+        a dummy beta.  Also the ids of the stub edges at each dummy (beta's
+        alone on an initial piece) and the label of every edge, stub edges
+        bearing their stubs'.  Refused unless simple when the piece has
+        left stubs: an initial piece's minor is its chain's level-0 window,
+        never required simple."""
+        graph, groups = _glue([self], [], bool(self.left_ports), True)
+        if self.left_ports and not _simple(graph):
             raise ChainError("segment minor is not simple")
-        m, k = len(edges), len(edges) + len(left)
-        groups = (range(m, k), range(k, k + len(right)))[not left :]
         names = [e.label for e in self.graph.edges]
         names += [s for s, _ in self.left_ports + self.right_ports]
         return graph, groups, names
@@ -339,6 +336,46 @@ def _tag(label: str, tag) -> str:
     return label if tag is None else f"{label}@{tag}"
 
 
+def _glue(
+    pieces: list[ChainPiece], ifaces: list[Matching], left: bool, right: bool
+) -> tuple[Ints, list[range]]:
+    """Pieces glued left to right by the matchings at their junctions, in
+    integer form, with the first piece's left stubs on a left dummy if
+    `left` and the last piece's right stubs on a right dummy if `right`.
+    Vertices come piece by piece in each piece's order, then the left
+    dummy, then the right one; edges come piece by piece in each piece's
+    order, then the glued edges junction by junction in matching order,
+    then the stub edges at the left dummy in `left_ports` order and at the
+    right dummy in `right_ports` order.  Also the ids of the stub edges at
+    each dummy, in port order.  Every window and segment minor is glued
+    here, from each piece's one integer form (`ChainPiece._flow`);
+    `materialize` only labels the result."""
+    offsets = []
+    edges: list = []
+    n = 0
+    for piece in pieces:
+        size, own, _ = piece._flow
+        offsets.append(n)
+        edges += [(u + n, v + n) for u, v in own] if n else own
+        n += size
+    for j, matching in enumerate(ifaces):
+        a, b = pieces[j]._flow[2], pieces[j + 1]._flow[2]
+        p, q = offsets[j], offsets[j + 1]
+        edges += [(p + a[r], q + b[s]) for r, s in matching]
+    groups = []
+    if left:
+        stubs = pieces[0]._flow[2]
+        groups.append(range(len(edges), len(edges) + len(pieces[0].left_ports)))
+        edges += [(n, stubs[s]) for s, _ in pieces[0].left_ports]
+        n += 1
+    if right:
+        o, stubs = offsets[-1], pieces[-1]._flow[2]
+        groups.append(range(len(edges), len(edges) + len(pieces[-1].right_ports)))
+        edges += [(o + stubs[s], n) for s, _ in pieces[-1].right_ports]
+        n += 1
+    return (n, edges), groups
+
+
 def materialize(
     pieces: list[ChainPiece],
     ifaces: list[Matching],
@@ -346,37 +383,22 @@ def materialize(
     left_dummy: str | None = None,
     right_dummy: str | None = None,
 ) -> MultiGraph:
+    """The labeled graph of `_glue`'s window, in its order: piece vertices
+    and edges tagged with their piece's tag (untagged for None), a glued
+    edge bearing its left piece's stub, a stub edge its stub."""
     if len(ifaces) != len(pieces) - 1:
         raise ChainError("need exactly one interface per junction")
-    vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    for piece, t in zip(pieces, tags):
-        G = piece.graph
-        if t is None:
-            vertices += G.vertices
-            edges += [(e.label, e.u, e.v) for e in G.edges]
-        else:
-            vertices += [f"{v}@{t}" for v in G.vertices]
-            edges += [(f"{e.label}@{t}", f"{e.u}@{t}", f"{e.v}@{t}") for e in G.edges]
-    for j, matching in enumerate(ifaces):
-        lp, rp = pieces[j], pieces[j + 1]
-        for rstub, lstub in matching:
-            edges.append(
-                (
-                    _tag(rstub, tags[j]),
-                    _tag(lp._stub_vertex[rstub], tags[j]),
-                    _tag(rp._stub_vertex[lstub], tags[j + 1]),
-                )
-            )
+    (_, edges), _ = _glue(pieces, ifaces, left_dummy is not None, right_dummy is not None)
+    vertices = [_tag(v, t) for piece, t in zip(pieces, tags) for v in piece.graph.vertices]
+    labels = [_tag(e.label, t) for piece, t in zip(pieces, tags) for e in piece.graph.edges]
+    labels += [_tag(a, tags[j]) for j, matching in enumerate(ifaces) for a, _ in matching]
     if left_dummy is not None:
         vertices.append(left_dummy)
-        for stub, v in pieces[0].left_ports:
-            edges.append((_tag(stub, tags[0]), left_dummy, _tag(v, tags[0])))
+        labels += [_tag(stub, tags[0]) for stub, _ in pieces[0].left_ports]
     if right_dummy is not None:
         vertices.append(right_dummy)
-        for stub, v in pieces[-1].right_ports:
-            edges.append((_tag(stub, tags[-1]), _tag(v, tags[-1]), right_dummy))
-    return MultiGraph(vertices, edges)
+        labels += [_tag(stub, tags[-1]) for stub, _ in pieces[-1].right_ports]
+    return MultiGraph(vertices, [(a, vertices[u], vertices[v]) for a, (u, v) in zip(labels, edges)])
 
 
 DUMMY = "dummy"
@@ -384,8 +406,8 @@ DUMMY_LEFT = "dummy_left"
 DUMMY_RIGHT = "dummy_right"
 
 
-def truncation_minor(chain: CutChain, k: int) -> MultiGraph:
-    """Finite minor with the tail(s) beyond level k contracted to dummies:
+def _window(chain: CutChain, k: int) -> tuple[list, list, list, tuple]:
+    """The pieces, matchings, tags and dummy names of the level-k window:
     pieces 0..k of the right ray, and on a two-ended chain pieces k..2 of
     the left ray before them (left piece 1 is piece 0 of the right ray)."""
     if isinstance(chain, OneEndedChain):
@@ -400,6 +422,13 @@ def truncation_minor(chain: CutChain, k: int) -> MultiGraph:
     pieces = [left.piece(j) for j in outer] + [right.piece(j) for j in range(k + 1)]
     ifaces = [left.matching(j - 1) for j in outer] + [right.matching(j) for j in range(k)]
     tags = list(range(-len(outer), k + 1))
+    return pieces, ifaces, tags, dummies
+
+
+def truncation_minor(chain: CutChain, k: int) -> MultiGraph:
+    """Finite minor with the tail(s) beyond level k contracted to dummies
+    (`_window`), labeled."""
+    pieces, ifaces, tags, dummies = _window(chain, k)
     return materialize(pieces, ifaces, tags, *dummies)
 
 
@@ -471,11 +500,12 @@ class TransferLayer:
         return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows)
 
 
-def _by_state(table: dict, *names: tuple[str, ...]) -> dict:
-    """A table keyed by the edge labels a cycle uses at each dummy, re-keyed
-    by the pair states of their cut positions: `names[k]` holds the label
-    at each position of dummy k's cut.  The key order is kept.  This is the
-    only place edge labels become cut positions."""
+def _by_state(table: dict, *names: tuple) -> dict:
+    """A table keyed by the edges a cycle uses at each dummy, by label or
+    by id, re-keyed by the pair states of their cut positions: `names[k]`
+    holds the edge's label or id at each position of dummy k's cut.  The
+    key order is kept.  This is the only place edges become cut
+    positions."""
     positions = [{label: i for i, label in enumerate(cut)} for cut in names]
     return {
         tuple(frozenset(pos[label] for label in used) for pos, used in zip(positions, key)): value
@@ -836,18 +866,6 @@ def initial_vector(chain: OneEndedChain) -> dict:
     return dict(chain._initial_counts)
 
 
-def _dummy_counts(G: MultiGraph, dummies: tuple[str, ...]) -> dict:
-    """Hamilton cycles of a labeled minor, such as a truncation window,
-    counted by the labels of the edges they use at each dummy.  The count
-    is memoized (`hamilton._memo_trace_counts`): a window has a 2- or
-    3-edge cut at every junction, so its cost grows polynomially with the
-    window's length where listing its cycles would double per level."""
-    return {
-        tuple(frozenset(G.edges[i].label for i in trace) for trace in traces): count
-        for traces, count in _memo_trace_counts(G.ints, [G.edges_at(d) for d in dummies]).items()
-    }
-
-
 def surviving_states(chain: CutChain) -> dict:
     """Greatest-fixed-point survival sets, per cut (prefix) and per residue."""
     out = {
@@ -953,6 +971,27 @@ def _push(weights: dict, layer: TransferLayer) -> dict:
     }
 
 
+def _window_counts(chain: CutChain, k: int) -> dict:
+    """Brute force on the level-k window: its Hamilton cycles by the pair
+    states they use at each cut that bounds it, the left one first on a
+    two-ended chain.  The window is glued in integer form (`_glue`), and
+    the ids of each dummy's edges, in port order, stand for the cut
+    positions of their stubs, so no label is built.  The count is memoized
+    (`hamilton._memo_trace_counts`): a window has a 2- or 3-edge cut at
+    every junction, so its cost grows polynomially with the window's
+    length where listing its cycles would double per level."""
+    pieces, ifaces, _, dummies = _window(chain, k)
+    graph, groups = _glue(pieces, ifaces, dummies[0] is not None, True)
+    cuts = []
+    for side, group in zip(chain.sides, groups):  # the left dummy's first
+        d = chain._directions[side]
+        piece = d.piece(k)
+        ports = piece.left_ports if d.leftward else piece.right_ports
+        edge = {stub: i for (stub, _), i in zip(ports, group)}
+        cuts.append(tuple(edge[a] for a, _ in d.links(k)))
+    return _by_state(_memo_trace_counts(graph, groups), *cuts)
+
+
 def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
     """Check transfer-matrix predictions against brute force on the minor."""
     right = chain._directions["right"]
@@ -960,8 +999,7 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
         w = initial_vector(chain)
         for j in range(k):
             w = _push(w, right.layer(j))
-        table = _dummy_counts(truncation_minor(chain, k), (DUMMY,))
-        counts = _by_state(table, right.labels(k, bound=True))
+        counts = _window_counts(chain, k)
         actual = {s: counts.get((s,), 0) for s in _states(chain.cut_size)}
         return ConsistencyReport(w == actual, w, actual)
 
@@ -972,8 +1010,7 @@ def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
     prod = {a: {b: int(a == b) for b in states} for a in states}
     for layer in layers:
         prod = {a: _push(row, layer) for a, row in prod.items()}
-    table = _dummy_counts(truncation_minor(chain, k), (DUMMY_LEFT, DUMMY_RIGHT))
-    counts = _by_state(table, left.labels(k, bound=True), right.labels(k, bound=True))
+    counts = _window_counts(chain, k)
     actual = {a: {b: counts.get((a, b), 0) for b in states} for a in states}
     return ConsistencyReport(prod == actual, prod, actual)
 

@@ -18,30 +18,42 @@ Every move the search makes, branched or forced, runs through one
 forced-move loop, the only place an edge goes IN; it examines a vertex
 only when the move just made can force it.
 
-The core has two branch orders.  Full searches (counts, tallies, listing)
-branch on the most constrained undecided edge, which keeps the search tree
-small.  Least-cycle queries (`first_hamilton_cycle`,
+The core has two branch orders.  Full searches that visit cycles (counts,
+tallies, listing) branch on the most constrained undecided edge, which
+keeps the search tree small.  Least-cycle queries (`first_hamilton_cycle`,
 `second_cycle_nearly_cubic`) branch on the lowest-id undecided edge, IN
 child first; that order meets the cycles in ascending sorted edge-id
 order, so the search stops at the k-th cycle instead of visiting them all.
 
 The memoized counter returns from each search node the counts of the
 subtree below it, and keeps them per node for the rest of the search
-call, keyed by the node's residual problem: the edges still undecided and
-the mates of the path ends.  Search nodes reached by different choices
-often pose the same problem.  A truncation window of a cut chain is thin:
-it has a 2- or 3-edge cut at every piece junction, so most sub-searches
-come back many times, and the memo turns the window's per-cycle
-enumeration, which doubles per level on chain-G, into a count whose cost
-grows polynomially with the window's length.  Only the window brute force
-(`chains._dummy_counts`) uses it, since elsewhere the key, built at every
-node, costs about what the hits save.  Against the visitor search
-(`_trace_counts`; python 3.11, 2 cores): on the built-in chains' windows
-at their bench depths the memo cut search nodes from 52 108 to 4 301 and
-ran 7 times faster; on the segment minors of 300 bench chains (seed 1,
-1942 pieces) it cut them by 12% and ran 1.25 times slower; on
-graph-audit's graphs, traced at two vertices, it cut them by 42% and ran
-no faster (0.99 times).
+call, keyed by the node's residual problem: the edges from the lowest
+undecided one on and the mates of the path ends.  Search nodes reached by
+different choices often pose the same problem.  A truncation window of a
+cut chain is thin: it has a 2- or 3-edge cut at every piece junction, so
+most sub-searches come back many times, and the memo turns the window's
+per-cycle enumeration, which doubles per level on chain-G, into a count
+whose cost grows polynomially with the window's length.  The counter
+branches on the lowest undecided edge.  A window numbers its edges piece
+by piece along the chain, so that edge is the search's frontier and the
+memo acts as a frontier-based search (Kawahara, Inoue, Iwashita and
+Minato, IEICE Trans. Fundamentals E100-A, 2017), whose size the edge
+order sets: the problems it meets differ only near the frontier.  The
+most constrained edge jumps about the window instead, and on one-ended
+chains with 2-edge cuts it stayed exponential: for one such chain
+(tests/util seed 16) the windows of depths 0-14 took 1 403 228 memo
+nodes and 42 s of CPU time that way, and take 809 nodes and 0.03 s now
+(python 3.11, 2 cores).  On the built-in chains the node counts barely move
+(chain-G to depth 18: 2413 to 2431; chain-Hprime to 18 and chain-H to 40
+equal).  Only the window brute force (`chains._window_counts`) uses the
+counter, since elsewhere the key, built at every node, costs about what
+the hits save.  Against the visitor search (`_trace_counts`; python
+3.11, 2 cores): on the built-in chains' windows at their bench depths the
+memo cut search nodes from 52 108 to 4 301 and ran 7 times faster; on
+the segment minors of 300 bench chains (seed 1, 1942 pieces) it cut them
+by 12% and ran 1.25 times slower; on graph-audit's graphs, traced at two
+vertices, it cut them by 42% and ran no faster (0.99 times).  Those
+figures were taken while the memo still branched as the visitor does.
 
 A Hamilton cycle is represented as a frozenset of edge ids; output lists are
 always sorted by the sorted edge-id tuple, so repeated runs produce
@@ -156,10 +168,10 @@ def _search(
     one that an earlier move forced IN is fine, one that is a loop or was
     forced OUT is not, so the search goes on only if all of them are IN.
 
-    By default each search node branches on the most constrained undecided
-    edge: most IN edges at its ends, then fewest undecided edges there, then
-    lowest id.  The scan starts at the lowest undecided edge, since every
-    edge below it is decided.  Branching at a path end instead slowed thin
+    By default each visiting search node branches on the most constrained
+    undecided edge: most IN edges at its ends, then fewest undecided edges
+    there, then lowest id.  The scan starts at the lowest undecided edge,
+    since every edge below it is decided.  Branching at a path end instead slowed thin
     graphs with 2-edge cuts by an order of magnitude, so the edge rule
     stays.
 
@@ -179,16 +191,20 @@ def _search(
 
     With `visit` None the search counts instead, and returns {trace:
     cycles}, a trace being the bit mask of the `groups` edges (distinct
-    ids, bit k for groups[k]) that a cycle uses.  `settle` and
-    `branch_edge` run as for a visitor, but `count(s)` returns the table
-    of the subtree below node s, for the group edges still undecided at s,
-    and keeps it in a memo that lives as long as this call.  The parent
-    adds the group edges that its move to the child put IN.  The key is
-    s's residual problem, all that decides the subtree's completions:
-      - which edges are undecided, IN and OUT alike (a decided edge matters
-        to the completions only through its ends' IN-degrees and paths,
-        and to the traces only as a group edge, which the table leaves to
-        the parent);
+    ids, bit k for groups[k]) that a cycle uses.  `settle` runs as for a
+    visitor, but `count(s)` branches on the lowest undecided edge
+    (`lowest_edge`), returns the table of the subtree below node s, for the
+    group edges still undecided at s, and keeps it in a memo that lives as
+    long as this call.  The parent adds the group edges that its move to
+    the child put IN.  The key is s's residual problem, all that decides
+    the subtree's completions:
+      - `first`, the lowest undecided edge, and the states of the edges
+        from it on, IN and OUT alike.  Every edge below `first` is
+        decided, so this says which edges are undecided.  A decided edge
+        matters to the completions only through its ends' IN-degrees and
+        paths, and to the traces only as a group edge, which the table
+        leaves to the parent.  (The suffix's length, m - first, also
+        fixes `first`; the key keeps both.)
       - the mate of each path end, in vertex order.  These name the path
         ends, so they carry every IN-degree too: at a node `settle` has
         finished, a vertex with undecided edges is a path end (IN-degree
@@ -197,10 +213,11 @@ def _search(
     Only the mates of path ends go in: `settle` leaves an interior
     vertex's mate as it was when the vertex was last an end, and those
     stale values would split equal problems and kill the hits.  Equal keys
-    also give equal subtrees, since `settle` and `branch_edge` read
-    nothing else, so the table's traces come in the visitor's order.  The
-    undecided edges go in as one byte each and the mates as a tuple of
-    ints, so a key takes about m bytes.
+    also give equal subtrees, since `settle` and `lowest_edge` read nothing
+    else.  The table's traces come in this search's order, not the
+    visitor's; callers compare tables as dicts.  The edge states go in as
+    one byte each and the mates as a tuple of ints, so a key takes at most
+    about m bytes, and less the further the search has swept.
     """
     n, edges = graph
     m = len(edges)
@@ -360,31 +377,34 @@ def _search(
 
     def count(s: list[int]) -> dict:
         """The cycles below s by their trace on the group edges undecided at
-        s, as a bit mask; memoized on s's residual problem."""
+        s, as a bit mask; branches on the lowest undecided edge and is
+        memoized on s's residual problem."""
         if s[n_in] == n:
             return leaf
+        first = lowest_edge(s)
+        if first < 0:
+            return {}
         # bytearray() converts an int list fastest
-        ends = bytearray(s[m:n_in:3]).translate(_ENDS)
+        path_ends = bytearray(s[m:n_in:3]).translate(_ENDS)
         key = (
-            bytes(bytearray(s[:m]).translate(_DECIDED)),
-            tuple(compress(s[m + 2 : n_in : 3], ends)),
+            first,
+            bytes(bytearray(s[first:m]).translate(_DECIDED)),
+            tuple(compress(s[m + 2 : n_in : 3], path_ends)),
         )
         table = memo.get(key)
         if table is not None:
             return table
         table = {}
-        i = branch_edge(s)
-        if i >= 0:
-            open_bits = [(g, bit) for g, bit in bits if not s[g]]
-            t = s[:]
-            if settle(t, (i,), []):
-                merge(table, put_in(t, open_bits), count(t))
-            s[i] = _OUT
-            p, q = eu[i], ev[i]
-            s[p + 1] -= 1
-            s[q + 1] -= 1
-            if settle(s, (), [p, q]):
-                merge(table, put_in(s, open_bits), count(s))
+        open_bits = [(g, bit) for g, bit in bits if not s[g]]
+        t = s[:]
+        if settle(t, (first,), []):
+            merge(table, put_in(t, open_bits), count(t))
+        s[first] = _OUT
+        p, q = eu[first], ev[first]
+        s[p + 1] -= 1
+        s[q + 1] -= 1
+        if settle(s, (), [p, q]):
+            merge(table, put_in(s, open_bits), count(s))
         memo[key] = table
         return table
 
@@ -460,8 +480,10 @@ def _trace_counts(graph: Ints, groups: Sequence[Iterable[int]]) -> dict:
 
 def _memo_trace_counts(graph: Ints, groups: Sequence[Iterable[int]]) -> dict:
     """`_trace_counts` by the memoized search (`_search` with no visitor):
-    the same table, in the same order, at a cost that grows polynomially
-    in the length of a thin graph such as a truncation window."""
+    the same table, at a cost that grows polynomially in the length of a
+    thin graph such as a truncation window.  Its keys come in the order of
+    the lowest-edge search, not the visitor's, so it equals
+    `_trace_counts` as a dict, not item by item."""
     groups = [tuple(g) for g in groups]
     edges = list(dict.fromkeys(i for g in groups for i in g))
     bit = {i: 1 << k for k, i in enumerate(edges)}

@@ -56,24 +56,22 @@ class MultiGraph:
         self.vertices: tuple[str, ...] = vs
         self._vset = vset = frozenset(vs)
         recs = []
-        by_label: dict[str, EdgeRecord] = {}
-        inc: dict[str, list[int]] = {v: [] for v in vs}
+        labels: set[str] = set()
         for i, (label, u, v) in enumerate(edges):
             if u not in vset:
                 raise GraphError(f"unknown endpoint label {u!r}")
             if v not in vset:
                 raise GraphError(f"unknown endpoint label {v!r}")
             lab = label if label is not None else f"_e{i}"
-            if lab in by_label:
+            if lab in labels:
                 raise GraphError(f"duplicate edge label {lab!r}")
-            by_label[lab] = rec = EdgeRecord(i, lab, u, v)
-            recs.append(rec)
-            inc[u].append(i)
-            if u != v:
-                inc[v].append(i)
+            labels.add(lab)
+            recs.append(EdgeRecord(i, lab, u, v))
         self.edges: tuple[EdgeRecord, ...] = tuple(recs)
-        self._by_label = by_label
-        self._incident = {v: tuple(ids) for v, ids in inc.items()}
+        # built on first use: the chain engine reads most graphs only in
+        # integer form (`ints`), and never asks for these
+        self._by_label: dict[str, EdgeRecord] | None = None
+        self._incident: dict[str, tuple[int, ...]] | None = None
         self._ints: Ints | None = None
 
     # -- queries -----------------------------------------------------------
@@ -100,6 +98,8 @@ class MultiGraph:
         return self._ints
 
     def edge_by_label(self, label: str) -> EdgeRecord:
+        if self._by_label is None:
+            self._by_label = {e.label: e for e in self.edges}
         try:
             return self._by_label[label]
         except KeyError:
@@ -107,6 +107,13 @@ class MultiGraph:
 
     def edges_at(self, vertex: str) -> tuple[int, ...]:
         """Ids of edges incident to `vertex` (a loop appears once)."""
+        if self._incident is None:
+            inc: dict[str, list[int]] = {v: [] for v in self.vertices}
+            for i, _, u, v in self.edges:
+                inc[u].append(i)
+                if u != v:
+                    inc[v].append(i)
+            self._incident = {v: tuple(ids) for v, ids in inc.items()}
         try:
             return self._incident[vertex]
         except KeyError:

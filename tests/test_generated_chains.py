@@ -152,10 +152,40 @@ def test_generated_chain(index):
     for cert in result.certificates:
         assert validate_certificate(chain, cert, depth)
 
-    # windows are counted by the memoized search, so six levels are cheap
+    # windows are counted by the memoized search in chain order, so twelve
+    # levels are cheap
     lo = 0 if isinstance(chain, OneEndedChain) else 1
-    for k in range(lo, 7):
+    for k in range(lo, 13):
         assert truncation_consistency(chain, k).ok, k
+
+
+def test_deep_truncations_of_a_one_ended_chain_with_2_edge_cuts():
+    # util seed 16 is one-ended with 2-edge cuts, where branching on the most
+    # constrained edge took 1.4 million memo nodes to depth 14; the
+    # lowest-edge branching of the memoized count sweeps each window along
+    # the chain and takes 809
+    chain = random_chain(random.Random(16), True, 2)
+    for k in range(31):
+        assert truncation_consistency(chain, k).ok, k
+
+
+@pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
+def test_integer_window_is_the_labeled_window(index):
+    # the brute force counts each window in integer form; it must be the
+    # labeled window's graph, with each dummy's edges in port order
+    chain = EVERY_CHAIN[index]
+    one_ended = isinstance(chain, OneEndedChain)
+    for k in range(0 if one_ended else 1, 5):
+        pieces, ifaces, tags, (left, right) = chains._window(chain, k)
+        graph, groups = chains._glue(pieces, ifaces, not one_ended, True)
+        window = truncation_minor(chain, k)
+        assert graph == window.ints, k
+        bounds = [] if one_ended else [(left, pieces[0].left_ports, tags[0])]
+        bounds.append((right, pieces[-1].right_ports, tags[-1]))
+        assert len(groups) == len(bounds), k
+        for group, (dummy, ports, tag) in zip(groups, bounds):
+            assert list(group) == list(window.edges_at(dummy)), k
+            assert [window.edges[i].label for i in group] == [f"{s}@{tag}" for s, _ in ports], k
 
 
 @pytest.mark.parametrize("index", range(len(CHAINS)))
@@ -179,10 +209,16 @@ def _pieces(chain) -> list:
 
 def _labeled_tables(piece) -> tuple[list, list]:
     """A piece's counts and cycles from its labeled segment minor, searched
-    through its labels, as item lists so the key order counts too."""
+    through its labels, as item lists so the key order counts too.  The
+    counts come from the visitor search (`_trace_counts`), whose order the
+    integer tabulation keeps."""
     seg, dummies = piece._segment, ("alpha", "beta")[not piece.left_ports :]
-    counts, cycles = chains._dummy_counts(seg, dummies), dummy_cycles(seg, dummies)
-    return list(counts.items()), list(cycles.items())
+    traces = hamilton._trace_counts(seg.ints, [seg.edges_at(d) for d in dummies])
+    counts = {
+        tuple(frozenset(seg.edges[i].label for i in trace) for trace in key): n
+        for key, n in traces.items()
+    }
+    return list(counts.items()), list(dummy_cycles(seg, dummies).items())
 
 
 @pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
@@ -280,7 +316,10 @@ def test_frontier_sweep_equals_layer_counts(index):
 @pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
 def test_memoized_window_counts_match_visitor_and_frontier(index):
     # the window brute force runs on the memoized counter; it must give the
-    # visitor search's table, in its order, and the frontier sweep's counts
+    # visitor search's table and the frontier sweep's counts.  The memo
+    # branches on the lowest undecided edge, the visitor on the most
+    # constrained one, so their tables are compared as dicts: no output
+    # depends on their order
     chain = EVERY_CHAIN[index]
     one_ended = isinstance(chain, OneEndedChain)
     dummies = (chains.DUMMY,) if one_ended else (chains.DUMMY_LEFT, chains.DUMMY_RIGHT)
@@ -288,7 +327,7 @@ def test_memoized_window_counts_match_visitor_and_frontier(index):
         window = truncation_minor(chain, k)
         groups = [window.edges_at(d) for d in dummies]
         memo = hamilton._memo_trace_counts(window.ints, groups)
-        assert list(memo.items()) == list(hamilton._trace_counts(window.ints, groups).items()), k
+        assert memo == hamilton._trace_counts(window.ints, groups), k
         assert memo_count_by_trace(window, groups) == frontier_count_by_trace(window, dummies), k
 
 

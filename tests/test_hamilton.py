@@ -281,36 +281,39 @@ def test_count_by_trace_matches_frontier_oracle_on_mid_size_graphs(kind, n, seed
         expected = frontier_count_by_trace(G, pair)
         assert count_by_trace(G, groups) == expected
         memo = hamilton._memo_trace_counts(G.ints, groups)
-        assert list(memo.items()) == list(hamilton._trace_counts(G.ints, groups).items())
+        # the memo searches in another order: the tables agree as dicts
+        assert memo == hamilton._trace_counts(G.ints, groups)
         assert memo_count_by_trace(G, groups) == expected
     assert count_through(G) == sum(expected.values())
 
 
 # Two search nodes whose residual problems differ only in what the memo key
-# must keep.  With the key reduced to the undecided edges, the node that puts
-# edge 0-1 of K5 IN and the one that puts it OUT share a key; so do the nodes
-# that put 0-1 and 0-2 IN.  Both leave 0-1 decided and the same edges open,
-# but with 0 and 1 path ends in one and untouched in the other, and only the
-# IN-degrees (which the path-end mates carry) tell them apart.  Traced on the
-# edges at vertex 0, the first sharing hands the OUT child the IN child's
-# table: one edge more at vertex 0 instead of two.  The total stays 12.
+# must keep.  The counting search branches on the lowest undecided edge, so
+# its first branch on K5 is edge 0-1.  With the key reduced to the
+# undecided edges, that branch's IN child and OUT child share a key: both
+# leave 0-1 decided and the same edges open, but with 0 and 1 path ends in
+# one and untouched in the other, and only the IN-degrees (which the
+# path-end mates carry) tell them apart.  Traced on the edges at vertex 0,
+# the OUT child is handed the IN child's table: one edge more at vertex 0
+# instead of two.  The total stays 12.
 K5 = MultiGraph(
     [f"v{i}" for i in range(5)],
     [(None, f"v{i}", f"v{j}") for i in range(5) for j in range(i + 1, 5)],
 )
 
-# A cubic graph on ten vertices where the search meets two nodes with the
-# same decided edges and the same four path ends v2, v4, v8 and v9, paired
-# differently: IN edges v8-v5-v1-v2 and v4-v7-v3-v9 in one, v8-v5-v7-v4 and
-# v2-v1-v3-v9 in the other.  A key with the IN-degrees but without the mates
-# of the path ends counts 8 Hamilton cycles here instead of 7.
+# A cubic graph on ten vertices where the counting search meets two nodes
+# with the same decided edges and the same four path ends v0, v2, v3 and
+# v9, paired differently: IN paths v9-v4-v6-v2 and v0-v1-v7-v3 in one,
+# v0-v1-v4-v9 and v2-v6-v7-v3 in the other.  A key with the IN-degrees
+# but without the mates of the path ends counts 6 Hamilton cycles here
+# instead of 7.
 PAIRED_ENDS = MultiGraph(
     [f"v{i}" for i in range(10)],
     [
         (None, f"v{u}", f"v{v}")
         for u, v in [
-            (5, 8), (4, 7), (1, 5), (8, 6), (2, 1), (7, 3), (0, 6), (3, 1),
-            (2, 4), (2, 0), (9, 3), (4, 6), (0, 9), (5, 7), (9, 8),
+            (4, 6), (0, 1), (6, 2), (3, 9), (2, 5), (5, 9), (5, 8), (7, 6),
+            (8, 0), (7, 1), (8, 3), (7, 3), (1, 4), (2, 0), (9, 4),
         ]
     ],
 )

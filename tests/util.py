@@ -307,7 +307,7 @@ def memo_count_by_trace(G: MultiGraph, groups) -> dict:
 
 def dummy_cycles(G: MultiGraph, dummies) -> dict:
     """The Hamilton cycles of G keyed by the labels of the edges they use at
-    each dummy vertex, as `chains._dummy_counts` keys them, each as the
+    each dummy vertex, as `ChainPiece._counts` keys them, each as the
     frozenset of labels of its edges away from the dummies; keys and cycles
     come in sorted cycle order.  Built from the labeled graph, through
     `enumerate_hamilton_cycles`."""
