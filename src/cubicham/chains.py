@@ -43,7 +43,12 @@ Truncation windows are built only by the oracles (`truncation_consistency`,
 `validate_certificate`) and by `construct truncation`.  The brute force of
 `truncation_consistency` (`_window_counts`) counts a window in integer form,
 without labels, with the memoized search, which sweeps it along the chain
-instead of listing its cycles, so it reaches deep levels.
+instead of listing its cycles, so it reaches deep levels.  A one-ended
+chain's windows are glued from the outer end inward and counted on one
+memo that the chain keeps (`OneEndedChain._window_memo`), so checking
+depths 0..K costs about what the deepest window does; each window is
+still counted by the Hamilton search on its own glued graph, and nothing
+from the transfer layers enters the count.
 
 Layers and the level-0 vector hold counts only, tallied without listing
 cycles.  The cycles themselves (interior edge labels per state pair) are
@@ -258,6 +263,12 @@ class OneEndedChain:
         return {"right": _Direction(self.tail, self.initial, self.entry_iface, "right", self)}
 
     @cached_property
+    def _window_memo(self) -> dict:
+        """The memo that every window count of this chain shares
+        (`_window_counts`), freed with the chain."""
+        return {}
+
+    @cached_property
     def _initial_counts(self) -> dict:
         """Hamilton-cycle counts of the level-0 truncation per pair state at
         cut 0: the initial piece's segment counts."""
@@ -337,42 +348,71 @@ def _tag(label: str, tag) -> str:
 
 
 def _glue(
-    pieces: list[ChainPiece], ifaces: list[Matching], left: bool, right: bool
+    pieces: list[ChainPiece],
+    ifaces: list[Matching],
+    left: bool,
+    right: bool,
+    outer_first: bool = False,
 ) -> tuple[Ints, list[range]]:
     """Pieces glued left to right by the matchings at their junctions, in
     integer form, with the first piece's left stubs on a left dummy if
     `left` and the last piece's right stubs on a right dummy if `right`.
-    Vertices come piece by piece in each piece's order, then the left
-    dummy, then the right one; edges come piece by piece in each piece's
-    order, then the glued edges junction by junction in matching order,
-    then the stub edges at the left dummy in `left_ports` order and at the
-    right dummy in `right_ports` order.  Also the ids of the stub edges at
-    each dummy, in port order.  Every window and segment minor is glued
-    here, from each piece's one integer form (`ChainPiece._flow`);
-    `materialize` only labels the result."""
-    offsets = []
-    edges: list = []
-    n = 0
-    for piece in pieces:
-        size, own, _ = piece._flow
-        offsets.append(n)
-        edges += [(u + n, v + n) for u, v in own] if n else own
-        n += size
+    Also the ids of the stub edges at each dummy, in port order.  Every
+    window and segment minor is glued here, from each piece's one integer
+    form (`ChainPiece._flow`); `materialize` only labels the result.
+
+    In chain order, the default, vertices come piece by piece in each
+    piece's order, then the left dummy, then the right one; edges come
+    piece by piece in each piece's order, then the glued edges junction by
+    junction in matching order, then the stub edges at the left dummy in
+    `left_ports` order and at the right dummy in `right_ports` order.
+
+    `outer_first` numbers a one-ended window (a right dummy alone) from its
+    outer end inward, for the window brute force (`_window_counts`): the
+    dummy is vertex 0, then come the pieces from the last to the first,
+    each in its own order; edges come the stub edges at the dummy in port
+    order, then the last piece's edges, the junction before it, the piece
+    before that, and so on down to the first piece's edges.  Every edge at
+    a vertex of pieces k..last then comes before the edges of piece k - 1,
+    and the numbering of pieces 0..k-1, and of their edges, counted from
+    the end, is the same in every window that holds them."""
+    last = len(pieces) - 1
+    order = range(last, -1, -1) if outer_first else range(last + 1)
+    n = int(outer_first)  # outer first, the right dummy is vertex 0
+    offsets = [0] * len(pieces)
+    for j in order:
+        offsets[j] = n
+        n += pieces[j]._flow[0]
+    own = [[(u + o, v + o) for u, v in piece._flow[1]] for piece, o in zip(pieces, offsets)]
+    glued = []
     for j, matching in enumerate(ifaces):
         a, b = pieces[j]._flow[2], pieces[j + 1]._flow[2]
         p, q = offsets[j], offsets[j + 1]
-        edges += [(p + a[r], q + b[s]) for r, s in matching]
-    groups = []
+        glued.append([(p + a[r], q + b[s]) for r, s in matching])
+    at_dummies = []
     if left:
-        stubs = pieces[0]._flow[2]
-        groups.append(range(len(edges), len(edges) + len(pieces[0].left_ports)))
-        edges += [(n, stubs[s]) for s, _ in pieces[0].left_ports]
+        o, stubs = offsets[0], pieces[0]._flow[2]
+        at_dummies.append([(n, o + stubs[s]) for s, _ in pieces[0].left_ports])
         n += 1
     if right:
         o, stubs = offsets[-1], pieces[-1]._flow[2]
-        groups.append(range(len(edges), len(edges) + len(pieces[-1].right_ports)))
-        edges += [(o + stubs[s], n) for s, _ in pieces[-1].right_ports]
-        n += 1
+        dummy = 0 if outer_first else n
+        at_dummies.append([(o + stubs[s], dummy) for s, _ in pieces[-1].right_ports])
+        n += not outer_first
+    if outer_first:
+        blocks = at_dummies + [own[last]]
+        for j in order[1:]:
+            blocks += [glued[j], own[j]]
+    else:
+        blocks = own + glued + at_dummies
+    edges: list = []
+    for block in blocks:
+        edges += block
+    start = 0 if outer_first else len(edges) - sum(map(len, at_dummies))
+    groups = []
+    for block in at_dummies:
+        groups.append(range(start, start + len(block)))
+        start += len(block)
     return (n, edges), groups
 
 
@@ -979,9 +1019,26 @@ def _window_counts(chain: CutChain, k: int) -> dict:
     positions of their stubs, so no label is built.  The count is memoized
     (`hamilton._memo_trace_counts`): a window has a 2- or 3-edge cut at
     every junction, so its cost grows polynomially with the window's
-    length where listing its cycles would double per level."""
+    length where listing its cycles would double per level.
+
+    A one-ended window is glued from its outer end inward, and every
+    window of the chain is counted on one memo that the chain keeps
+    (`OneEndedChain._window_memo`).  Window k holds window k - 1 but for
+    its outermost piece, so once the search has swept past the dummy and
+    the outer pieces, its residual problems are ones the shallower windows
+    have met, keyed alike (`hamilton._search`): checking depths 0..K costs
+    about what the deepest window alone costs, and each window is still
+    counted by the Hamilton search on its own glued graph.  A two-ended
+    window keeps chain order and a memo of its own.  Numbered from both
+    ends inward, its windows do share tables, but the search then carries
+    a frontier at each end: on chain-Hprime each window took 78 new nodes
+    on one memo, against 19 at depth 1 plus 16 per level counted afresh in
+    chain order, so it only gains from depth 8 on; over the 337 two-ended
+    chains among the benchmark's first 675 seed-1 `chain check` commands it
+    took 34 281 nodes against 26 301, and 19% more time."""
     pieces, ifaces, _, dummies = _window(chain, k)
-    graph, groups = _glue(pieces, ifaces, dummies[0] is not None, True)
+    one_ended = dummies[0] is None
+    graph, groups = _glue(pieces, ifaces, not one_ended, True, outer_first=one_ended)
     cuts = []
     for side, group in zip(chain.sides, groups):  # the left dummy's first
         d = chain._directions[side]
@@ -989,7 +1046,8 @@ def _window_counts(chain: CutChain, k: int) -> dict:
         ports = piece.left_ports if d.leftward else piece.right_ports
         edge = {stub: i for (stub, _), i in zip(ports, group)}
         cuts.append(tuple(edge[a] for a, _ in d.links(k)))
-    return _by_state(_memo_trace_counts(graph, groups), *cuts)
+    memo = chain._window_memo if one_ended else None
+    return _by_state(_memo_trace_counts(graph, groups, memo), *cuts)
 
 
 def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:

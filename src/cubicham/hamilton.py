@@ -28,8 +28,14 @@ order, so the search stops at the k-th cycle instead of visiting them all.
 The memoized counter returns from each search node the counts of the
 subtree below it, and keeps them per node for the rest of the search
 call, keyed by the node's residual problem: the edges from the lowest
-undecided one on and the mates of the path ends.  Search nodes reached by
-different choices often pose the same problem.  A truncation window of a
+undecided one on and the mates of the path ends, both measured from the
+end of the graph.  Search nodes reached by different choices often pose
+the same problem.  A caller may pass in a memo of its own that outlives
+the call, for graphs whose edge lists end alike: past the lowest edge
+whose cycles it counts by trace, a node's key then names the same problem
+in each of them (`_search`).  The windows of a one-ended chain are such
+graphs when glued from their outer end inward, so the chain counts all
+of them on one memo (`chains._window_counts`).  A truncation window of a
 cut chain is thin: it has a 2- or 3-edge cut at every piece junction, so
 most sub-searches come back many times, and the memo turns the window's
 per-cycle enumeration, which doubles per level on chain-G, into a count
@@ -42,10 +48,15 @@ order sets: the problems it meets differ only near the frontier.  The
 most constrained edge jumps about the window instead, and on one-ended
 chains with 2-edge cuts it stayed exponential: for one such chain
 (tests/util seed 16) the windows of depths 0-14 took 1 403 228 memo
-nodes and 42 s of CPU time that way, and take 809 nodes and 0.03 s now
-(python 3.11, 2 cores).  On the built-in chains the node counts barely move
-(chain-G to depth 18: 2413 to 2431; chain-Hprime to 18 and chain-H to 40
-equal).  Only the window brute force (`chains._window_counts`) uses the
+nodes and 42 s of CPU time that way, and took 809 nodes and 0.03 s in
+chain order, each window on a memo of its own (python 3.11, 2 cores).  On
+the built-in chains the node counts barely moved (chain-G to depth 18:
+2413 to 2431; chain-Hprime to 18 and chain-H to 40 equal).  On one memo
+kept across the windows, glued outer end first, seed 16's windows 0-14
+take 81 nodes, chain-G's to depth 18 301 and chain-H's to 40 650: each
+level adds 16 nodes on chain-G and chain-H, where each window counted
+afresh in chain order took 13 (chain-G) and 7 (chain-H) more nodes than
+the one below it.  Only the window brute force (`chains._window_counts`) uses the
 counter, since elsewhere the key, built at every node, costs about what
 the hits save.  Against the visitor search (`_trace_counts`; python
 3.11, 2 cores): on the built-in chains' windows at their bench depths the
@@ -123,6 +134,7 @@ def _search(
     visit: Callable[[list[int]], bool | None] | None,
     lowest_first: bool = False,
     groups: Sequence[int] | None = None,
+    shared: dict | None = None,
 ) -> dict | None:
     """Call `visit(s)` once for each Hamilton cycle of an integer graph that
     contains every edge of `require` and none of `forbid`, until a call
@@ -194,30 +206,54 @@ def _search(
     ids, bit k for groups[k]) that a cycle uses.  `settle` runs as for a
     visitor, but `count(s)` branches on the lowest undecided edge
     (`lowest_edge`), returns the table of the subtree below node s, for the
-    group edges still undecided at s, and keeps it in a memo that lives as
-    long as this call.  The parent adds the group edges that its move to
-    the child put IN.  The key is s's residual problem, all that decides
-    the subtree's completions:
-      - `first`, the lowest undecided edge, and the states of the edges
-        from it on, IN and OUT alike.  Every edge below `first` is
-        decided, so this says which edges are undecided.  A decided edge
-        matters to the completions only through its ends' IN-degrees and
-        paths, and to the traces only as a group edge, which the table
-        leaves to the parent.  (The suffix's length, m - first, also
-        fixes `first`; the key keeps both.)
-      - the mate of each path end, in vertex order.  These name the path
-        ends, so they carry every IN-degree too: at a node `settle` has
-        finished, a vertex with undecided edges is a path end (IN-degree
-        1) or untouched (0), and one without has IN-degree 2.  The
-        IN-edge count is half the IN-degree sum.
+    group edges still undecided at s, and keeps it in a memo.  The parent
+    adds the group edges that its move to the child put IN.  The key is
+    s's residual problem, all that decides the subtree's completions,
+    measured from the end of the graph:
+      - m - first, `first` being the lowest undecided edge, and the states
+        of the edges from it on, IN and OUT alike.  Every edge below
+        `first` is decided, so this says which edges are undecided.  A
+        decided edge matters to the completions only through its ends'
+        IN-degrees and paths, and to the traces only as a group edge,
+        which the table leaves to the parent.  (The suffix's length is
+        m - first already; the key keeps both.)
+      - n_in - mate for the mate of each path end, in vertex order.  These
+        name the path ends, so they carry every IN-degree too: at a node
+        `settle` has finished, a vertex with undecided edges is a path end
+        (IN-degree 1) or untouched (0), and one without has IN-degree 2.
     Only the mates of path ends go in: `settle` leaves an interior
     vertex's mate as it was when the vertex was last an end, and those
     stale values would split equal problems and kill the hits.  Equal keys
     also give equal subtrees, since `settle` and `lowest_edge` read nothing
-    else.  The table's traces come in this search's order, not the
-    visitor's; callers compare tables as dicts.  The edge states go in as
-    one byte each and the mates as a tuple of ints, so a key takes at most
-    about m bytes, and less the further the search has swept.
+    else: they read the states of undecided edges, the IN-degree,
+    undecided count and mate of the ends of those edges (an untouched
+    vertex is its own mate), and the IN-edge count t only as n - t, in the
+    closing rule (t < n - 1) and the leaf test (t == n).  Each vertex
+    adds 1 - d/2 to n - t, d being its IN-degree, so n - t is the number
+    of untouched vertices plus half the number of path ends, both read
+    off the key.  The table's traces come in this search's order, not
+    the visitor's; callers compare tables as dicts.  The edge states go
+    in as one byte each and the mates as a tuple of ints, so a key takes
+    at most about m bytes, and less the further the search has swept.
+
+    The memo lives as long as this call, but for `shared`, a dict that
+    its owner passes in and keeps across calls: it holds the tables of the
+    nodes whose `first` lies above every group edge.  Those tables are
+    plain {0: cycles}, since no group edge is left undecided there.  An
+    owner may pass one `shared` memo to several graphs, as
+    `chains._window_counts` does for the windows of a one-ended chain,
+    when their edge lists end alike: whenever two of them both have such
+    a node with m - first = L, their last L edges join the same vertices
+    counted from the end (vertex offset p as n_in - p).  Then equal keys
+    pose equal problems in either graph.  The undecided edges are the same
+    edges.  A vertex without one of the last L edges has no undecided
+    edge, so by the above it has IN-degree 2: it is no path end, adds
+    nothing to n - t, and `settle` never reads it.  So nothing outside the
+    shared suffix enters the subtree.  The nodes that still have a group
+    edge undecided keep to this call's memo: their tables carry trace bits
+    of this graph's groups, and the suffix holds group edges, which need
+    not end where another graph's edges at the same place end (a
+    window's dummy edges against the next window's junction edges).
     """
     n, edges = graph
     m = len(edges)
@@ -358,6 +394,9 @@ def _search(
 
     bits = [(g, 1 << k) for k, g in enumerate(groups or ())]
     memo: dict = {}
+    if shared is None:
+        shared = memo
+    share_from = max(groups or (), default=-1) + 1  # a `first` above every group edge
     leaf = {0: 1}
 
     def put_in(child: list[int], open_bits: list) -> int:
@@ -387,11 +426,12 @@ def _search(
         # bytearray() converts an int list fastest
         path_ends = bytearray(s[m:n_in:3]).translate(_ENDS)
         key = (
-            first,
+            m - first,
             bytes(bytearray(s[first:m]).translate(_DECIDED)),
-            tuple(compress(s[m + 2 : n_in : 3], path_ends)),
+            tuple(map(n_in.__sub__, compress(s[m + 2 : n_in : 3], path_ends))),
         )
-        table = memo.get(key)
+        store = memo if first < share_from else shared
+        table = store.get(key)
         if table is not None:
             return table
         table = {}
@@ -405,7 +445,7 @@ def _search(
         s[q + 1] -= 1
         if settle(s, (), [p, q]):
             merge(table, put_in(s, open_bits), count(s))
-        memo[key] = table
+        store[key] = table
         return table
 
     for i in range(m):
@@ -478,18 +518,23 @@ def _trace_counts(graph: Ints, groups: Sequence[Iterable[int]]) -> dict:
     return counts
 
 
-def _memo_trace_counts(graph: Ints, groups: Sequence[Iterable[int]]) -> dict:
+def _memo_trace_counts(
+    graph: Ints, groups: Sequence[Iterable[int]], shared: dict | None = None
+) -> dict:
     """`_trace_counts` by the memoized search (`_search` with no visitor):
     the same table, at a cost that grows polynomially in the length of a
     thin graph such as a truncation window.  Its keys come in the order of
     the lowest-edge search, not the visitor's, so it equals
-    `_trace_counts` as a dict, not item by item."""
+    `_trace_counts` as a dict, not item by item.  `shared`, if given, is a
+    memo that outlives the call, for the nodes whose lowest undecided edge
+    lies above every group edge; its owner must pass it only graphs that
+    `_search` allows to share one."""
     groups = [tuple(g) for g in groups]
     edges = list(dict.fromkeys(i for g in groups for i in g))
     bit = {i: 1 << k for k, i in enumerate(edges)}
     return {
         tuple([tuple([i for i in g if trace & bit[i]]) for g in groups]): count
-        for trace, count in _search(graph, (), (), None, groups=edges).items()
+        for trace, count in _search(graph, (), (), None, groups=edges, shared=shared).items()
     }
 
 

@@ -8,6 +8,7 @@ pre-period of 0-2 pieces and a period of 1-3 on each tail, with 2- or
 
 import math
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -163,16 +164,42 @@ def test_deep_truncations_of_a_one_ended_chain_with_2_edge_cuts():
     # util seed 16 is one-ended with 2-edge cuts, where branching on the most
     # constrained edge took 1.4 million memo nodes to depth 14; the
     # lowest-edge branching of the memoized count sweeps each window along
-    # the chain and takes 809
+    # the chain and takes 809.  The windows of one chain share their
+    # tables, so each level adds a few nodes instead of a whole window's:
+    # depth 60 takes about 0.07 s, where counting each window afresh took
+    # ten times as long
     chain = random_chain(random.Random(16), True, 2)
-    for k in range(31):
+    for k in range(61):
         assert truncation_consistency(chain, k).ok, k
+
+
+def _outer_first_renumbering(pieces: list, ifaces: list) -> tuple[list, list]:
+    """For a one-ended window, the chain-order id of each vertex and of
+    each edge of the window glued outer end first: the dummy, then pieces
+    k..0; its stub edges, then piece k, junction k-1, piece k-1, ..., piece 0."""
+    sizes = [piece._flow[0] for piece in pieces]
+    vertex_at = [sum(sizes)]  # the dummy, last in chain order
+    for j in reversed(range(len(pieces))):
+        vertex_at += range(sum(sizes[:j]), sum(sizes[: j + 1]))
+    own = [len(piece._flow[1]) for piece in pieces]
+    junction = [len(matching) for matching in ifaces]
+    glued_from = sum(own)
+    stubs_from = glued_from + sum(junction)  # the stub edges, last in chain order
+    edge_at = list(range(stubs_from, stubs_from + len(pieces[-1].right_ports)))
+    for j in reversed(range(len(pieces))):
+        if j < len(ifaces):
+            start = glued_from + sum(junction[:j])
+            edge_at += range(start, start + junction[j])
+        edge_at += range(sum(own[:j]), sum(own[: j + 1]))
+    return vertex_at, edge_at
 
 
 @pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
 def test_integer_window_is_the_labeled_window(index):
     # the brute force counts each window in integer form; it must be the
-    # labeled window's graph, with each dummy's edges in port order
+    # labeled window's graph, with each dummy's edges in port order.  A
+    # one-ended window is counted glued outer end first, which must be the
+    # same graph, renumbered
     chain = EVERY_CHAIN[index]
     one_ended = isinstance(chain, OneEndedChain)
     for k in range(0 if one_ended else 1, 5):
@@ -186,6 +213,91 @@ def test_integer_window_is_the_labeled_window(index):
         for group, (dummy, ports, tag) in zip(groups, bounds):
             assert list(group) == list(window.edges_at(dummy)), k
             assert [window.edges[i].label for i in group] == [f"{s}@{tag}" for s, _ in ports], k
+        if not one_ended:
+            continue
+        (n, edges), [outer_group] = chains._glue(pieces, ifaces, False, True, outer_first=True)
+        vertex_at, edge_at = _outer_first_renumbering(pieces, ifaces)
+        assert n == window.n and sorted(vertex_at) == list(range(n)), k
+        assert sorted(edge_at) == list(range(window.m)), k
+        renumbered = [(vertex_at[u], vertex_at[v]) for u, v in edges]
+        assert renumbered == [window.ints[1][i] for i in edge_at], k
+        assert [edge_at[i] for i in outer_group] == list(groups[0]), k
+
+
+ONE_ENDED_CHAINS = [chain for chain in EVERY_CHAIN if isinstance(chain, OneEndedChain)]
+SHARED_DEPTH = 12
+
+
+def _labeled_window_counts(chain, k: int, count) -> dict:
+    """The level-k window of a one-ended chain counted by `count`
+    (`hamilton._trace_counts` or `_memo_trace_counts`) on the labeled window
+    (`truncation_minor`), in chain order and with no shared memo, keyed as
+    `_window_counts` keys it: by the pair state each cycle uses at cut k."""
+    window = truncation_minor(chain, k)
+    position = {f"{a}@{k}": r for r, (a, _) in enumerate(chain._directions["right"].links(k))}
+    counts: dict = {}
+    for (trace,), n in count(window.ints, [window.edges_at(chains.DUMMY)]).items():
+        state = (frozenset(position[window.edges[i].label] for i in trace),)
+        counts[state] = counts.get(state, 0) + n
+    return counts
+
+
+# windows up to this many cycles are also listed by the visitor search,
+# whose cost grows with their number (up to three times per level here)
+VISITED_CYCLES = 4096
+
+
+@pytest.mark.parametrize("index", range(len(ONE_ENDED_CHAINS)))
+def test_windows_of_a_chain_share_one_memo_soundly(index):
+    # every window of a one-ended chain is counted on one memo that the
+    # chain keeps; in whatever order its windows come, each count must be
+    # that window's alone, with no shared tables, and the labeled window's
+    # in chain order, by the memoized search and, where it is cheap, by the
+    # visitor search
+    chain = ONE_ENDED_CHAINS[index]
+    depths = list(range(SHARED_DEPTH + 1))
+    expected = {}
+    for k in depths:
+        alone = chains._window_counts(replace(chain), k)  # a fresh memo
+        assert alone == _labeled_window_counts(chain, k, hamilton._memo_trace_counts), k
+        if sum(alone.values()) <= VISITED_CYCLES:
+            assert alone == _labeled_window_counts(chain, k, hamilton._trace_counts), k
+        expected[k] = alone
+    shuffled = depths[:]
+    random.Random(index).shuffle(shuffled)
+    for order in (depths, depths[::-1], shuffled):
+        shared = replace(chain)
+        for k in order:
+            assert chains._window_counts(shared, k) == expected[k], (order, k)
+
+
+def test_two_chains_never_mix_their_tables():
+    # two chains' windows counted in turn: each chain's memo must end as it
+    # does when that chain is counted alone
+    a, b = (replace(chain) for chain in ONE_ENDED_CHAINS[:2])
+    for k in range(SHARED_DEPTH + 1):
+        for chain in (a, b):
+            assert chains._window_counts(chain, k) == chains._window_counts(replace(chain), k), k
+    assert a._window_memo is not b._window_memo
+    for chain in (a, b):
+        alone = replace(chain)
+        for k in range(SHARED_DEPTH + 1):
+            chains._window_counts(alone, k)
+        assert chain._window_memo == alone._window_memo
+
+
+@pytest.mark.parametrize("make", [BUILTIN_CHAINS["chain-G"], BUILTIN_CHAINS["chain-H"]])
+def test_each_deeper_window_adds_a_fixed_number_of_memo_entries(make):
+    # once windows 0..k are counted, window k+1 meets only the problems
+    # about its outer piece: 14 new entries on chain-G and chain-H, where
+    # each window counted afresh keeps 9 more entries than the one below it
+    chain = make()
+    memo = chain._window_memo
+    chains._window_counts(chain, 0)
+    for k in range(1, 41):
+        before = len(memo)
+        chains._window_counts(chain, k)
+        assert 0 < len(memo) - before <= 14, k
 
 
 @pytest.mark.parametrize("index", range(len(CHAINS)))

@@ -36,6 +36,15 @@ def test_random_odd_degree_graph():
         assert all(G.degree(v) % 2 == 1 for v in G.vertices)
 
 
+def test_random_odd_degree_graph_needs_no_parity_recheck():
+    # the toggles pair off every even-degree vertex, so the sampler keeps
+    # no degree re-count; every draw must still be all-odd
+    rng = random.Random(5)
+    for draw in range(200):
+        G = random_odd_degree_graph(2 * (1 + draw % 8), rng)
+        assert all(G.degree(v) % 2 == 1 for v in G.vertices), draw
+
+
 def test_samplers_reject_odd_sizes():
     rng = random.Random(4)
     with pytest.raises(GraphError):
