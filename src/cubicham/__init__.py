@@ -7,8 +7,6 @@ from .multigraph import (
     MultiGraph,
     from_doc,
     from_json,
-    max_vertex_disjoint_paths,
-    min_edge_cut,
     quotient,
     relabel_vertices,
 )

@@ -20,25 +20,33 @@ pre-period cuts, then one period; `Tail.fold` is the only period fold),
 and every propagation of weights goes through its `moves` and `advance`.
 Its `rays` alone enumerates rays, closing each where its (slot, state) pair
 first recurs, so every certificate has the shortest pre-period and period;
-`_analyze_rays` only classifies.  A one-ended chain's certificates are one
-lazy stream (`_one_ended_certificates`): a Finite count takes all of it,
-and the two witnesses are its first two, in every class.
+`_analyze_rays` only classifies, and a Finite count is read off it.  The
+certificates are listed only when asked for (`Certificates`): a
+one-ended chain's are one lazy stream (`_one_ended_certificates`), whose
+first two are the two witnesses in every class, and a two-ended chain's
+are the product of its left and right rays per central state.
 
-Windows and segment minors are glued in one place, `_glue`, in integer
-form from each piece's one integer form (`ChainPiece._flow`); `materialize`
-only puts labels on what `_glue` builds, so a labeled window and its
-integer form are the same graph, searched alike.
+A chain file becomes tables in three steps, with no labeled graph between
+them.  The one graph-document reader (`multigraph._read_doc`) turns each
+piece's graph into its integer form (vertex count, end-index pairs and
+labels), which the piece checks and keeps (`ChainPiece._flow`); the
+labeled `ChainPiece.graph` is built only when something reads it.
+Windows and segment minors are glued in one place, `_glue`, from each
+piece's integer form; `materialize` only puts labels on what `_glue`
+builds, so a labeled window and its integer form are the same graph,
+searched alike.  Every piece is tabulated alike: its segment minor's
+Hamilton cycles by the stubs used at each dummy (`ChainPiece._counts`),
+so every slot, side and chain holding the same piece object shares one
+search.  The search runs on the minor's integer form
+(`ChainPiece._minor`) and keys each cycle by the states of the stub
+edges, and each distinct key is turned into stub names once; the order
+of the search, and so of every table's keys and cycles, is that of the
+labeled minor, which only `segment_minor` builds.
 
-Every piece is tabulated alike: its segment minor's Hamilton cycles by the
-stub labels used at each dummy (`ChainPiece._counts`), so every slot, side
-and chain holding the same piece object shares one search.  The search
-runs on the minor's integer form (`ChainPiece._minor`), so no labeled
-minor is built and each stub edge's id names its stub; the order of the
-search, and so of every table's keys and cycles, is that of the labeled
-minor, which only `segment_minor` builds.  Level 0 of a one-ended chain is
-the initial piece's segment, which has only the right dummy; its counts
-(`_initial_counts`) seed every propagation.  `_by_state` is the only place
-stub labels, or the ids of the edges at a dummy, become cut positions.
+Level 0 of a one-ended chain is the initial piece's segment, which has
+only the right dummy; its counts (`_initial_counts`) seed every
+propagation.  `_by_state` is the only place stub labels, or the ids of
+the edges at a dummy, become cut positions.
 Truncation windows are built only by the oracles (`truncation_consistency`,
 `validate_certificate`) and by `construct truncation`.  The brute force of
 `truncation_consistency` (`_window_counts`) counts a window in integer form,
@@ -61,7 +69,8 @@ witnesses are named (`_Direction.stubs`).
 cut at one level that the period and the cut size fix, deepening it only
 when the value there drops, as a max flow over the same integer form of
 each piece (`ChainPiece._flow`, the piece's only one), glued outward from
-the core (`_level_cut`).
+the core into a unit-capacity residual network (`_level_cut`, the
+package's one max flow).
 """
 
 from __future__ import annotations
@@ -70,10 +79,11 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice, product, tee
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 from .hamilton import _memo_trace_counts, _sorted_cycles, _trace_counts, is_hamilton_cycle
-from .multigraph import GraphError, Ints, MultiGraph, _max_flow, _simple, from_doc as graph_from_doc
+from .multigraph import GraphError, Ints, MultiGraph, _read_doc, _simple
 
 State = frozenset  # of cut positions
 Matching = tuple[tuple[str, str], ...]  # (right stub of left piece, left stub of right piece)
@@ -83,7 +93,6 @@ class ChainError(ValueError):
     """Malformed chain or violated chain invariant."""
 
 
-@dataclass(frozen=True)
 class ChainPiece:
     """Finite piece with dangling boundary stubs on each side.
 
@@ -91,60 +100,82 @@ class ChainPiece:
     the interior vertex `vertex`; gluing two matched stubs produces one cut
     edge, attaching stubs to a dummy produces dummy edges.  Every vertex
     has degree 3 once its stubs are counted (a loop counts 2).
+
+    A piece's integer form, `_flow`, is its vertex count, its edges as
+    vertex-index pairs (loops included) and the vertex index of each stub.
+    Max flows (`_level_cut`), windows and the tabulation (`_glue`) read
+    nothing else, and the checks above run on it.  A piece read from a
+    chain file (`_piece_from_doc`) is kept in that form and builds its
+    labeled `graph` only when that is first read.  Pieces are not changed
+    once built.
     """
 
-    graph: MultiGraph
-    left_ports: tuple[tuple[str, str], ...]
-    right_ports: tuple[tuple[str, str], ...]
+    def __init__(
+        self,
+        graph: MultiGraph,
+        left_ports: tuple[tuple[str, str], ...],
+        right_ports: tuple[tuple[str, str], ...],
+    ):
+        self.graph = graph
+        index = graph._index()
+        labels = map(attrgetter("label"), graph.edges)
+        self._set(graph.vertices, labels, index, graph.ints[1], left_ports, right_ports)
 
-    def __post_init__(self):
-        stubs = [s for s, _ in self.left_ports] + [s for s, _ in self.right_ports]
+    @classmethod
+    def _read(cls, vertices, labels, index, edges, left_ports, right_ports) -> ChainPiece:
+        """A piece from the integer form of its graph (`_read_doc`), whose
+        `graph` is built on first read."""
+        piece = cls.__new__(cls)
+        piece._labels = (vertices, labels)
+        piece._set(vertices, labels, index, edges, left_ports, right_ports)
+        return piece
+
+    def _set(self, vertices, labels, index, edges, left_ports, right_ports) -> None:
+        """Check the piece's degrees and stubs on its integer form, then
+        keep its ports and `_flow`."""
+        ports = left_ports + right_ports
+        stubs = [s for s, _ in ports]
         if len(set(stubs)) != len(stubs):
             raise ChainError("stub labels must be unique within a piece")
-        labels = {e.label for e in self.graph.edges}
-        degree = dict.fromkeys(self.graph.vertices, 0)
-        for e in self.graph.edges:
-            degree[e.u] += 1
-            degree[e.v] += 1  # so a loop counts 2
-        for stub, v in self.left_ports + self.right_ports:
-            if v not in self.graph:
+        interior = set(labels)
+        degree = [0] * len(vertices)
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1  # so a loop counts 2
+        at = {}
+        for stub, v in ports:
+            i = index.get(v)
+            if i is None:
                 raise ChainError(f"port vertex {v!r} not in piece")
-            if stub in labels:
+            if stub in interior:
                 raise ChainError(f"stub {stub!r} collides with an interior edge label")
-            degree[v] += 1
-        for v, d in degree.items():
-            if d != 3:
-                raise ChainError(f"piece vertex {v!r} has degree {d} with its stubs, not 3")
+            degree[i] += 1
+            at[stub] = i
+        if degree.count(3) != len(degree):
+            v, d = next((v, d) for v, d in zip(vertices, degree) if d != 3)
+            raise ChainError(f"piece vertex {v!r} has degree {d} with its stubs, not 3")
+        self.left_ports = left_ports
+        self.right_ports = right_ports
+        self._flow = (len(vertices), edges, at)
 
     @cached_property
-    def _stub_vertex(self) -> dict:
-        """The interior vertex of each stub, left and right."""
-        return dict(self.left_ports + self.right_ports)
+    def graph(self) -> MultiGraph:
+        """The piece's labeled graph, built on first read for a piece that
+        was read in integer form."""
+        vertices, labels = self._labels
+        return MultiGraph._read(vertices, labels, self._flow[1])
 
-    @cached_property
-    def _flow(self) -> tuple[int, list, dict]:
-        """The piece as integers: its vertex count, its edges as vertex-index
-        pairs (`MultiGraph.ints`, loops included), and the vertex index of
-        each stub.  Max flows (`_level_cut`) and the tabulation (`_minor`)
-        both read it."""
-        size, edges = self.graph.ints
-        index = {v: i for i, v in enumerate(self.graph.vertices)}
-        return size, edges, {s: index[v] for s, v in self._stub_vertex.items()}
-
-    def _minor(self) -> tuple[Ints, list[range], list[str]]:
+    def _minor(self) -> tuple[Ints, list[range]]:
         """The segment minor in integer form (`_glue`): the piece with its
         left stubs on a dummy alpha, if it has any, and its right stubs on
         a dummy beta.  Also the ids of the stub edges at each dummy (beta's
-        alone on an initial piece) and the label of every edge, stub edges
-        bearing their stubs'.  Refused unless simple when the piece has
-        left stubs: an initial piece's minor is its chain's level-0 window,
-        never required simple."""
+        alone on an initial piece), in port order.  Refused unless simple
+        when the piece has left stubs: an initial piece's minor is its
+        chain's level-0 window, never required simple."""
         graph, groups = _glue([self], [], bool(self.left_ports), True)
         if self.left_ports and not _simple(graph):
             raise ChainError("segment minor is not simple")
-        names = [e.label for e in self.graph.edges]
-        names += [s for s, _ in self.left_ports + self.right_ports]
-        return graph, groups, names
+        return graph, groups
 
     @cached_property
     def _segment(self) -> MultiGraph:
@@ -162,9 +193,11 @@ class ChainPiece:
         the segment minor through those stubs, keyed by the right pair alone
         on an initial piece, in the order the search meets them; pairs no
         cycle uses are absent."""
-        graph, groups, names = self._minor()
+        graph, groups = self._minor()
+        ids = [i for group in groups for i in group]
+        stub = dict(zip(ids, [s for s, _ in self.left_ports + self.right_ports]))
         return {
-            tuple(frozenset([names[i] for i in trace]) for trace in key): count
+            tuple(frozenset([stub[i] for i in trace]) for trace in key): count
             for key, count in _trace_counts(graph, groups).items()
         }
 
@@ -173,8 +206,10 @@ class ChainPiece:
         """The segment minor's Hamilton cycles keyed as `_counts`, each as the
         frozenset of its interior edge labels; keys and cycles in sorted
         cycle order."""
-        graph, groups, names = self._minor()
-        interior = len(self.graph.edges)
+        graph, groups = self._minor()
+        names = [e.label for e in self.graph.edges]
+        interior = len(names)
+        names += [s for s, _ in self.left_ports + self.right_ports]
         buckets: dict = {}
         for cycle in _sorted_cycles(graph):
             key = tuple(frozenset([names[i] for i in cycle if i in ids]) for ids in groups)
@@ -876,12 +911,32 @@ def validate_certificate(chain: CutChain, cert: LimitCycleCertificate, k: int) -
 # -- classification ----------------------------------------------------------
 
 
+class Certificates:
+    """The certificates of a Finite count, one per limit cycle, listed
+    lazily and afresh on each iteration; `len` is the count, which the
+    classification gives without listing them (Python's `len` takes counts
+    below 2**63; `LimitCount.count` holds any)."""
+
+    def __init__(self, count: int, listing: Callable[[], Iterator[LimitCycleCertificate]]):
+        self._count = count
+        self._listing = listing
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __bool__(self) -> bool:
+        return self._count > 0
+
+    def __iter__(self) -> Iterator[LimitCycleCertificate]:
+        return self._listing()
+
+
 @dataclass(frozen=True)
 class LimitCount:
     tag: str  # "zero" | "finite" | "infinite"
     count: int | None
     witness: tuple | None  # (cut level, state, surviving out-multiplicity)
-    certificates: tuple[LimitCycleCertificate, ...]
+    certificates: Certificates | tuple  # () unless Finite
     side: str | None = None  # the ray side ("left" or "right") the witness is on
 
     def __str__(self) -> str:
@@ -950,14 +1005,23 @@ def _count_one_ended(chain: OneEndedChain) -> LimitCount:
         return LimitCount("zero", 0, None, ())
     if analysis.tag == "infinite":
         return LimitCount("infinite", None, analysis.witness, (), "right")
-    certs = tuple(_one_ended_certificates(chain, unique=True))
-    if len(certs) != analysis.count:
-        raise RuntimeError(
-            f"{_name(chain)}: {len(certs)} certificates from the seed states"
-            f" {_show(analysis.seeds)} at cut 0, but the classification counts"
-            f" {analysis.count} limit cycles (defect)"
-        )
+    certs = Certificates(analysis.count, lambda: _one_ended_certificates(chain, unique=True))
     return LimitCount("finite", analysis.count, None, certs)
+
+
+def _two_ended_certificates(
+    chain: TwoEndedChain, states: list[State]
+) -> Iterator[LimitCycleCertificate]:
+    """Lazily, a certificate per central state in `states` and pair of a
+    left and a right ray from it (`rays` order, left ray first)."""
+    dirs = chain._directions
+    for s in states:
+        lconts = list(dirs["left"].rays(0, s, unique=True))
+        rconts = list(dirs["right"].rays(0, s, unique=True))
+        for (lpre, lper), (rpre, rper) in product(lconts, rconts):
+            yield LimitCycleCertificate(
+                "two-ended", s, pre=rpre, period=rper, left_pre=lpre, left_period=lper
+            )
 
 
 def _count_two_ended(chain: TwoEndedChain) -> LimitCount:
@@ -966,7 +1030,7 @@ def _count_two_ended(chain: TwoEndedChain) -> LimitCount:
     for s in _states(chain.cut_size):
         per_state[s] = {side: _analyze_rays(d, {s: 1}) for side, d in dirs.items()}
     total = 0
-    certs = []
+    central = []  # the states at the central cut that limit cycles pass
     for s in sorted(per_state, key=sorted):
         left, right = per_state[s]["left"], per_state[s]["right"]
         if left.tag == "zero" or right.tag == "zero":
@@ -975,23 +1039,11 @@ def _count_two_ended(chain: TwoEndedChain) -> LimitCount:
             if analysis.tag == "infinite":
                 return LimitCount("infinite", None, analysis.witness, (), side)
         total += left.count * right.count
-        lconts = list(dirs["left"].rays(0, s, unique=True))
-        rconts = list(dirs["right"].rays(0, s, unique=True))
-        if len(lconts) * len(rconts) != left.count * right.count:
-            raise RuntimeError(
-                f"{_name(chain)}: {len(lconts)} x {len(rconts)} certificates through the"
-                f" central state {_show([s])} at cut 0, but the classification counts"
-                f" {left.count} x {right.count} limit cycles there (defect)"
-            )
-        certs += [
-            LimitCycleCertificate(
-                "two-ended", s, pre=rpre, period=rper, left_pre=lpre, left_period=lper
-            )
-            for (lpre, lper), (rpre, rper) in product(lconts, rconts)
-        ]
+        central.append(s)
     if total == 0:
         return LimitCount("zero", 0, None, ())
-    return LimitCount("finite", total, None, tuple(certs))
+    certs = Certificates(total, lambda: _two_ended_certificates(chain, central))
+    return LimitCount("finite", total, None, certs)
 
 
 # -- oracles and reports -----------------------------------------------------
@@ -1031,11 +1083,9 @@ def _window_counts(chain: CutChain, k: int) -> dict:
     counted by the Hamilton search on its own glued graph.  A two-ended
     window keeps chain order and a memo of its own.  Numbered from both
     ends inward, its windows do share tables, but the search then carries
-    a frontier at each end: on chain-Hprime each window took 78 new nodes
-    on one memo, against 19 at depth 1 plus 16 per level counted afresh in
-    chain order, so it only gains from depth 8 on; over the 337 two-ended
-    chains among the benchmark's first 675 seed-1 `chain check` commands it
-    took 34 281 nodes against 26 301, and 19% more time."""
+    a frontier at each end, and on the benchmark's two-ended chains that
+    cost more nodes and time than the shared tables saved (CHANGES.md
+    has the figures)."""
     pieces, ifaces, _, dummies = _window(chain, k)
     one_ended = dummies[0] is None
     graph, groups = _glue(pieces, ifaces, not one_ended, True, outer_first=one_ended)
@@ -1086,8 +1136,8 @@ def prefix_counts(chain: OneEndedChain, k_max: int) -> list[int]:
 
 def _level_cut(chain: CutChain, end: str, k: int) -> int:
     """The min cut between the core and the chosen end at level k >= 1:
-    what `min_edge_cut(truncation_minor(chain, k), core, dummy)` gives,
-    computed as one max flow without building the window.
+    the number of edge-disjoint paths from the core to the dummy of the
+    level-k window, computed as one max flow without building the window.
 
     The core is the initial piece of a one-ended chain and left piece 1 of
     a two-ended one.  Node 0 of the flow network is the core, contracted:
@@ -1099,20 +1149,57 @@ def _level_cut(chain: CutChain, end: str, k: int) -> int:
     the chosen dummy only through the core, so they carry no flow that the
     core does not already supply, and they are left out.  `end` is one of
     `chain.sides`.
+
+    Every edge has capacity 1 both ways: edge i is the residual pair of
+    arcs 2i (listed u -> v) and 2i + 1 (v -> u), arc a running to
+    `head[a]`.  Augmenting paths are shortest (Edmonds-Karp), and the
+    search stops once every edge at the dummy carries flow.
     """
     direction = chain._directions[end]
     j = direction.first_cut  # the core is piece j of either ray
     frontier = {stub: 0 for stub, _ in direction.links(j)}  # outer stub -> node
-    arcs: list = []
-    n = 2  # nodes so far: the core and the dummy
+    head: list[int] = []
+    out: list[list[int]] = [[], []]  # arcs leaving each node: the core and the dummy so far
     while j < k:
         size, edges, stubs = direction.piece(j + 1)._flow
-        arcs += [(frontier[a], n + stubs[b], 1, 1) for a, b in direction.links(j)]
-        arcs += [(n + u, n + v, 1, 1) for u, v in edges if u != v]  # no path uses a loop
+        n = len(out)
+        out += [[] for _ in range(size)]
+        ends = [(frontier[a], n + stubs[b]) for a, b in direction.links(j)]
+        ends += [(n + u, n + v) for u, v in edges if u != v]  # no path uses a loop
+        for u, v in ends:
+            out[u].append(len(head))
+            out[v].append(len(head) + 1)
+            head += (v, u)
         j += 1
         frontier = {stub: n + stubs[stub] for stub, _ in direction.links(j)}
-        n += size
-    return _max_flow(n, arcs + [(x, 1, 1, 1) for x in frontier.values()], 0, 1)
+    for u in frontier.values():
+        out[u].append(len(head))
+        out[1].append(len(head) + 1)
+        head += (1, u)
+    cap = [1] * len(head)
+    total = 0
+    while total < len(out[1]):
+        via = [-1] * len(out)  # the arc each reached node was reached by
+        via[0] = -2
+        queue = [0]
+        for u in queue:
+            for a in out[u]:
+                v = head[a]
+                if cap[a] and via[v] == -1:
+                    via[v] = a
+                    queue.append(v)
+            if via[1] != -1:
+                break
+        else:
+            return total
+        v = 1
+        while v:
+            a = via[v]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            v = head[a ^ 1]
+        total += 1
+    return total
 
 
 def end_degree(chain: CutChain, end: str = "right") -> int:
@@ -1177,8 +1264,12 @@ def _piece_to_doc(piece: ChainPiece) -> dict:
 
 
 def _piece_from_doc(doc: dict) -> ChainPiece:
-    return ChainPiece(
-        graph_from_doc(doc["graph"]),
+    """A piece read straight into its integer form: its graph document is
+    read and checked by the one graph reader (`multigraph._read_doc`), and
+    no labeled graph is built."""
+    graph = _read_doc(doc["graph"])
+    return ChainPiece._read(
+        *graph,
         tuple(tuple(p) for p in doc["left_ports"]),
         tuple(tuple(p) for p in doc["right_ports"]),
     )

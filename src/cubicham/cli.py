@@ -224,7 +224,7 @@ def _cmd_chain(args) -> int:
             "periodic transfer layer:",
             layer.to_text(),
             f"classification: {result}",
-            f"certificates: {len(result.certificates)}",
+            f"certificates: {result.count or 0}",
         ]
         if witness:
             text.append(
@@ -243,7 +243,7 @@ def _cmd_chain(args) -> int:
                 "classification": str(result),
                 "count": result.count,
                 "witness": witness,
-                "certificates": len(result.certificates),
+                "certificates": result.count or 0,
             },
         )
         return 0

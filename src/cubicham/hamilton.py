@@ -46,25 +46,10 @@ memo acts as a frontier-based search (Kawahara, Inoue, Iwashita and
 Minato, IEICE Trans. Fundamentals E100-A, 2017), whose size the edge
 order sets: the problems it meets differ only near the frontier.  The
 most constrained edge jumps about the window instead, and on one-ended
-chains with 2-edge cuts it stayed exponential: for one such chain
-(tests/util seed 16) the windows of depths 0-14 took 1 403 228 memo
-nodes and 42 s of CPU time that way, and took 809 nodes and 0.03 s in
-chain order, each window on a memo of its own (python 3.11, 2 cores).  On
-the built-in chains the node counts barely moved (chain-G to depth 18:
-2413 to 2431; chain-Hprime to 18 and chain-H to 40 equal).  On one memo
-kept across the windows, glued outer end first, seed 16's windows 0-14
-take 81 nodes, chain-G's to depth 18 301 and chain-H's to 40 650: each
-level adds 16 nodes on chain-G and chain-H, where each window counted
-afresh in chain order took 13 (chain-G) and 7 (chain-H) more nodes than
-the one below it.  Only the window brute force (`chains._window_counts`) uses the
-counter, since elsewhere the key, built at every node, costs about what
-the hits save.  Against the visitor search (`_trace_counts`; python
-3.11, 2 cores): on the built-in chains' windows at their bench depths the
-memo cut search nodes from 52 108 to 4 301 and ran 7 times faster; on
-the segment minors of 300 bench chains (seed 1, 1942 pieces) it cut them
-by 12% and ran 1.25 times slower; on graph-audit's graphs, traced at two
-vertices, it cut them by 42% and ran no faster (0.99 times).  Those
-figures were taken while the memo still branched as the visitor does.
+chains with 2-edge cuts the memo then stayed exponential.  Only the window
+brute force (`chains._window_counts`) uses the counter: on segment minors
+and general graphs the key, built at every node, costs about what the
+hits save.  CHANGES.md keeps the measurements behind these choices.
 
 A Hamilton cycle is represented as a frozenset of edge ids; output lists are
 always sorted by the sorted edge-id tuple, so repeated runs produce
@@ -75,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .multigraph import GraphError, Ints, MultiGraph
@@ -506,16 +492,24 @@ def _trace_counts(graph: Ints, groups: Sequence[Iterable[int]]) -> dict:
     a tuple with one tuple per group, of the edges in that group the cycle
     uses, in group order; traces that no cycle has are absent."""
     groups = [tuple(g) for g in groups]
-    counts: dict = {}
+    edges = list(dict.fromkeys(i for g in groups for i in g))
+    # a cycle's trace is the tuple of its group edges' states, read at C
+    # speed; s[-1], the IN-edge count, is n at every cycle, and reading it
+    # too makes the trace a tuple however few group edges there are
+    trace = itemgetter(*edges, -1)
+    traces: dict = {}
 
     def tally(s: list[int]) -> None:
-        # a tuple in group order is cheaper to build per cycle than a
-        # frozenset; callers convert each distinct trace once
-        key = tuple([tuple([i for i in g if s[i] == _IN]) for g in groups])
-        counts[key] = counts.get(key, 0) + 1
+        key = trace(s)
+        traces[key] = traces.get(key, 0) + 1
 
     _search(graph, (), (), tally)
-    return counts
+    at = {i: k for k, i in enumerate(edges)}
+    # each distinct trace becomes a key once
+    return {
+        tuple([tuple([i for i in g if key[at[i]] == _IN]) for g in groups]): count
+        for key, count in traces.items()
+    }
 
 
 def _memo_trace_counts(

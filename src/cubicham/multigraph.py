@@ -10,8 +10,10 @@ Loops contribute 2 to the degree of their vertex.
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 
 Ints = tuple[int, list[tuple[int, int]]]  # a graph's vertex count and edge end indices
@@ -44,6 +46,9 @@ class EdgeRecord(NamedTuple):
         raise GraphError(f"vertex {vertex!r} is not an end of edge {self.label!r}")
 
 
+_U, _V = itemgetter(2), itemgetter(3)  # an `EdgeRecord`'s ends
+
+
 class MultiGraph:
     """Finite multigraph with labeled vertices and edges, loops allowed."""
 
@@ -74,6 +79,20 @@ class MultiGraph:
         self._incident: dict[str, tuple[int, ...]] | None = None
         self._ints: Ints | None = None
 
+    @classmethod
+    def _read(cls, vertices: list[str], labels: list[str], ends: list[tuple[int, int]]):
+        """The graph of an integer form that `_read_doc` has checked, with
+        that form as its `ints`, not checked again."""
+        G = cls.__new__(cls)
+        G.vertices = vs = tuple(vertices)
+        G._vset = frozenset(vs)
+        us, ws = [vs[u] for u, _ in ends], [vs[v] for _, v in ends]
+        record = partial(tuple.__new__, EdgeRecord)  # no Python call per edge
+        G.edges = tuple(map(record, zip(range(len(labels)), labels, us, ws)))
+        G._by_label = G._incident = None
+        G._ints = (len(vs), ends)
+        return G
+
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, vertex: str) -> bool:
@@ -93,9 +112,18 @@ class MultiGraph:
         vertex count and, per edge id, the positions of its two ends in
         `vertices`.  Computed on first use, once."""
         if self._ints is None:
-            index = dict(zip(self.vertices, range(len(self.vertices))))
-            self._ints = (len(index), [(index[u], index[v]) for _, _, u, v in self.edges])
+            self._index()
         return self._ints
+
+    def _index(self) -> dict[str, int]:
+        """The position of each vertex label in `vertices`; computes `ints`
+        on the way if it is not there yet."""
+        index = dict(zip(self.vertices, range(len(self.vertices))))
+        if self._ints is None:
+            at = index.__getitem__
+            ends = zip(map(at, map(_U, self.edges)), map(at, map(_V, self.edges)))
+            self._ints = (len(index), list(ends))
+        return index
 
     def edge_by_label(self, label: str) -> EdgeRecord:
         if self._by_label is None:
@@ -183,15 +211,78 @@ def from_json(text: str) -> MultiGraph:
 
 def from_doc(doc) -> MultiGraph:
     """A graph from a decoded JSON document, as `from_json` reads it."""
+    vertices, labels, _, ends = _read_doc(doc)
+    return MultiGraph._read(vertices, labels, ends)
+
+
+def _read_doc(doc) -> tuple[list[str], list[str], dict[str, int], list[tuple[int, int]]]:
+    """A graph document in integer form, checked as `MultiGraph` checks its
+    arguments: the vertex labels, the edge labels, the index of each vertex
+    label, and per edge the indices of its two ends.  Every graph read from
+    JSON is read here, a chain piece's too (`chains._piece_from_doc`).
+    Each edge's `ends` must be a list of exactly two strings.
+
+    The checks run over the whole document at C speed, and only a document
+    that fails one is walked again, in order, to name its first fault
+    (`_refuse`)."""
     try:
         vertices = [v["label"] for v in doc["vertices"]]
-        edges = [(e["label"], e["ends"][0], e["ends"][1]) for e in doc["edges"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        edges = [(e["label"], e["ends"]) for e in doc["edges"]]
+    except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
-    for label in (*vertices, *chain.from_iterable(edges)):
+    labels = [label for label, _ in edges]
+    pairs = [pair for _, pair in edges]
+    index: dict[str, int] = {}
+    ends = None
+    if (
+        {str}.issuperset(map(type, chain(vertices, labels)))
+        and {list}.issuperset(map(type, pairs))
+        and {2}.issuperset(map(len, pairs))
+    ):
+        index = dict(zip(vertices, range(len(vertices))))
+        get = index.get
+        try:
+            ends = [(get(u), get(v)) for u, v in pairs]
+        except TypeError:  # an unhashable end
+            pass
+    if (
+        ends is None
+        or len(index) != len(vertices)
+        or None in chain.from_iterable(ends)
+        or len(set(labels)) != len(labels)
+    ):
+        _refuse(vertices, edges)
+        # no fault after all, only a subclass of str or list
+        index = dict(zip(vertices, range(len(vertices))))
+        ends = [(index[u], index[v]) for u, v in pairs]
+    return vertices, labels, index, ends
+
+
+def _refuse(vertices: list, edges: list) -> None:
+    """Raise on the first fault of a graph document, in this order: ends
+    that are not a list of two, every label and end that is not a string
+    (vertices first), a repeated vertex label, then edge by edge an
+    unknown end or a repeated edge label."""
+    for label, pair in edges:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise GraphError(
+                f"malformed graph JSON: edge {label!r} has ends {pair!r}, not a list of two"
+            )
+    for label in (*vertices, *[x for label, (u, v) in edges for x in (label, u, v)]):
         if not isinstance(label, str):
             raise GraphError(f"malformed graph JSON: label or end {label!r} is not a string")
-    return MultiGraph(vertices, edges)
+    if len(set(vertices)) != len(vertices):
+        raise GraphError("duplicate vertex label")
+    known = set(vertices)
+    seen: set[str] = set()
+    for label, (u, v) in edges:
+        if u not in known:
+            raise GraphError(f"unknown endpoint label {u!r}")
+        if v not in known:
+            raise GraphError(f"unknown endpoint label {v!r}")
+        if label in seen:
+            raise GraphError(f"duplicate edge label {label!r}")
+        seen.add(label)
 
 
 # -- transforms -------------------------------------------------------------
@@ -241,96 +332,3 @@ def relabel_vertices(G: MultiGraph, mapping: dict[str, str]) -> MultiGraph:
             raise GraphError(f"unknown label {old!r}")
     sub = lambda v: mapping.get(v, v)
     return MultiGraph([sub(v) for v in G.vertices], [(e.label, sub(e.u), sub(e.v)) for e in G.edges])
-
-
-# -- flow-based connectivity queries ----------------------------------------
-
-
-def _max_flow(n: int, arcs: list[tuple[int, int, int, int]], s: int, t: int) -> int:
-    """Maximum s-t flow on nodes 0..n-1 by shortest augmenting paths
-    (Edmonds-Karp).
-
-    Each (u, v, forward, backward) in `arcs` is one residual pair: arc 2i
-    runs u -> v with capacity `forward`, its twin 2i ^ 1 runs v -> u with
-    `backward` (0 for a directed arc, the same for an undirected edge).
-    The search stops once the capacity into t is used up.
-    """
-    head: list[int] = []
-    cap: list[int] = []
-    out: list[list[int]] = [[] for _ in range(n)]
-    for u, v, forward, backward in arcs:
-        out[u].append(len(head))
-        out[v].append(len(head) + 1)
-        head += (v, u)
-        cap += (forward, backward)
-    bound = sum(cap[a ^ 1] for a in out[t])
-    total = 0
-    while total < bound:
-        via = [-1] * n  # the arc each reached node was reached by
-        via[s] = -2
-        queue = [s]
-        for u in queue:
-            for a in out[u]:
-                v = head[a]
-                if cap[a] and via[v] == -1:
-                    via[v] = a
-                    queue.append(v)
-            if via[t] != -1:
-                break
-        else:
-            return total
-        path = []
-        v = t
-        while v != s:
-            a = via[v]
-            path.append(a)
-            v = head[a ^ 1]
-        push = min(cap[a] for a in path)
-        for a in path:
-            cap[a] -= push
-            cap[a ^ 1] += push
-        total += push
-    return total
-
-
-def _flow_ends(G: MultiGraph, sources: Iterable[str], sink: str) -> frozenset[str]:
-    """The sources, checked: nonempty, known, and without the sink."""
-    src = frozenset(sources)
-    if not src:
-        raise GraphError("sources must be nonempty")
-    if sink in src:
-        raise GraphError("sink must not be a source")
-    for v in src | {sink}:
-        if v not in G:
-            raise GraphError(f"unknown vertex {v!r}")
-    return src
-
-
-_BIG = 10**9
-
-
-def min_edge_cut(G: MultiGraph, sources: Iterable[str], sink: str) -> int:
-    """Maximum number of edge-disjoint source-to-sink paths (= min separating cut)."""
-    src = _flow_ends(G, sources, sink)
-    node = {v: i for i, v in enumerate(G.vertices)}
-    arcs = [(node[e.u], node[e.v], 1, 1) for e in G.edges if e.u != e.v]
-    root = G.n  # joined to every source
-    arcs += [(root, node[v], _BIG, 0) for v in src]
-    return _max_flow(G.n + 1, arcs, root, node[sink])
-
-
-def max_vertex_disjoint_paths(G: MultiGraph, sources: Iterable[str], sink: str) -> int:
-    """Maximum number of internally vertex-disjoint source-to-sink paths."""
-    src = _flow_ends(G, sources, sink)
-    free = src | {sink}  # not split; may be shared by paths
-    # a vertex v is entered at node 2i and left from node 2i + 1, or, if
-    # free, both at 2i; an inner vertex passes one path from 2i to 2i + 1
-    enter = {v: 2 * i for i, v in enumerate(G.vertices)}
-    leave = {v: i if v in free else i + 1 for v, i in enter.items()}
-    arcs = [(i, i + 1, 1, 0) for v, i in enter.items() if v not in free]
-    for e in G.edges:
-        if e.u != e.v:
-            arcs += ((leave[e.u], enter[e.v], 1, 0), (leave[e.v], enter[e.u], 1, 0))
-    root = 2 * G.n
-    arcs += [(root, enter[v], _BIG, 0) for v in src]
-    return _max_flow(root + 1, arcs, root, enter[sink])

@@ -8,6 +8,7 @@ from cubicham import (
     BUILTIN_CHAINS,
     ChainError,
     ChainPiece,
+    GraphError,
     MultiGraph,
     OneEndedChain,
     Tail,
@@ -118,9 +119,11 @@ def test_chain_G_witness():
 
 
 def test_finite_counts_come_with_certificates():
+    # the count comes from the analysis; listing the certificates must
+    # give exactly that many
     for name in ("H", "Hprime", "ladder", "double_ladder"):
         result = count_limit_hamilton_cycles(ALL_CHAINS[name]())
-        assert len(result.certificates) == result.count
+        assert len(list(result.certificates)) == len(result.certificates) == result.count
 
 
 def test_certificates_validate():
@@ -251,8 +254,11 @@ def test_analyze_lists_cycles_only_for_certificates(monkeypatch, capsys, name, l
     monkeypatch.setattr(hamilton, "_sorted_cycles", counted)
     assert cli.main(["chain", "analyze", name]) == 0
     out = capsys.readouterr().out
-    # an Infinite chain has no certificates, so nothing is listed
-    assert ("Infinite" in out, bool(calls)) == (not lists, lists)
+    # the count comes from the analysis, so nothing is listed; listing the
+    # certificates of a Finite chain lists cycles, an Infinite one has none
+    assert ("Infinite" in out, calls) == (not lists, [])
+    certs = list(count_limit_hamilton_cycles(BUILTIN_CHAINS[name]()).certificates)
+    assert (bool(certs), bool(calls)) == (lists, lists)
 
 
 def test_chain_json_roundtrip():
@@ -283,6 +289,68 @@ def test_chain_json_rejects_unknown_mode():
 def test_chain_json_rejects_malformed_documents(text):
     with pytest.raises(ChainError, match="malformed chain JSON"):
         chain_from_json(text)
+
+
+def _set(path, value):
+    """A change to chain-G's period piece document: the value at `path`."""
+
+    def change(piece):
+        *keys, last = path
+        for key in keys:
+            piece = piece[key]
+        piece[last] = value
+
+    return change
+
+
+# faults in a piece document -> the error reading it raises, with the
+# message `MultiGraph` or `ChainPiece` gives for the same fault
+MALFORMED_PIECES = {
+    "non-string label": (
+        _set(["graph", "vertices", 0, "label"], 7),
+        GraphError, "malformed graph JSON: label or end 7 is not a string",
+    ),
+    "duplicate vertex": (
+        _set(["graph", "vertices", 1, "label"], "x"), GraphError, "duplicate vertex label"
+    ),
+    "duplicate edge": (
+        _set(["graph", "edges", 1, "label"], "x_p"), GraphError, "duplicate edge label 'x_p'"
+    ),
+    "unknown endpoint": (
+        _set(["graph", "edges", 0, "ends"], ["x", "zzz"]),
+        GraphError, "unknown endpoint label 'zzz'",
+    ),
+    "port vertex missing": (
+        _set(["left_ports", 0], ["e_x", "zzz"]), ChainError, "port vertex 'zzz' not in piece"
+    ),
+    "duplicate stub": (
+        _set(["right_ports", 0], ["e_x", "a"]),
+        ChainError, "stub labels must be unique within a piece",
+    ),
+    "stub collides": (
+        _set(["left_ports", 0], ["x_p", "x"]),
+        ChainError, "stub 'x_p' collides with an interior edge label",
+    ),
+    # x_p becomes a loop at x, which then has degree 2 + 1 + its stub
+    "loop counts 2": (
+        _set(["graph", "edges", 0, "ends"], ["x", "x"]),
+        ChainError, "piece vertex 'x' has degree 4 with its stubs, not 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(MALFORMED_PIECES))
+def test_malformed_piece_documents_are_refused(tmp_path, capsys, fault):
+    change, error, message = MALFORMED_PIECES[fault]
+    doc = json.loads(chain_to_json(chain_G()))
+    change(doc["tail"]["period"][0])
+    with pytest.raises(error) as exc:
+        chain_from_doc(doc)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc))
+    assert cli.main(["chain", "analyze", str(target)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_chain_json_name_must_be_a_string():
@@ -424,24 +492,6 @@ def test_transfer_dot_is_one_layered_graph(monkeypatch, name, levels):
 @pytest.mark.parametrize(
     "make, expected",
     [
-        (chain_H, "chain_H: 0 certificates from the seed states {0,2} at cut 0, "
-         "but the classification counts 2 limit cycles"),
-        (chain_double_ladder, "chain_double_ladder: 0 x 0 certificates through the central "
-         "state {0,1} at cut 0, but the classification counts 1 x 1 limit cycles there"),
-    ],
-    ids=["one-ended", "two-ended"],
-)
-def test_defect_messages_name_chain_state_and_counts(monkeypatch, make, expected):
-    # certificates fewer than the count: no ray continues from any seed
-    monkeypatch.setattr(chains._Direction, "rays", lambda self, j, s, unique=False: iter(()))
-    with pytest.raises(RuntimeError, match="defect") as exc:
-        count_limit_hamilton_cycles(make())
-    assert expected in str(exc.value)
-
-
-@pytest.mark.parametrize(
-    "make, expected",
-    [
         (chain_H, "chain_H, right ray: recurrent state {0,2} at cut 1 has 2 continuations"),
         (chain_double_ladder, "chain_double_ladder, left ray: recurrent state {0,1} at cut 1"
          " has 2 continuations"),
@@ -457,6 +507,7 @@ def test_defect_messages_name_a_recurrent_branching_state(monkeypatch, make, exp
         "choices",
         lambda self, j, s: [(t, cycles * 2) for t, cycles in choices(self, j, s)],
     )
+    result = count_limit_hamilton_cycles(make())
     with pytest.raises(RuntimeError, match="defect") as exc:
-        count_limit_hamilton_cycles(make())
+        list(result.certificates)
     assert expected in str(exc.value)

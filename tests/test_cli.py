@@ -222,24 +222,39 @@ def test_export_dot_refuses_a_json_literal(tmp_path, capsys, literal):
     assert (code, out) == (2, "") and "malformed graph JSON" in err
 
 
-@pytest.mark.parametrize("where", ["vertex label", "edge label", "edge end"])
+# where a graph file is malformed -> what its error message says
+MALFORMED_GRAPHS = {
+    "vertex label": "is not a string",
+    "edge label": "is not a string",
+    "edge end": "is not a string",
+    "ends as a string": "not a list of two",
+    "three ends": "not a list of two",
+}
+
+
+@pytest.mark.parametrize("where", list(MALFORMED_GRAPHS))
 def test_unhashable_graph_labels_are_usage_errors(tmp_path, capsys, where):
     doc = cubicham.k4().to_doc()
     if where == "vertex label":
         doc["vertices"][0]["label"] = ["0"]
     elif where == "edge label":
         doc["edges"][0]["label"] = {"a": 1}
-    else:
+    elif where == "edge end":
         doc["edges"][0]["ends"][1] = ["1"]
+    elif where == "ends as a string":
+        doc["edges"][0]["ends"] = "".join(doc["edges"][0]["ends"])  # once read as its letters
+    else:
+        doc["edges"][0]["ends"].append("zzz")  # once read as its first two
     target = tmp_path / "bad.json"
     target.write_text(json.dumps(doc))
     for argv in (
-        ["hamilton", "count", str(target)],
+        ["--format", "json", "hamilton", "count", str(target)],
         ["incidence", str(target), "--v", "0", "--w", "1"],
         ["export-dot", str(target)],
     ):
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "") and "is not a string" in err
+        assert (code, out) == (2, "") and "malformed graph JSON" in err
+        assert MALFORMED_GRAPHS[where] in err
 
 
 def test_unknown_graph_is_usage_error(capsys):

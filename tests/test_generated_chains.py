@@ -8,6 +8,7 @@ pre-period of 0-2 pieces and a period of 1-3 on each tail, with 2- or
 
 import math
 import random
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from cubicham import (
     OneEndedChain,
     Tail,
     TwoEndedChain,
+    chain_from_json,
     chain_ladder,
     chain_to_json,
     chains,
@@ -31,8 +33,6 @@ from cubicham import (
     hamilton,
     initial_vector,
     materialize,
-    max_vertex_disjoint_paths,
-    min_edge_cut,
     prefix_counts,
     transfer_layer,
     truncation_consistency,
@@ -44,9 +44,12 @@ from util import (
     dummy_cycles,
     frontier_count_by_trace,
     generated_chains,
+    max_vertex_disjoint_paths,
     memo_count_by_trace,
+    min_edge_cut,
     random_chain,
     renamed_stubs,
+    repeated_first_piece,
 )
 
 CHAINS = generated_chains()
@@ -149,8 +152,11 @@ def test_generated_chain(index):
             assert first == last == result.count
 
     depth = max(len(t.pre) + 2 * t.plen for _, t in _tails(chain))
-    assert len(result.certificates) == (result.count or 0)
-    for cert in result.certificates:
+    # the count comes from the analysis; listing the certificates must
+    # give exactly that many
+    certs = list(result.certificates)
+    assert len(certs) == (result.count or 0)
+    for cert in certs:
         assert validate_certificate(chain, cert, depth)
 
     # windows are counted by the memoized search in chain order, so twelve
@@ -384,6 +390,51 @@ def _window_cut(chain, end: str, k: int, flow=min_edge_cut) -> int:
         core = chain.left.piece(1)
         sink = chains.DUMMY_RIGHT if end == "right" else chains.DUMMY_LEFT
     return flow(truncation_minor(chain, k), [f"{v}@0" for v in core.graph.vertices], sink)
+
+
+def _pieces(chain) -> list:
+    """Every piece object of the chain, the initial piece first."""
+    first = [chain.initial] if isinstance(chain, OneEndedChain) else []
+    return first + [piece for _, tail in _tails(chain) for piece in tail.pre + tail.period]
+
+
+@pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))
+def test_pieces_read_from_json_keep_their_integer_form(index):
+    # a piece read from a file is kept in integer form and builds its
+    # labeled graph only when that is read: the graph is the original's,
+    # and its integer form is the one the engine read
+    chain = EVERY_CHAIN[index]
+    again = chain_from_json(chain_to_json(chain))
+    for piece, read in zip(_pieces(chain), _pieces(again), strict=True):
+        assert "graph" not in vars(read)
+        assert read._flow == piece._flow
+        graph = read.graph
+        assert graph.vertices == piece.graph.vertices
+        assert [(e.label, e.u, e.v) for e in graph.edges] == [
+            (e.label, e.u, e.v) for e in piece.graph.edges
+        ]
+        assert graph.ints == read._flow[:2]
+        assert (read.left_ports, read.right_ports) == (piece.left_ports, piece.right_ports)
+    for side, tail in _tails(chain):
+        for j in range(len(tail.pre) + 1 + tail.plen):
+            n = j if side == "right" else -1 - j
+            assert transfer_layer(again, n) == transfer_layer(chain, n), (side, j)
+
+
+def test_finite_count_without_listing_certificates():
+    # util seed 1260 is Finite(48); each repetition of its first pre-period
+    # piece multiplies the count by 4.  Listing the certificates took time
+    # in proportion to the count
+    chain = random_chain(random.Random(1260), True, 2)
+    start = time.perf_counter()
+    long = repeated_first_piece(chain, 40)
+    result = count_limit_hamilton_cycles(long)
+    assert result.count == 48 * 4**39 and result.certificates
+    assert end_degree(long) == 2
+    assert time.perf_counter() - start < 1
+    for r in (1, 2, 3):
+        result = count_limit_hamilton_cycles(repeated_first_piece(chain, r))
+        assert len(list(result.certificates)) == result.count == 48 * 4 ** (r - 1)
 
 
 @pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))

@@ -12,12 +12,11 @@ from cubicham import (
     from_doc,
     from_json,
     k4,
-    max_vertex_disjoint_paths,
-    min_edge_cut,
     petersen,
     quotient,
     relabel_vertices,
 )
+from util import max_vertex_disjoint_paths, min_edge_cut
 
 
 def test_basic_construction():
@@ -132,9 +131,24 @@ def test_from_doc_reads_what_from_json_reads():
                 {"vertices": [{"label": "a"}], "edges": [{"label": "x", "ends": ["a"]}]},
                 {"vertices": [{"label": ["a"]}], "edges": []},
                 {"vertices": [{"label": "a"}], "edges": [{"label": {}, "ends": ["a", "a"]}]},
-                {"vertices": [{"label": "a"}], "edges": [{"label": "x", "ends": ["a", 1]}]}):
-        with pytest.raises(GraphError):
+                {"vertices": [{"label": "a"}], "edges": [{"label": "x", "ends": ["a", 1]}]},
+                # ends must be a list of exactly two strings
+                {"vertices": [{"label": "a"}, {"label": "b"}], "edges": [{"label": "x", "ends": "ab"}]},
+                {"vertices": [{"label": "a"}, {"label": "b"}],
+                 "edges": [{"label": "x", "ends": ["a", "b", "zzz"]}]}):
+        with pytest.raises(GraphError, match="malformed graph JSON"):
             from_doc(doc)
+    # subclasses of str and list are strings and lists
+    class Label(str):
+        pass
+
+    class Ends(list):
+        pass
+
+    doc = P.to_doc()
+    doc["vertices"][0]["label"] = Label(doc["vertices"][0]["label"])
+    doc["edges"][0]["ends"] = Ends(map(Label, doc["edges"][0]["ends"]))
+    assert from_doc(doc).to_json() == P.to_json()
 
 
 def _random_flow_case(rng: random.Random):

@@ -4,16 +4,21 @@ generator of random cut chains and the fixed set of generated chains the
 chain tests share, a renaming of every piece's stubs apart that keeps each
 cut's positions, a ladder whose right tail alternates two rungs with stub
 names of their own, the labeled listing of a minor's cycles by dummy
-edges that the chain engine's integer tabulation is checked against, and
-the memoized search's trace counts keyed as `count_by_trace` keys them."""
+edges that the chain engine's integer tabulation is checked against, the
+memoized search's trace counts keyed as `count_by_trace` keys them, a
+chain with its first pre-period piece repeated, and the labeled max-flow
+queries (`min_edge_cut`, `max_vertex_disjoint_paths`) that the chain
+engine's end degrees are checked against."""
 
 import random
 from itertools import combinations, permutations, product
+from typing import Iterable
 
 import networkx as nx
 
 from cubicham import (
     ChainPiece,
+    GraphError,
     MultiGraph,
     OneEndedChain,
     Tail,
@@ -323,3 +328,110 @@ def dummy_cycles(G: MultiGraph, dummies) -> dict:
             labels(cycle - at_dummies)
         )
     return {key: tuple(cycles) for key, cycles in buckets.items()}
+
+
+def repeated_first_piece(chain: OneEndedChain, r: int) -> OneEndedChain:
+    """The one-ended chain with its first pre-period piece repeated r >= 1
+    times, each copy followed by the matching that follows it in the chain.
+    On util seed 1260 (Finite(48)) the count becomes 48 * 4 ** (r - 1)."""
+    tail = chain.tail
+    repeated = Tail(
+        (tail.pre[0],) * r + tail.pre[1:],
+        tail.period,
+        (tail.entry_ifaces[0],) * (r - 1) + tail.entry_ifaces,
+        tail.period_ifaces,
+    )
+    return OneEndedChain(chain.initial, chain.entry_iface, repeated, chain.name)
+
+
+# -- flow-based connectivity queries ----------------------------------------
+
+
+def max_flow(n: int, arcs: list[tuple[int, int, int, int]], s: int, t: int) -> int:
+    """Maximum s-t flow on nodes 0..n-1 by shortest augmenting paths
+    (Edmonds-Karp), for the end-degree oracles below.
+
+    Each (u, v, forward, backward) in `arcs` is one residual pair: arc 2i
+    runs u -> v with capacity `forward`, its twin 2i ^ 1 runs v -> u with
+    `backward` (0 for a directed arc, the same for an undirected edge).
+    The search stops once the capacity into t is used up.
+    """
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v, forward, backward in arcs:
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head += (v, u)
+        cap += (forward, backward)
+    bound = sum(cap[a ^ 1] for a in out[t])
+    total = 0
+    while total < bound:
+        via = [-1] * n  # the arc each reached node was reached by
+        via[s] = -2
+        queue = [s]
+        for u in queue:
+            for a in out[u]:
+                v = head[a]
+                if cap[a] and via[v] == -1:
+                    via[v] = a
+                    queue.append(v)
+            if via[t] != -1:
+                break
+        else:
+            return total
+        path = []
+        v = t
+        while v != s:
+            a = via[v]
+            path.append(a)
+            v = head[a ^ 1]
+        push = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= push
+            cap[a ^ 1] += push
+        total += push
+    return total
+
+
+def flow_ends(G: MultiGraph, sources: Iterable[str], sink: str) -> frozenset[str]:
+    """The sources, checked: nonempty, known, and without the sink."""
+    src = frozenset(sources)
+    if not src:
+        raise GraphError("sources must be nonempty")
+    if sink in src:
+        raise GraphError("sink must not be a source")
+    for v in src | {sink}:
+        if v not in G:
+            raise GraphError(f"unknown vertex {v!r}")
+    return src
+
+
+BIG = 10**9
+
+
+def min_edge_cut(G: MultiGraph, sources: Iterable[str], sink: str) -> int:
+    """Maximum number of edge-disjoint source-to-sink paths (= min separating cut)."""
+    src = flow_ends(G, sources, sink)
+    node = {v: i for i, v in enumerate(G.vertices)}
+    arcs = [(node[e.u], node[e.v], 1, 1) for e in G.edges if e.u != e.v]
+    root = G.n  # joined to every source
+    arcs += [(root, node[v], BIG, 0) for v in src]
+    return max_flow(G.n + 1, arcs, root, node[sink])
+
+
+def max_vertex_disjoint_paths(G: MultiGraph, sources: Iterable[str], sink: str) -> int:
+    """Maximum number of internally vertex-disjoint source-to-sink paths."""
+    src = flow_ends(G, sources, sink)
+    free = src | {sink}  # not split; may be shared by paths
+    # a vertex v is entered at node 2i and left from node 2i + 1, or, if
+    # free, both at 2i; an inner vertex passes one path from 2i to 2i + 1
+    enter = {v: 2 * i for i, v in enumerate(G.vertices)}
+    leave = {v: i if v in free else i + 1 for v, i in enter.items()}
+    arcs = [(i, i + 1, 1, 0) for v, i in enter.items() if v not in free]
+    for e in G.edges:
+        if e.u != e.v:
+            arcs += ((leave[e.u], enter[e.v], 1, 0), (leave[e.v], enter[e.u], 1, 0))
+    root = 2 * G.n
+    arcs += [(root, enter[v], BIG, 0) for v in src]
+    return max_flow(root + 1, arcs, root, enter[sink])
