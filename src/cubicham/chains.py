@@ -234,9 +234,19 @@ class Tail:
         if len(self.period_ifaces) != len(self.period):
             raise ChainError("need one interface per period junction")
 
-    @property
+    # built once per tail on first read; cached_property writes the
+    # instance dict, not a field, so equality and hashing see fields only
+    @cached_property
     def plen(self) -> int:
         return len(self.period)
+
+    @cached_property
+    def _pieces(self) -> tuple[ChainPiece, ...]:
+        return self.pre + self.period
+
+    @cached_property
+    def _ifaces(self) -> tuple[Matching, ...]:
+        return self.entry_ifaces + self.period_ifaces
 
     def fold(self, j: int) -> int:
         """The least index with the same piece and junction as j (j >= 0):
@@ -247,13 +257,13 @@ class Tail:
     def piece(self, j: int) -> ChainPiece:
         if j < 1:
             raise ChainError(f"invalid tail piece index {j}")
-        return (self.pre + self.period)[self.fold(j) - 1]
+        return self._pieces[self.fold(j) - 1]
 
     def iface(self, j: int) -> Matching:
         """Matching at the junction between pieces j and j+1."""
         if j < 1:
             raise ChainError(f"invalid tail junction index {j}")
-        return (self.entry_ifaces + self.period_ifaces)[self.fold(j) - 1]
+        return self._ifaces[self.fold(j) - 1]
 
 
 def _check_chain(chain: CutChain) -> None:

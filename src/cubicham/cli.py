@@ -83,9 +83,9 @@ def _edge_ids(G: MultiGraph, csv: str | None) -> frozenset[int]:
 
 def _emit(args, text_payload: str, json_payload) -> None:
     if args.format == "json":
-        print(json.dumps(json_payload, indent=2, sort_keys=True))
+        _write_out(args, json.dumps(json_payload, indent=2, sort_keys=True))
     else:
-        print(text_payload)
+        _write_out(args, text_payload)
 
 
 def _write_out(args, payload: str) -> None:

@@ -11,12 +11,16 @@ the chain engine builds for its segment minors without labels
 (`_trace_counts`, `_sorted_cycles`).  The counting helpers
 (`count_through`, `count_by_trace`, `edge_parity_report`) tally inside
 their visitors, so their tallies take O(n + m) space whatever the number
-of cycles.  `enumerate_hamilton_cycles` collects every cycle.  The
-search itself holds one (m + 3n + 1)-int state list per branching level on
-the current path, so O(depth * (m + n)) ints with depth at most m.
-Every move the search makes, branched or forced, runs through one
-forced-move loop, the only place an edge goes IN; it examines a vertex
-only when the move just made can force it.
+of cycles; the parity report adds each cycle's edges into one packed int
+at C speed (`edge_parity_report`).  `enumerate_hamilton_cycles` collects
+every cycle.  The search state is four int lists: the edge states with the
+IN-edge count after them, and the IN-degree, undecided-edge count and
+path mate of each vertex, indexed by vertex.  The search holds one such
+state, m + 3n + 1 ints, per branching level on the current path, so
+O(depth * (m + n)) ints with depth at most m.  Every move the search
+makes, branched or forced, runs through one forced-move loop, the only
+place an edge goes IN; it examines a vertex only when the move just made
+can force it.
 
 The core has two branch orders.  Full searches that visit cycles (counts,
 tallies, listing) branch on the most constrained undecided edge, which
@@ -60,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .multigraph import GraphError, Ints, MultiGraph
@@ -70,7 +74,8 @@ HamiltonCycle = frozenset  # of edge ids
 _UND, _IN, _OUT = 0, 1, 2
 _is_in = _IN.__eq__
 _DECIDED = bytes.maketrans(bytes([_OUT]), bytes([_IN]))  # IN and OUT alike
-_ENDS = bytes.maketrans(b"\2", b"\0")  # IN-degree 1 alone stays true
+# 1 alone stays true: _IN among edge states, path ends among IN-degrees
+_ONES = bytes.maketrans(b"\2", b"\0")
 
 
 def is_hamilton_cycle(G: MultiGraph, edge_ids: Iterable[int]) -> bool:
@@ -132,27 +137,29 @@ def _search(
     incidence order of each vertex is ascending id, as in a `MultiGraph`,
     so a labeled graph and its integer form are searched alike.
 
-    The whole search state is one flat int list `s`: the state of edge i at
-    s[i] (_UND, _IN or _OUT); for the vertex whose block starts at offset p
-    (p = m + 3k for the k-th vertex), its IN-degree at s[p], its number of
-    undecided edges at s[p + 1] and its path mate at s[p + 2]; the number of
-    IN edges at s[-1].  Vertices are named by their offsets throughout.
-    Branching copies the list for the IN child (a C-speed list copy) and
-    hands the list itself to the OUT child, so there is no undo trail.
+    The search state is four int lists.  `s` holds the state of edge i at
+    s[i] (_UND, _IN or _OUT) and the number of IN edges at s[m], its last
+    entry.  `deg`, `und` and `mate` hold, for vertex k at index k, its
+    IN-degree, its number of undecided edges and its path mate.  Vertices
+    are named by their indices throughout, and `ends[i]` is the index sum
+    of edge i's two ends, so one end taken from it gives the other.
+    Branching copies the four lists for the IN child (C-speed list copies)
+    and hands the lists themselves to the OUT child, so there is no undo
+    trail.
 
     Loops are OUT from the start, and IN edges always form vertex-disjoint
-    paths.  The mate of a path end is the offset of the path's other end
+    paths.  The mate of a path end is the index of the path's other end
     (an isolated vertex is its own mate), so joining two paths rewrites two
     entries.  When a join leaves ends a and b with fewer than n - 1 edges
     IN, every undecided a-b edge is set OUT at once, so an edge that closes
     a path can only go IN as the n-th edge, closing a Hamilton cycle.  The
-    scan reads a's incidence tuple (a per-search neighbour set to skip
+    scan reads a's incidence list (a per-search neighbour set to skip
     it sped up dense graphs but slowed the small searches of segment
     minors, so there is none).
 
     Every move goes through `settle`, the one forced-move loop.  It takes
     edges to put IN (the branch edge, the required edges, or the undecided
-    edges of a vertex that needs all of them, read from its incidence tuple
+    edges of a vertex that needs all of them, read from its incidence list
     in place; decided edges are skipped) and a stack of vertices to
     examine.  A vertex is pushed only when the move just made can force it:
     its IN-degree reached 2 with undecided edges left, which then go OUT;
@@ -182,18 +189,18 @@ def _search(
     d; its IN child, which holds A, is searched first.
 
     `visit(s)` runs once the n-th edge is IN; `settle` has then set
-    every other edge OUT, and s[i] == _IN for i < m marks the cycle.  The
-    visitor must not keep or change `s`.  A true return value ends the
-    search.  Without `lowest_first` cycles arrive in search order, not
-    sorted.
+    every other edge OUT, s[i] == _IN for i < m marks the cycle, and
+    s[-1] == n.  The visitor must not keep or change `s`.  A true return
+    value ends the search.  Without `lowest_first` cycles arrive in search
+    order, not sorted.
 
     With `visit` None the search counts instead, and returns {trace:
     cycles}, a trace being the bit mask of the `groups` edges (distinct
     ids, bit k for groups[k]) that a cycle uses.  `settle` runs as for a
-    visitor, but `count(s)` branches on the lowest undecided edge
-    (`lowest_edge`), returns the table of the subtree below node s, for the
-    group edges still undecided at s, and keeps it in a memo.  The parent
-    adds the group edges that its move to the child put IN.  The key is
+    visitor, but `count` branches on the lowest undecided edge
+    (`lowest_edge`), returns the table of the subtree below its node s, for
+    the group edges still undecided at s, and keeps it in a memo.  The
+    parent adds the group edges that its move to the child put IN.  The key is
     s's residual problem, all that decides the subtree's completions,
     measured from the end of the graph:
       - m - first, `first` being the lowest undecided edge, and the states
@@ -203,7 +210,7 @@ def _search(
         IN-degrees and paths, and to the traces only as a group edge,
         which the table leaves to the parent.  (The suffix's length is
         m - first already; the key keeps both.)
-      - n_in - mate for the mate of each path end, in vertex order.  These
+      - n - mate for the mate of each path end, in vertex order.  These
         name the path ends, so they carry every IN-degree too: at a node
         `settle` has finished, a vertex with undecided edges is a path end
         (IN-degree 1) or untouched (0), and one without has IN-degree 2.
@@ -230,7 +237,7 @@ def _search(
     `chains._window_counts` does for the windows of a one-ended chain,
     when their edge lists end alike: whenever two of them both have such
     a node with m - first = L, their last L edges join the same vertices
-    counted from the end (vertex offset p as n_in - p).  Then equal keys
+    counted from the end (vertex index k as n - k).  Then equal keys
     pose equal problems in either graph.  The undecided edges are the same
     edges.  A vertex without one of the last L edges has no undecided
     edge, so by the above it has IN-degree 2: it is no path end, adds
@@ -247,24 +254,27 @@ def _search(
     if n == 0:
         return {} if visit is None else None
     last = n - 1
-    n_in = m + 3 * n  # index of the IN-edge count
-    base = range(m, n_in, 3)  # the offset of each vertex
-    eu = [m + 3 * u for u, _ in edges]
-    ev = [m + 3 * v for _, v in edges]
-    ends = [p + q for p, q in zip(eu, ev)]  # minus one end's offset gives the other's
-    at: list[list[int]] = [[] for _ in base]
+    eu = [u for u, _ in edges]
+    ev = [v for _, v in edges]
+    ends = [u + v for u, v in edges]  # minus one end gives the other
+    inc: list[list[int]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
-        at[u].append(i)
+        inc[u].append(i)
         if u != v:
-            at[v].append(i)
-    s = [_UND] * (n_in + 1)
-    inc: list = [()] * n_in
-    for p, ids in zip(base, at):
-        inc[p] = ids
-        s[p + 1] = len(ids)
-        s[p + 2] = p
+            inc[v].append(i)
+    s = [_UND] * (m + 1)  # the edge states, then the IN-edge count
+    deg = [0] * n
+    und = list(map(len, inc))
+    mate = list(range(n))
 
-    def settle(s: list[int], todo: Iterable[int], touched: list[int]) -> bool:
+    def settle(
+        s: list[int],
+        deg: list[int],
+        und: list[int],
+        mate: list[int],
+        todo: Iterable[int],
+        touched: list[int],
+    ) -> bool:
         """Put each undecided edge of `todo` IN, then make every move that
         the vertices on `touched` force, until none is left; false once the
         branch has no Hamilton cycle.  Edges go IN nowhere else."""
@@ -273,69 +283,69 @@ def _search(
                 if s[i]:
                     continue
                 p, q = eu[i], ev[i]
-                dp, dq = s[p] + 1, s[q] + 1
+                dp, dq = deg[p] + 1, deg[q] + 1
                 if dp > 2 or dq > 2:
                     return False
                 s[i] = _IN
-                s[p] = dp
-                s[q] = dq
-                up = s[p + 1] - 1
-                uq = s[q + 1] - 1
-                s[p + 1] = up
-                s[q + 1] = uq
+                deg[p] = dp
+                deg[q] = dq
+                up = und[p] - 1
+                uq = und[q] - 1
+                und[p] = up
+                und[q] = uq
                 if dp == 2 and up:
                     touched.append(p)
                 if dq == 2 and uq:
                     touched.append(q)
-                t = s[n_in] + 1
-                s[n_in] = t
-                a = s[p + 2]
+                t = s[m] + 1
+                s[m] = t
+                a = mate[p]
                 if a == q:  # the n-th edge, closing the cycle
                     continue
-                b = s[q + 2]
-                s[a + 2] = b
-                s[b + 2] = a
+                b = mate[q]
+                mate[a] = b
+                mate[b] = a
                 if t < last:
                     ab = a + b
                     for j in inc[a]:
                         if not s[j] and ends[j] == ab:
                             s[j] = _OUT
-                            ua = s[a + 1] - 1
-                            ub = s[b + 1] - 1
-                            s[a + 1] = ua
-                            s[b + 1] = ub
+                            ua = und[a] - 1
+                            ub = und[b] - 1
+                            und[a] = ua
+                            und[b] = ub
                             if ua <= 1:
                                 touched.append(a)
                             if ub <= 1:
                                 touched.append(b)
             while touched:
                 p = touched.pop()
-                und = s[p + 1]
-                if not und:
-                    if s[p] < 2:
+                u = und[p]
+                if not u:
+                    if deg[p] < 2:
                         return False
                     continue
-                d = s[p]
+                d = deg[p]
                 if d == 2:
                     for j in inc[p]:
                         if not s[j]:
                             s[j] = _OUT
                             q = ends[j] - p
-                            u = s[q + 1] - 1
-                            s[q + 1] = u
-                            dq = s[q]
-                            if dq < 2 and u + dq <= 2:
+                            uq = und[q] - 1
+                            und[q] = uq
+                            dq = deg[q]
+                            if dq < 2 and uq + dq <= 2:
                                 touched.append(q)
-                    s[p + 1] = 0
-                elif und + d == 2:
+                    und[p] = 0
+                elif u + d == 2:
                     todo = inc[p]
                     break
-                elif und + d < 2:
+                elif u + d < 2:
                     return False
             else:
                 return True
 
-    def branch_edge(s: list[int]) -> int:
+    def branch_edge(s: list[int], deg: list[int], und: list[int]) -> int:
         try:
             first = s.index(_UND, 0, m)  # every edge below it is decided
         except ValueError:
@@ -345,16 +355,16 @@ def _search(
             if s[i]:
                 continue
             p, q = eu[i], ev[i]
-            c = s[p] + s[q]
+            c = deg[p] + deg[q]
             if c == 2:
                 return i
             if c >= best_in:
-                und = s[p + 1] + s[q + 1]
-                if c > best_in or und < best_und:
-                    best, best_in, best_und = i, c, und
+                u = und[p] + und[q]
+                if c > best_in or u < best_und:
+                    best, best_in, best_und = i, c, u
         return best
 
-    def lowest_edge(s: list[int]) -> int:
+    def lowest_edge(s: list[int], deg: list[int], und: list[int]) -> int:
         try:
             return s.index(_UND, 0, m)
         except ValueError:
@@ -362,21 +372,22 @@ def _search(
 
     pick = lowest_edge if lowest_first else branch_edge
 
-    def descend(s: list[int]) -> bool:
-        """Search below s; true once the visitor has asked to stop."""
-        if s[n_in] == n:
+    def descend(s: list[int], deg: list[int], und: list[int], mate: list[int]) -> bool:
+        """Search below the node (s, deg, und, mate); true once the visitor
+        has asked to stop."""
+        if s[m] == n:
             return bool(visit(s))
-        i = pick(s)
+        i = pick(s, deg, und)
         if i < 0:
             return False
-        t = s[:]
-        if settle(t, (i,), []) and descend(t):
+        t, dt, ut, mt = s[:], deg[:], und[:], mate[:]
+        if settle(t, dt, ut, mt, (i,), []) and descend(t, dt, ut, mt):
             return True
         s[i] = _OUT
         p, q = eu[i], ev[i]
-        s[p + 1] -= 1
-        s[q + 1] -= 1
-        return settle(s, (), [p, q]) and descend(s)
+        und[p] -= 1
+        und[q] -= 1
+        return settle(s, deg, und, mate, (), [p, q]) and descend(s, deg, und, mate)
 
     bits = [(g, 1 << k) for k, g in enumerate(groups or ())]
     memo: dict = {}
@@ -400,21 +411,20 @@ def _search(
             trace |= traced
             table[trace] = table.get(trace, 0) + cycles
 
-    def count(s: list[int]) -> dict:
-        """The cycles below s by their trace on the group edges undecided at
-        s, as a bit mask; branches on the lowest undecided edge and is
-        memoized on s's residual problem."""
-        if s[n_in] == n:
+    def count(s: list[int], deg: list[int], und: list[int], mate: list[int]) -> dict:
+        """The cycles below the node by their trace on the group edges
+        undecided there, as a bit mask; branches on the lowest undecided
+        edge and is memoized on the node's residual problem."""
+        if s[m] == n:
             return leaf
-        first = lowest_edge(s)
+        first = lowest_edge(s, deg, und)
         if first < 0:
             return {}
         # bytearray() converts an int list fastest
-        path_ends = bytearray(s[m:n_in:3]).translate(_ENDS)
         key = (
             m - first,
             bytes(bytearray(s[first:m]).translate(_DECIDED)),
-            tuple(map(n_in.__sub__, compress(s[m + 2 : n_in : 3], path_ends))),
+            tuple(map(n.__sub__, compress(mate, bytearray(deg).translate(_ONES)))),
         )
         store = memo if first < share_from else shared
         table = store.get(key)
@@ -422,15 +432,15 @@ def _search(
             return table
         table = {}
         open_bits = [(g, bit) for g, bit in bits if not s[g]]
-        t = s[:]
-        if settle(t, (first,), []):
-            merge(table, put_in(t, open_bits), count(t))
+        t, dt, ut, mt = s[:], deg[:], und[:], mate[:]
+        if settle(t, dt, ut, mt, (first,), []):
+            merge(table, put_in(t, open_bits), count(t, dt, ut, mt))
         s[first] = _OUT
         p, q = eu[first], ev[first]
-        s[p + 1] -= 1
-        s[q + 1] -= 1
-        if settle(s, (), [p, q]):
-            merge(table, put_in(s, open_bits), count(s))
+        und[p] -= 1
+        und[q] -= 1
+        if settle(s, deg, und, mate, (), [p, q]):
+            merge(table, put_in(s, open_bits), count(s, deg, und, mate))
         store[key] = table
         return table
 
@@ -438,19 +448,19 @@ def _search(
         p, q = eu[i], ev[i]
         if p == q or i in forbid:
             s[i] = _OUT
-            s[p + 1] -= 1
+            und[p] -= 1
             if p != q:
-                s[q + 1] -= 1
+                und[q] -= 1
     # no move made these fall to two undecided edges or fewer: push them now
-    touched = [p for p in base if s[p + 1] <= 2]
-    ok = settle(s, require, touched) and all(s[i] == _IN for i in require)
+    touched = [p for p in range(n) if und[p] <= 2]
+    ok = settle(s, deg, und, mate, require, touched) and all(s[i] == _IN for i in require)
     if visit is not None:
         if ok:
-            descend(s)
+            descend(s, deg, und, mate)
         return None
     table: dict = {}
     if ok:
-        merge(table, put_in(s, bits), count(s))
+        merge(table, put_in(s, bits), count(s, deg, und, mate))
     memo.clear()  # `count` refers to itself, so only the cycle collector would free it
     return table
 
@@ -583,17 +593,30 @@ class EdgeParityReport:
 
 
 def edge_parity_report(G: MultiGraph) -> EdgeParityReport:
-    edge_ids = range(G.m)
-    tally = [0] * G.m
-    total = 0
+    """Hamilton cycles per edge, tallied at C speed: each cycle's edge
+    states, IN as 1 and OUT as 0, are read as one little-endian int with a
+    base-256 digit per edge and added into `packed`.  No digit can carry
+    before 256 cycles, so `packed` is unpacked into the tallies every 255
+    cycles and once at the end, and takes O(m) space."""
+    m = G.m
+    edge_ids = range(m)
+    tally = [0] * m
+    packed = total = 0
+
+    def unpack() -> None:
+        nonlocal packed
+        tally[:] = map(add, tally, packed.to_bytes(m, "little"))
+        packed = 0
 
     def visit(s: list[int]) -> None:
-        nonlocal total
+        nonlocal packed, total
+        packed += int.from_bytes(bytearray(s[:m]).translate(_ONES), "little")
         total += 1
-        for i in compress(edge_ids, map(_is_in, s)):
-            tally[i] += 1
+        if not total % 255:
+            unpack()
 
     _search(G.ints, (), (), visit)
+    unpack()
     counts = dict(zip(edge_ids, tally))
     odd_degrees = all(G.degree(v) % 2 == 1 for v in G.vertices)
     odd_edges = tuple(i for i in edge_ids if tally[i] % 2 == 1) if odd_degrees else ()

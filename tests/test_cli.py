@@ -40,6 +40,22 @@ def test_construct_chain_and_out_file(tmp_path, capsys):
     assert doc["mode"] == "one-ended"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--format", "json", "hamilton", "count", "k4"),
+        ("incidence", "tutte-quotient", "--v", "w", "--w", "v"),
+        ("--format", "json", "chain", "analyze", "chain-H"),
+    ],
+)
+def test_out_file_holds_what_stdout_held(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    target = tmp_path / "out.txt"
+    assert run(capsys, "--out", str(target), *argv) == (0, "", "")
+    assert target.read_text() == out
+
+
 def test_construct_truncation_and_segment(capsys):
     code, out, _ = run(capsys, "construct", "truncation", "--chain", "chain-ladder", "--k", "2")
     assert code == 0 and from_json(out).n == 9

@@ -251,6 +251,36 @@ def test_parity_report_on_quotient_fragment():
     assert report.to_csv(Q).splitlines()[0] == "edge,count"
 
 
+def _complete_graph(n: int) -> MultiGraph:
+    labels = [f"v{i}" for i in range(n)]
+    return MultiGraph(labels, [(None, u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]])
+
+
+def _third_odd_draw(rng: random.Random) -> MultiGraph:
+    return [random_odd_degree_graph(n, rng) for n in (12, 14, 16)][-1]
+
+
+@pytest.mark.parametrize(
+    "make, total",
+    [
+        # 2520 cycles, 720 on each edge: the packed tally is unpacked 9 times
+        # during the search, the last time at the 2295th cycle
+        (lambda: _complete_graph(8), 2520),
+        # the bench's dense all-odd graph: n = 16, m = 48, the third draw
+        # of one Random(2)
+        (lambda: _third_odd_draw(random.Random(2)), 22145),
+    ],
+)
+def test_packed_parity_tally_matches_per_cycle_tallies(make, total):
+    G = make()
+    cycles = enumerate_hamilton_cycles(G)
+    report = edge_parity_report(G)
+    assert report.total == len(cycles) == total
+    assert report.counts == {i: sum(i in c for c in cycles) for i in range(G.m)}
+    assert report.all_degrees_odd
+    assert report.odd_count_edges == tuple(i for i in range(G.m) if report.counts[i] % 2)
+
+
 def test_cycle_labels_sorted():
     G = k4()
     C = enumerate_hamilton_cycles(G)[0]

@@ -139,9 +139,12 @@ def test_streaming_helpers_match_enumeration(seed, n):
     report = edge_parity_report(G)
     assert report.total == len(full)
     assert report.counts == {i: sum(i in c for c in full) for i in range(G.m)}
-    groups = [G.edges_at(v) for v in rng.sample(G.vertices, min(2, n))] + [ids[:3]]
+    groups = [G.edges_at(v) for v in rng.sample(G.vertices, min(2, n))] + [ids[:3], ids[:1]]
     by_trace = Counter(tuple(c & frozenset(g) for g in groups) for c in full)
     assert count_by_trace(G, groups) == dict(by_trace)
+    # one edge alone: `_trace_counts` reads it beside the IN-edge count s[-1]
+    alone = Counter((c & {ids[0]},) for c in full)
+    assert count_by_trace(G, [ids[:1]]) == dict(alone)
     # the memoized counter, on loops, parallel edges and overlapping groups
     assert memo_count_by_trace(G, groups) == dict(by_trace)
 
