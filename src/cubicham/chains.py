@@ -17,28 +17,32 @@ matching sits at cut j, which piece lies beyond it and which stub of a pair
 faces the core; validation, layers, windows, certificates, end degrees and
 witness names all ask it.  It holds one step per distinct cut (the
 pre-period cuts, then one period; `Tail.fold` is the only period fold),
-and every propagation of weights goes through its `moves` and `advance`.
-Its `rays` alone enumerates rays, closing each where its (slot, state) pair
-first recurs, so every certificate has the shortest pre-period and period;
-`_analyze_rays` only classifies, and a Finite count is read off it.  The
-certificates are listed only when asked for (`Certificates`): a
-one-ended chain's are one lazy stream (`_one_ended_certificates`), whose
-first two are the two witnesses in every class, and a two-ended chain's
-are the product of its left and right rays per central state.
+and every propagation of weights goes through its `push`: the ray
+analysis and `prefix_counts` restrict it to surviving states (`advance`),
+and `truncation_consistency` does not.  Its `window` lists the pieces,
+matchings and window tags out to a cut in chain order, for every window
+and every max flow.  Its `rays` alone enumerates rays, closing each where
+its (slot, state) pair first recurs, so every certificate has the
+shortest pre-period and period; `_analyze_rays` only classifies, and a
+Finite count is read off it.  The certificates are listed only when
+asked for (`Certificates`): a one-ended chain's are one lazy stream
+(`_one_ended_certificates`), whose first two are the two witnesses in
+every class, and a two-ended chain's are the product of its left and
+right rays per central state.
 
 A chain file becomes tables in three steps, with no labeled graph between
 them.  The one graph-document reader (`multigraph._read_doc`) turns each
 piece's graph into its integer form (vertex count, end-index pairs and
 labels), which the piece checks and keeps (`ChainPiece._flow`); the
 labeled `ChainPiece.graph` is built only when something reads it.
-Windows and segment minors are glued in one place, `_glue`, from each
-piece's integer form; `materialize` only puts labels on what `_glue`
-builds, so a labeled window and its integer form are the same graph,
-searched alike.  Every piece is tabulated alike: its segment minor's
-Hamilton cycles by the stubs used at each dummy (`ChainPiece._counts`),
-so every slot, side and chain holding the same piece object shares one
-search.  The search runs on the minor's integer form
-(`ChainPiece._minor`) and keys each cycle by the states of the stub
+Windows, segment minors and max-flow networks are glued in one place,
+`_glue`, from each piece's integer form; `materialize` only puts labels
+on what `_glue` builds, so a labeled window and its integer form are the
+same graph, searched alike.  Every piece is tabulated alike: its segment
+minor's Hamilton cycles by the stubs used at each dummy
+(`ChainPiece._counts`), so every slot, side and chain holding the same
+piece object shares one search.  The search runs on the minor's integer
+form (`ChainPiece._minor`) and keys each cycle by the states of the stub
 edges, and each distinct key is turned into stub names once; the order
 of the search, and so of every table's keys and cycles, is that of the
 labeled minor, which only `segment_minor` builds.
@@ -47,8 +51,11 @@ Level 0 of a one-ended chain is the initial piece's segment, which has
 only the right dummy; its counts (`_initial_counts`) seed every
 propagation.  `_by_state` is the only place stub labels, or the ids of
 the edges at a dummy, become cut positions.
-Truncation windows are built only by the oracles (`truncation_consistency`,
-`validate_certificate`) and by `construct truncation`.  The brute force of
+Truncation windows (`_window`, which joins the sides' `_Direction.window`)
+are built only by the oracles (`truncation_consistency`,
+`validate_certificate`) and by `construct truncation`; `end_degree` glues
+one side's window alone.  The predictions `truncation_consistency` checks
+are pushed outward from cut 0 by `_Direction.push`.  The brute force of
 `truncation_consistency` (`_window_counts`) counts a window in integer form,
 without labels, with the memoized search, which sweeps it along the chain
 instead of listing its cycles, so it reaches deep levels.  A one-ended
@@ -65,12 +72,11 @@ certificates, witnesses included, ask for them (`_Direction.choices`).
 `transfer_dot` draws its edges from the counts and names cut states as
 witnesses are named (`_Direction.stubs`).
 
-`end_degree` is exact and builds no truncation windows.  It takes the min
+`end_degree` is exact and builds no labeled window.  It takes the min
 cut at one level that the period and the cut size fix, deepening it only
-when the value there drops, as a max flow over the same integer form of
-each piece (`ChainPiece._flow`, the piece's only one), glued outward from
-the core into a unit-capacity residual network (`_level_cut`, the
-package's one max flow).
+when the value there drops, as a max flow on the ray's window glued by
+`_glue` with that ray's dummy alone, its core contracted to the source
+(`_level_cut`, the package's one max flow).
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .hamilton import _memo_trace_counts, _sorted_cycles, _trace_counts, is_hamilton_cycle
-from .multigraph import GraphError, Ints, MultiGraph, _read_doc, _simple
+from .multigraph import GraphError, Ints, MultiGraph, _quote, _read_doc, _simple
 
 State = frozenset  # of cut positions
 Matching = tuple[tuple[str, str], ...]  # (right stub of left piece, left stub of right piece)
@@ -103,11 +109,11 @@ class ChainPiece:
 
     A piece's integer form, `_flow`, is its vertex count, its edges as
     vertex-index pairs (loops included) and the vertex index of each stub.
-    Max flows (`_level_cut`), windows and the tabulation (`_glue`) read
-    nothing else, and the checks above run on it.  A piece read from a
-    chain file (`_piece_from_doc`) is kept in that form and builds its
-    labeled `graph` only when that is first read.  Pieces are not changed
-    once built.
+    Windows, max-flow networks and the tabulation are glued from it
+    (`_glue`), which reads nothing else, and the checks above run on it.
+    A piece read from a chain file (`_piece_from_doc`) is kept in that
+    form and builds its labeled `graph` only when that is first read.
+    Pieces are not changed once built.
     """
 
     def __init__(
@@ -135,6 +141,9 @@ class ChainPiece:
         keep its ports and `_flow`."""
         ports = left_ports + right_ports
         stubs = [s for s, _ in ports]
+        for stub in stubs:
+            if not isinstance(stub, str):
+                raise ChainError(f"stub {stub!r} is not a string")
         if len(set(stubs)) != len(stubs):
             raise ChainError("stub labels must be unique within a piece")
         interior = set(labels)
@@ -403,8 +412,9 @@ def _glue(
     integer form, with the first piece's left stubs on a left dummy if
     `left` and the last piece's right stubs on a right dummy if `right`.
     Also the ids of the stub edges at each dummy, in port order.  Every
-    window and segment minor is glued here, from each piece's one integer
-    form (`ChainPiece._flow`); `materialize` only labels the result.
+    window, segment minor and max-flow network (`_Direction.glue`) is
+    glued here, from each piece's one integer form (`ChainPiece._flow`);
+    `materialize` only labels the result.
 
     In chain order, the default, vertices come piece by piece in each
     piece's order, then the left dummy, then the right one; edges come
@@ -493,21 +503,19 @@ DUMMY_RIGHT = "dummy_right"
 
 def _window(chain: CutChain, k: int) -> tuple[list, list, list, tuple]:
     """The pieces, matchings, tags and dummy names of the level-k window:
-    pieces 0..k of the right ray, and on a two-ended chain pieces k..2 of
-    the left ray before them (left piece 1 is piece 0 of the right ray)."""
+    the right ray's window out to cut k (`_Direction.window`), and on a
+    two-ended chain the left ray's before it, which ends at their shared
+    core, the right window's first piece."""
     if isinstance(chain, OneEndedChain):
         if k < 0:
             raise ChainError("truncation level must be nonnegative")
-        left, outer, dummies = None, range(0), (None, DUMMY)
-    else:
-        if k < 1:
-            raise ChainError("two-ended windows need k >= 1")
-        left, outer, dummies = chain._directions["left"], range(k, 1, -1), (DUMMY_LEFT, DUMMY_RIGHT)
-    right = chain._directions["right"]
-    pieces = [left.piece(j) for j in outer] + [right.piece(j) for j in range(k + 1)]
-    ifaces = [left.matching(j - 1) for j in outer] + [right.matching(j) for j in range(k)]
-    tags = list(range(-len(outer), k + 1))
-    return pieces, ifaces, tags, dummies
+        return *chain._directions["right"].window(k), (None, DUMMY)
+    if k < 1:
+        raise ChainError("two-ended windows need k >= 1")
+    pieces, ifaces, tags = chain._directions["left"].window(k)
+    right_pieces, right_ifaces, right_tags = chain._directions["right"].window(k)
+    pieces += right_pieces[1:]
+    return pieces, ifaces + right_ifaces, tags + right_tags[1:], (DUMMY_LEFT, DUMMY_RIGHT)
 
 
 def truncation_minor(chain: CutChain, k: int) -> MultiGraph:
@@ -625,18 +633,22 @@ class _Direction:
     order, which on the left ray runs inward; `sides`, `links` and
     `labels` turn that into the side's own terms, and `stubs` names a
     state by the stubs of the piece left of its cut.  The left ray shares
-    cut 0 and piece 0 with the right ray, so what it owns starts at
-    `first_cut` = 1.
+    cut 0 with the right ray, and its piece 1 is the right ray's piece 0,
+    so what it owns starts at `first_cut` = 1; the core is piece
+    `first_cut` on either ray.  `window` puts the side's pieces out to a
+    cut back into chain order, and `glue` and `bound` say where the core
+    and the dummy's edges lie in a glued window.
 
     The step from cut j to cut j+1 is stored at slot `tail.fold(j)`: the
     J = len(pre) + 1 cuts before the period, then one per period residue.
     A slot is filled on first use with the rightward `TransferLayer` of its
     piece and the outward map state -> state -> count (the layer's counts,
     transposed on the left side, with targets in sorted order).  Survival
-    sets are kept per slot as well, for the cut the step leaves.  `rays`
-    enumerates the surviving rays from a state, for certificates and
-    witnesses alike.  `name` says which chain and side, for defect
-    messages.
+    sets are kept per slot as well, for the cut the step leaves.  `push`
+    carries weights across a cut by the outward map, the only loop that
+    does so.  `rays` enumerates the surviving rays from a state, for
+    certificates and witnesses alike.  `name` says which chain and side,
+    for defect messages.
     """
 
     def __init__(self, tail: Tail, core: ChainPiece, first: Matching, side: str, chain: CutChain):
@@ -677,6 +689,37 @@ class _Direction:
     def tag(self, j: int) -> int:
         """The window tag of piece j (`truncation_minor`)."""
         return 1 - j if self.leftward else j
+
+    def window(self, k: int) -> tuple[list, list, list]:
+        """The pieces, matchings and window tags from the core, piece
+        `first_cut`, out to cut k, in chain order: the core comes first on
+        the right ray and last on the left one."""
+        cuts = range(self.first_cut, k + 1)
+        pieces = [self.piece(j) for j in cuts]
+        matchings = [self.matching(j) for j in cuts[:-1]]
+        tags = [self.tag(j) for j in cuts]
+        if self.leftward:
+            return pieces[::-1], matchings[::-1], tags[::-1]
+        return pieces, matchings, tags
+
+    def glue(self, k: int) -> tuple[Ints, range]:
+        """The window out to cut k glued in integer form (`_glue`) with this
+        side's dummy alone, its last vertex, and the range of the core's
+        vertices in it."""
+        pieces, matchings, _ = self.window(k)
+        (n, edges), _ = _glue(pieces, matchings, self.leftward, not self.leftward)
+        size = self.piece(self.first_cut)._flow[0]
+        start = n - 1 - size if self.leftward else 0
+        return (n, edges), range(start, start + size)
+
+    def bound(self, k: int, group: range) -> tuple[int, ...]:
+        """The ids of the edges at this side's dummy beyond cut k, given in
+        `group` in the port order of piece k's outer stubs (`_glue`), at
+        each position of cut k."""
+        piece = self.piece(k)
+        ports = piece.left_ports if self.leftward else piece.right_ports
+        edge = {stub: i for (stub, _), i in zip(ports, group)}
+        return tuple(edge[a] for a, _ in self.links(k))
 
     def labels(self, j: int, bound: bool = False) -> tuple[str, ...]:
         """The window edge label at each position of cut j.  Where the cut
@@ -742,13 +785,21 @@ class _Direction:
         buckets = self.layer(j).buckets
         return [(t, buckets[(t, s) if self.leftward else (s, t)]) for t, _ in self.moves(j, s)]
 
-    def advance(self, weights: dict, j: int) -> dict:
-        """Weights at cut j carried to cut j+1 along surviving moves."""
+    def push(self, weights: dict, j: int) -> dict:
+        """Weights at cut j carried across the segment beyond it to cut
+        j+1, each times its number of segment cycles: the one loop that
+        propagates weights.  States no weight reaches are absent."""
+        out = self._step(j)[1]
         nxt: dict = {}
         for s, c in weights.items():
-            for t, n in self.moves(j, s):
+            for t, n in out[s].items():
                 nxt[t] = nxt.get(t, 0) + c * n
         return nxt
+
+    def advance(self, weights: dict, j: int) -> dict:
+        """`push`, restricted to the states that survive at cut j+1."""
+        alive = self.surv(j + 1)
+        return {t: c for t, c in self.push(weights, j).items() if t in alive}
 
     def seeds(self, vector: dict) -> dict:
         """The states of a weight vector at cut 0 that have positive weight
@@ -1066,13 +1117,6 @@ class ConsistencyReport:
     actual: dict
 
 
-def _push(weights: dict, layer: TransferLayer) -> dict:
-    """Weights at a layer's left cut carried to its right cut, unrestricted."""
-    return {
-        t: sum(c * layer.mult(s, t) for s, c in weights.items()) for t in layer.right_states
-    }
-
-
 def _window_counts(chain: CutChain, k: int) -> dict:
     """Brute force on the level-k window: its Hamilton cycles by the pair
     states they use at each cut that bounds it, the left one first on a
@@ -1099,38 +1143,42 @@ def _window_counts(chain: CutChain, k: int) -> dict:
     pieces, ifaces, _, dummies = _window(chain, k)
     one_ended = dummies[0] is None
     graph, groups = _glue(pieces, ifaces, not one_ended, True, outer_first=one_ended)
-    cuts = []
-    for side, group in zip(chain.sides, groups):  # the left dummy's first
-        d = chain._directions[side]
-        piece = d.piece(k)
-        ports = piece.left_ports if d.leftward else piece.right_ports
-        edge = {stub: i for (stub, _), i in zip(ports, group)}
-        cuts.append(tuple(edge[a] for a, _ in d.links(k)))
+    # the left dummy's group first
+    cuts = [chain._directions[side].bound(k, group) for side, group in zip(chain.sides, groups)]
     memo = chain._window_memo if one_ended else None
     return _by_state(_memo_trace_counts(graph, groups, memo), *cuts)
 
 
 def truncation_consistency(chain: CutChain, k: int) -> ConsistencyReport:
-    """Check transfer-matrix predictions against brute force on the minor."""
+    """Check transfer-matrix predictions against brute force on the level-k
+    window (`_window_counts`).  Weights are pushed outward from cut 0
+    (`_Direction.push`): on a one-ended chain from the level-0 vector, to
+    the count per state at cut k; on a two-ended chain from each central
+    state c on both rays, to L_c at left cut k and R_c at right cut k, and
+    the window's count with states a and b at its left and right ends is
+    the sum over c of L_c[a] * R_c[b].  States with no cycle get 0."""
+    states = _states(chain.cut_size)
+
+    def outward(direction: _Direction, weights: dict) -> dict:
+        for j in range(k):
+            weights = direction.push(weights, j)
+        return weights
+
+    counts = _window_counts(chain, k)
     right = chain._directions["right"]
     if isinstance(chain, OneEndedChain):
-        w = initial_vector(chain)
-        for j in range(k):
-            w = _push(w, right.layer(j))
-        counts = _window_counts(chain, k)
-        actual = {s: counts.get((s,), 0) for s in _states(chain.cut_size)}
-        return ConsistencyReport(w == actual, w, actual)
-
-    # one row vector per state at the window's left end, pushed rightward
-    left = chain._directions["left"]
-    layers = [left.layer(j) for j in range(k - 1, -1, -1)] + [right.layer(j) for j in range(k)]
-    states = _states(chain.cut_size)
-    prod = {a: {b: int(a == b) for b in states} for a in states}
-    for layer in layers:
-        prod = {a: _push(row, layer) for a, row in prod.items()}
-    counts = _window_counts(chain, k)
-    actual = {a: {b: counts.get((a, b), 0) for b in states} for a in states}
-    return ConsistencyReport(prod == actual, prod, actual)
+        w = outward(right, initial_vector(chain))
+        predicted = {s: w.get(s, 0) for s in states}
+        actual = {s: counts.get((s,), 0) for s in states}
+    else:
+        left = chain._directions["left"]
+        rays = [(outward(left, {c: 1}), outward(right, {c: 1})) for c in states]
+        predicted = {
+            a: {b: sum(lc.get(a, 0) * rc.get(b, 0) for lc, rc in rays) for b in states}
+            for a in states
+        }
+        actual = {a: {b: counts.get((a, b), 0) for b in states} for a in states}
+    return ConsistencyReport(predicted == actual, predicted, actual)
 
 
 def prefix_counts(chain: OneEndedChain, k_max: int) -> list[int]:
@@ -1147,45 +1195,36 @@ def prefix_counts(chain: OneEndedChain, k_max: int) -> list[int]:
 def _level_cut(chain: CutChain, end: str, k: int) -> int:
     """The min cut between the core and the chosen end at level k >= 1:
     the number of edge-disjoint paths from the core to the dummy of the
-    level-k window, computed as one max flow without building the window.
+    level-k window, computed as one max flow.
 
     The core is the initial piece of a one-ended chain and left piece 1 of
-    a two-ended one.  Node 0 of the flow network is the core, contracted:
-    every vertex of the core is a source, so every cut that separates the
-    core from the dummy keeps the whole core on one side, and contracting
-    it changes no such cut.  Node 1 is the dummy.  The pieces of the
-    chosen ray out to cut k are glued on from their integer edge lists.
-    In a two-ended chain the pieces on the other side of the core reach
-    the chosen dummy only through the core, so they carry no flow that the
-    core does not already supply, and they are left out.  `end` is one of
-    `chain.sides`.
+    a two-ended one.  The chosen ray's window out to cut k is glued with
+    its dummy alone (`_Direction.glue`).  In a two-ended chain the pieces
+    on the other side of the core reach the chosen dummy only through the
+    core, so they carry no flow that the core does not already supply, and
+    they are left out.  `end` is one of `chain.sides`.  Node 0 of the flow
+    network is the core, contracted: every vertex of the core is a source,
+    so every cut that separates the core from the dummy keeps the whole
+    core on one side, and contracting it changes no such cut.  Node 1 is
+    the dummy, and the other vertices follow in window order.  Loops and
+    edges inside the core lie on no path, and are dropped.
 
     Every edge has capacity 1 both ways: edge i is the residual pair of
     arcs 2i (listed u -> v) and 2i + 1 (v -> u), arc a running to
     `head[a]`.  Augmenting paths are shortest (Edmonds-Karp), and the
     search stops once every edge at the dummy carries flow.
     """
-    direction = chain._directions[end]
-    j = direction.first_cut  # the core is piece j of either ray
-    frontier = {stub: 0 for stub, _ in direction.links(j)}  # outer stub -> node
+    (n, edges), core = chain._directions[end].glue(k)
+    node = [0 if v in core else v + 2 if v < core.start else v + 2 - len(core) for v in range(n)]
+    node[-1] = 1
     head: list[int] = []
-    out: list[list[int]] = [[], []]  # arcs leaving each node: the core and the dummy so far
-    while j < k:
-        size, edges, stubs = direction.piece(j + 1)._flow
-        n = len(out)
-        out += [[] for _ in range(size)]
-        ends = [(frontier[a], n + stubs[b]) for a, b in direction.links(j)]
-        ends += [(n + u, n + v) for u, v in edges if u != v]  # no path uses a loop
-        for u, v in ends:
+    out: list[list[int]] = [[] for _ in range(n + 1 - len(core))]  # arcs leaving each node
+    for u, v in edges:
+        u, v = node[u], node[v]
+        if u != v:
             out[u].append(len(head))
             out[v].append(len(head) + 1)
             head += (v, u)
-        j += 1
-        frontier = {stub: n + stubs[stub] for stub, _ in direction.links(j)}
-    for u in frontier.values():
-        out[u].append(len(head))
-        out[1].append(len(head) + 1)
-        head += (1, u)
     cap = [1] * len(head)
     total = 0
     while total < len(out[1]):
@@ -1278,11 +1317,17 @@ def _piece_from_doc(doc: dict) -> ChainPiece:
     read and checked by the one graph reader (`multigraph._read_doc`), and
     no labeled graph is built."""
     graph = _read_doc(doc["graph"])
-    return ChainPiece._read(
-        *graph,
-        tuple(tuple(p) for p in doc["left_ports"]),
-        tuple(tuple(p) for p in doc["right_ports"]),
-    )
+    return ChainPiece._read(*graph, _pairs(doc["left_ports"]), _pairs(doc["right_ports"]))
+
+
+def _pairs(entries) -> tuple[tuple[str, str], ...]:
+    """The ports or the matching of a chain document: each entry a JSON
+    list of exactly two strings, so that no string stands in for a pair."""
+    for entry in entries:
+        pair = type(entry) is list and len(entry) == 2
+        if not (pair and type(entry[0]) is type(entry[1]) is str):
+            raise ChainError(f"malformed chain JSON: {entry!r} is not a list of two strings")
+    return tuple(map(tuple, entries))
 
 
 def _tail_to_doc(tail: Tail) -> dict:
@@ -1298,8 +1343,8 @@ def _tail_from_doc(doc: dict) -> Tail:
     return Tail(
         tuple(_piece_from_doc(p) for p in doc["pre_period"]),
         tuple(_piece_from_doc(p) for p in doc["period"]),
-        tuple(tuple(tuple(m) for m in iface) for iface in doc["entry_interfaces"]),
-        tuple(tuple(tuple(m) for m in iface) for iface in doc["period_interfaces"]),
+        tuple(map(_pairs, doc["entry_interfaces"])),
+        tuple(map(_pairs, doc["period_interfaces"])),
     )
 
 
@@ -1338,14 +1383,14 @@ def chain_from_doc(doc) -> CutChain:
         if doc.get("mode") == "one-ended":
             return OneEndedChain(
                 _piece_from_doc(doc["pieces"]["initial"]),
-                tuple(tuple(m) for m in doc["interfaces"]["entry"]),
+                _pairs(doc["interfaces"]["entry"]),
                 _tail_from_doc(doc["tail"]),
                 name,
             )
         if doc.get("mode") == "two-ended":
             return TwoEndedChain(
                 _tail_from_doc(doc["left"]),
-                tuple(tuple(m) for m in doc["interfaces"]["central"]),
+                _pairs(doc["interfaces"]["central"]),
                 _tail_from_doc(doc["right"]),
                 name,
             )
@@ -1366,7 +1411,7 @@ def transfer_dot(chain: CutChain, levels: int = 3) -> str:
 
     def node(n: int, s: State) -> str:
         direction = chain._directions["right" if n >= 0 else "left"]
-        return f'"F{n}:{{{",".join(direction.stubs(abs(n), s))}}}"'
+        return _quote(f"F{n}:{{{','.join(direction.stubs(abs(n), s))}}}")
 
     states = _states(chain.cut_size)
     lines = ["graph transfer {", "  rankdir=LR;"]

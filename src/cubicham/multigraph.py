@@ -189,11 +189,16 @@ class MultiGraph:
     def to_dot(self) -> str:
         lines = ["graph G {"]
         for v in self.vertices:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {_quote(v)};")
         for e in self.edges:
-            lines.append(f'  "{e.u}" -- "{e.v}" [label="{e.label}"];')
+            lines.append(f"  {_quote(e.u)} -- {_quote(e.v)} [label={_quote(e.label)}];")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _quote(label: str) -> str:
+    """A label as a DOT quoted string, its backslashes and quotes escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _simple(ints: Ints) -> bool:

@@ -34,7 +34,7 @@ from cubicham import (
     validate_certificate,
     witness_two_cycles,
 )
-from util import alternating_double_ladder, alternating_tail
+from util import alternating_double_ladder, alternating_tail, dot_tokens
 
 S01, S02, S12 = frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})
 ALL_CHAINS = {
@@ -162,6 +162,39 @@ def test_truncation_consistency_ladders():
         assert truncation_consistency(chain_double_ladder(), k).ok
 
 
+def _doubled(make, piece):
+    """A fresh chain with the last entry of one piece's segment counts
+    doubled before any layer is read from them; `piece` picks the piece.
+    (On both chains below, the first entry joins states that no window
+    cycle uses, so doubling it changes no prediction.)"""
+    chain = make()
+    counts = piece(chain)._counts
+    counts[list(counts)[-1]] *= 2
+    return chain
+
+
+# chains whose transfer predictions are wrong: the piece whose counts are doubled
+DOUBLED = {
+    "chain-H": (chain_H, lambda chain: chain.tail.period[0]),
+    "chain-Hprime": (chain_Hprime, lambda chain: chain.left.period[0]),
+}
+
+
+@pytest.mark.parametrize("name", list(DOUBLED))
+def test_truncation_consistency_can_fail(monkeypatch, capsys, name):
+    # the brute force counts each window on its own glued graph, so a
+    # wrong layer entry must show as a mismatch within a few levels
+    chain = _doubled(*DOUBLED[name])
+    first = 0 if isinstance(chain, OneEndedChain) else 1
+    reports = [truncation_consistency(chain, k) for k in range(first, 4)]
+    assert not all(report.ok for report in reports)
+    bad = next(report for report in reports if not report.ok)
+    assert bad.predicted != bad.actual
+    monkeypatch.setitem(BUILTIN_CHAINS, name, lambda: _doubled(*DOUBLED[name]))
+    assert cli.main(["chain", "check", name, "--depth", "3"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_prefix_counts_monotone():
     for make in (chain_G, chain_H, chain_ladder):
         counts = prefix_counts(make(), 8)
@@ -276,9 +309,61 @@ def test_chain_json_rejects_unknown_mode():
         chain_from_json('{"mode": "three-ended"}')
 
 
+def _restubbed(doc: dict, rename) -> dict:
+    """A chain document with every stub renamed by `rename`, in the ports
+    and the matchings alike."""
+
+    def ports(piece):
+        for key in ("left_ports", "right_ports"):
+            piece[key] = [[rename(stub), v] for stub, v in piece[key]]
+
+    def matching(pairs):
+        return [[rename(a), rename(b)] for a, b in pairs]
+
+    one_ended = doc["mode"] == "one-ended"
+    for tail in [doc["tail"]] if one_ended else [doc["left"], doc["right"]]:
+        for piece in tail["pre_period"] + tail["period"]:
+            ports(piece)
+        for key in ("entry_interfaces", "period_interfaces"):
+            tail[key] = [matching(pairs) for pairs in tail[key]]
+    if one_ended:
+        ports(doc["pieces"]["initial"])
+    key = "entry" if one_ended else "central"
+    doc["interfaces"][key] = matching(doc["interfaces"][key])
+    return doc
+
+
+def _ladder_doc(rename) -> dict:
+    """chain-ladder's document with its stubs renamed by `rename`."""
+    return _restubbed(json.loads(chain_to_json(chain_ladder())), rename)
+
+
+def _letter_ladder(key: str, value) -> dict:
+    """chain-ladder's document with its stubs lu, ll, ru and rl named c, d,
+    a and b, and `value` at `key` in its period: "ports" for the period
+    piece's left ports, "matching" for the period matching."""
+    doc = _ladder_doc({"lu": "c", "ll": "d", "ru": "a", "rl": "b"}.get)
+    if key == "ports":
+        doc["tail"]["period"][0]["left_ports"] = value
+    else:
+        doc["tail"]["period_interfaces"] = [value]
+    return doc
+
+
+# chain documents whose ports or matchings are not lists of two strings;
+# the strings would read as pairs that give chain-ladder back
+MALFORMED_PAIRS = {
+    "integer stubs": lambda: _ladder_doc({"lu": 1, "ll": 2, "ru": 3, "rl": 4}.get),
+    "strings for ports": lambda: _letter_ladder("ports", ["cu", "dl"]),
+    "strings for a matching": lambda: _letter_ladder("matching", ["ac", "bd"]),
+    "three strings for a pair": lambda: _letter_ladder("ports", [["c", "u", "x"], ["d", "l"]]),
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
+        *(pytest.param(json.dumps(make()), id=fault) for fault, make in MALFORMED_PAIRS.items()),
         '{"mode": "one-ended", "pieces": {}}',
         '{"mode": "two-ended", "left": 3, "interfaces": {"central": []}, "right": {}}',
         '[1, 2]',
@@ -351,6 +436,32 @@ def test_malformed_piece_documents_are_refused(tmp_path, capsys, fault):
     target.write_text(json.dumps(doc))
     assert cli.main(["chain", "analyze", str(target)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", list(MALFORMED_PAIRS))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "analyze"],
+        ["--format", "json", "chain", "analyze"],
+        ["chain", "check"],
+        ["export-dot"],
+    ],
+    ids=["analyze", "analyze-json", "check", "export-dot"],
+)
+def test_malformed_pairs_are_usage_errors(tmp_path, capsys, fault, argv):
+    # exit 1 is kept for a checked property failing, and a crash is no answer
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(MALFORMED_PAIRS[fault]()))
+    assert cli.main([*argv, str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "malformed chain JSON" in err and "is not a list of two strings" in err
+
+
+def test_stubs_must_be_strings():
+    graph = MultiGraph(("u", "l"), [("u_l", "u", "l")])
+    with pytest.raises(ChainError, match="stub 1 is not a string"):
+        ChainPiece(graph, ((1, "u"), ("ll", "l")), (("ru", "u"), ("rl", "l")))
 
 
 def test_chain_json_name_must_be_a_string():
@@ -465,6 +576,23 @@ def test_transfer_dot_renders_levels():
     assert "F0:" in dot and "F2:" in dot
     dot2 = transfer_dot(chain_double_ladder(), 1)
     assert "F-1:" in dot2
+
+
+@pytest.mark.parametrize("make, cuts", [(chain_G, 3), (chain_Hprime, 5)])
+def test_transfer_dot_escapes_quotes_and_backslashes(make, cuts):
+    # stubs renamed with a quote and a backslash in front name the same
+    # states as before, each in a quoted string of its own, all distinct
+    prefix = '"\\'
+    doc = _restubbed(json.loads(chain_to_json(make())), prefix.__add__)
+    lines = transfer_dot(make(), 2).splitlines()
+    renamed = transfer_dot(chain_from_doc(doc), 2).splitlines()
+    assert len(renamed) == len(lines)
+    for line, renamed_line in zip(lines, renamed):
+        tokens = dot_tokens(line)
+        expected = [t.replace("{", "{" + prefix).replace(",", "," + prefix) for t in tokens]
+        assert dot_tokens(renamed_line) == expected, renamed_line
+    nodes = [t for line in renamed if len(t := dot_tokens(line)) == 1]
+    assert len({node for node, in nodes}) == len(nodes) == 3 * cuts
 
 
 @pytest.mark.parametrize("levels", [1, 3])

@@ -16,7 +16,7 @@ from cubicham import (
     quotient,
     relabel_vertices,
 )
-from util import max_vertex_disjoint_paths, min_edge_cut
+from util import dot_tokens, max_vertex_disjoint_paths, min_edge_cut
 
 
 def test_basic_construction():
@@ -199,3 +199,15 @@ def test_flows_match_networkx(seed):
     arcs = split + [(leave(e.u), enter(e.v)) for e in proper]
     arcs += [(leave(e.v), enter(e.u)) for e in proper]
     assert max_vertex_disjoint_paths(G, sources, sink) == _nx_max_flow(arcs, sources, sink)
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    # a quote or a backslash in a label must neither end its quoted string
+    # nor make two distinct labels read alike
+    vertices = ['a"b', 'a\\"b', "a\\", "a", '"']
+    edges = [(f"{u}|{v}", u, v) for u, v in zip(vertices, vertices[1:])]
+    lines = MultiGraph(vertices, edges).to_dot().splitlines()
+    assert (lines[0], lines[-1]) == ("graph G {", "}")
+    assert [dot_tokens(line) for line in lines[1:-1]] == (
+        [[v] for v in vertices] + [[u, v, label] for label, u, v in edges]
+    )

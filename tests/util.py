@@ -8,9 +8,11 @@ edges that the chain engine's integer tabulation is checked against, the
 memoized search's trace counts keyed as `count_by_trace` keys them, a
 chain with its first pre-period piece repeated, and the labeled max-flow
 queries (`min_edge_cut`, `max_vertex_disjoint_paths`) that the chain
-engine's end degrees are checked against."""
+engine's end degrees are checked against, and a reader of DOT quoted
+strings."""
 
 import random
+import re
 from itertools import combinations, permutations, product
 from typing import Iterable
 
@@ -435,3 +437,15 @@ def max_vertex_disjoint_paths(G: MultiGraph, sources: Iterable[str], sink: str) 
     root = 2 * G.n
     arcs += [(root, enter[v], BIG, 0) for v in src]
     return max_flow(root + 1, arcs, root, enter[sink])
+
+
+# a DOT quoted string: any character but a quote or a backslash, or a
+# backslash and the character it escapes
+DOT_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def dot_tokens(line: str) -> list[str]:
+    """The quoted strings of one DOT line, unescaped, in order; a quote
+    left outside them fails."""
+    assert '"' not in DOT_QUOTED.sub("", line), line
+    return [re.sub(r"\\(.)", r"\1", token[1:-1]) for token in DOT_QUOTED.findall(line)]
