@@ -89,7 +89,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .hamilton import _memo_trace_counts, _sorted_cycles, _trace_counts, is_hamilton_cycle
-from .multigraph import GraphError, Ints, MultiGraph, _quote, _read_doc, _simple
+from .multigraph import GraphError, Ints, MultiGraph, _dumps, _quote, _read_doc, _simple
 
 State = frozenset  # of cut positions
 Matching = tuple[tuple[str, str], ...]  # (right stub of left piece, left stub of right piece)
@@ -1349,6 +1349,9 @@ def _tail_from_doc(doc: dict) -> Tail:
 
 
 def chain_to_json(chain: CutChain) -> str:
+    """The chain as JSON text, which `chain_from_json` reads back, written
+    by the package's one writer (`multigraph._dumps`): byte for byte what
+    the standard `json` module writes of its document with `indent=2`."""
     if isinstance(chain, OneEndedChain):
         doc = {
             "mode": "one-ended",
@@ -1365,7 +1368,7 @@ def chain_to_json(chain: CutChain) -> str:
             "left": _tail_to_doc(chain.left),
             "right": _tail_to_doc(chain.right),
         }
-    return json.dumps(doc, indent=2)
+    return _dumps(doc)
 
 
 def chain_from_json(text: str) -> CutChain:

@@ -15,6 +15,7 @@ import json
 import sys
 from functools import cache
 from pathlib import Path
+from typing import Callable
 
 from . import constructions
 from .chains import (
@@ -42,7 +43,7 @@ from .hamilton import (
     second_cycle_nearly_cubic,
 )
 from .incidence import check_pair_sum_even, check_uniform_parity, incidence_multigraph
-from .multigraph import GraphError, MultiGraph, from_doc, from_json
+from .multigraph import GraphError, MultiGraph, _dumps, from_doc, from_json
 
 _BUILTIN_GRAPHS = {
     "tutte-fragment": lambda: constructions.tutte_fragment().graph,
@@ -81,11 +82,14 @@ def _edge_ids(G: MultiGraph, csv: str | None) -> frozenset[int]:
     return frozenset(G.edge_by_label(label.strip()).id for label in csv.split(","))
 
 
-def _emit(args, text_payload: str, json_payload) -> None:
+def _emit(args, text: Callable[[], str], json_payload) -> None:
+    """Write a command's reply: `json_payload` with sorted keys for JSON
+    output, else the text that `text` builds, which JSON output never asks
+    for."""
     if args.format == "json":
-        _write_out(args, json.dumps(json_payload, indent=2, sort_keys=True))
+        _write_out(args, _dumps(json_payload, sort_keys=True))
     else:
-        _write_out(args, text_payload)
+        _write_out(args, text())
 
 
 def _write_out(args, payload: str) -> None:
@@ -122,24 +126,24 @@ def _cmd_hamilton(args) -> int:
     G = _load_graph(args.graph)
     if args.sub == "count":
         n = count_through(G)
-        _emit(args, str(n), {"count": n})
+        _emit(args, lambda: str(n), {"count": n})
         return 0
     if args.sub == "list":
         cycles = [cycle_labels(G, c) for c in enumerate_hamilton_cycles(G)]
-        _emit(args, "\n".join(" ".join(c) for c in cycles), {"cycles": cycles})
+        _emit(args, lambda: "\n".join(" ".join(c) for c in cycles), {"cycles": cycles})
         return 0
     if args.sub == "through":
         require = _edge_ids(G, args.require)
         forbid = _edge_ids(G, args.forbid)
         n = count_through(G, require, forbid)
-        _emit(args, str(n), {"count": n})
+        _emit(args, lambda: str(n), {"count": n})
         return 0
     if args.sub == "parity":
         report = edge_parity_report(G)
         ok = not (report.all_degrees_odd and report.odd_count_edges)
         _emit(
             args,
-            report.to_csv(G),
+            lambda: report.to_csv(G),
             {
                 "total": report.total,
                 "counts": {G.edges[i].label: c for i, c in report.counts.items()},
@@ -161,7 +165,7 @@ def _cmd_hamilton(args) -> int:
     else:
         first, second = second_cycle_nearly_cubic(G)
     payload = [cycle_labels(G, first), cycle_labels(G, second)]
-    _emit(args, "\n".join(" ".join(c) for c in payload), {"cycles": payload})
+    _emit(args, lambda: "\n".join(" ".join(c) for c in payload), {"cycles": payload})
     return 0
 
 
@@ -172,10 +176,12 @@ def _cmd_incidence(args) -> int:
     uniform = check_uniform_parity(H)
     audited = G.is_simple() and G.is_cubic()
     ok = not audited or (pair_sum.all_even and uniform.uniform)
-    text = H.to_text(G)
-    if audited:
-        text += f"\npair sums even: {pair_sum.all_even}"
-        text += f"\nuniform parity: {uniform.uniform}"
+
+    def text() -> str:
+        lines = [H.to_text(G)]
+        if audited:
+            lines += [f"pair sums even: {pair_sum.all_even}", f"uniform parity: {uniform.uniform}"]
+        return "\n".join(lines)
 
     def name(state):
         return sorted(G.edges[i].label for i in state)
@@ -203,9 +209,6 @@ def _cmd_chain(args) -> int:
     chain = _load_chain(args.chain)
     if args.sub == "analyze":
         result = count_limit_hamilton_cycles(chain)
-        # the first level whose piece and both matchings repeat
-        tail = chain.tail if isinstance(chain, OneEndedChain) else chain.right
-        layer = transfer_layer(chain, len(tail.pre) + 1)
         degrees = {side: end_degree(chain, side) for side in chain.sides}
         witness = (
             None
@@ -216,25 +219,31 @@ def _cmd_chain(args) -> int:
                 "out_multiplicity": result.witness[2],
             }
         )
-        text = [
-            f"chain: {chain.name or args.chain}",
-            f"mode: {chain.mode}",
-            f"interface size: {chain.cut_size}",
-            "end degree: " + ", ".join(f"{k}={v}" for k, v in degrees.items()),
-            "periodic transfer layer:",
-            layer.to_text(),
-            f"classification: {result}",
-            f"certificates: {result.count or 0}",
-        ]
-        if witness:
-            text.append(
-                f"branching witness: level {witness['level']}, "
-                f"state {{{','.join(witness['state'])}}}, "
-                f"out-multiplicity {witness['out_multiplicity']}"
-            )
+
+        def text() -> str:
+            # the first level whose piece and both matchings repeat
+            tail = chain.tail if isinstance(chain, OneEndedChain) else chain.right
+            lines = [
+                f"chain: {chain.name or args.chain}",
+                f"mode: {chain.mode}",
+                f"interface size: {chain.cut_size}",
+                "end degree: " + ", ".join(f"{k}={v}" for k, v in degrees.items()),
+                "periodic transfer layer:",
+                transfer_layer(chain, len(tail.pre) + 1).to_text(),
+                f"classification: {result}",
+                f"certificates: {result.count or 0}",
+            ]
+            if witness:
+                lines.append(
+                    f"branching witness: level {witness['level']}, "
+                    f"state {{{','.join(witness['state'])}}}, "
+                    f"out-multiplicity {witness['out_multiplicity']}"
+                )
+            return "\n".join(lines)
+
         _emit(
             args,
-            "\n".join(text),
+            text,
             {
                 "chain": chain.name or args.chain,
                 "mode": chain.mode,
@@ -260,7 +269,7 @@ def _cmd_chain(args) -> int:
         report = truncation_consistency(chain, k)
         ok = ok and report.ok
         lines.append(f"depth {k}: {'ok' if report.ok else 'MISMATCH'}")
-    _emit(args, "\n".join(lines), {"ok": ok, "depths": depths})
+    _emit(args, lambda: "\n".join(lines), {"ok": ok, "depths": depths})
     return 0 if ok else 1
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -184,7 +185,9 @@ class MultiGraph:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2)
+        """The graph as JSON text, written by `_dumps`: byte for byte what
+        the standard `json` module writes of `to_doc()` with `indent=2`."""
+        return _dumps(self.to_doc())
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -218,6 +221,65 @@ def from_doc(doc) -> MultiGraph:
     """A graph from a decoded JSON document, as `from_json` reads it."""
     vertices, labels, _, ends = _read_doc(doc)
     return MultiGraph._read(vertices, labels, ends)
+
+
+def _dumps(doc, sort_keys: bool = False) -> str:
+    """The bytes of `json.dumps(doc, indent=2, sort_keys=sort_keys)`: the
+    one JSON writer of the package, for graph files, chain files
+    (`chains.chain_to_json`) and the CLI's `--format json` replies.
+
+    With `indent` set, `json` encodes in pure Python, leaves too.  Here
+    only containers are walked in Python: each string is encoded by
+    `json`'s C string encoder, a list of strings in one join, an int by
+    `int.__repr__` as both of `json`'s encoders do, and a float, a bool
+    or None by a one-shot C encoder.  A document
+    the walk does not cover (a key that is not a string, a subclass of a
+    JSON type, an unknown type, a circular or too deep nesting) goes to
+    `json.dumps` whole, which gives its own bytes or its own error."""
+    try:
+        return _encode(doc, "\n", sort_keys)
+    except (TypeError, RecursionError):
+        return json.dumps(doc, indent=2, sort_keys=sort_keys)
+
+
+_STR = frozenset((str,))
+_one_shot = json.JSONEncoder().encode
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _one_shot,
+    bool: _one_shot,
+    type(None): _one_shot,
+}
+
+
+def _encode(o, nl: str, sort_keys: bool) -> str:
+    """The JSON text of `o` for `_dumps`, nested at the line break and
+    indentation `nl`; a TypeError for anything it does not cover."""
+    t = type(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        if _STR.issuperset(map(type, o)):
+            texts = map(encode_basestring_ascii, o)
+        else:
+            texts = [_encode(x, inner, sort_keys) for x in o]
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        parts = []
+        # a key that is not a string makes the string encoder raise TypeError
+        for k, v in sorted(o.items()) if sort_keys else o.items():
+            value = encode_basestring_ascii(v) if type(v) is str else _encode(v, inner, sort_keys)
+            parts.append(encode_basestring_ascii(k) + ": " + value)
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    leaf = _LEAVES.get(t)
+    if leaf is None:
+        raise TypeError(f"{t.__name__} is not written by the walk")
+    return leaf(o)
 
 
 def _read_doc(doc) -> tuple[list[str], list[str], dict[str, int], list[tuple[int, int]]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from operator import eq
 
 from .multigraph import GraphError, MultiGraph
 
@@ -14,21 +15,23 @@ EDGE_PROBABILITY = 0.4  # of each pair in `random_odd_degree_graph`'s binomial d
 def random_cubic_graph(n: int, rng: random.Random) -> MultiGraph:
     """Connected simple cubic graph on n vertices via the pairing model.
 
-    Draws a uniform pairing of 3n half-edges and rejects loops, parallel
-    edges and disconnected outcomes.
+    Draws a uniform pairing of 3n half-edges (one shuffle of the points,
+    paired off in order) and rejects loops, parallel edges and disconnected
+    outcomes.
     """
     if n < 4 or n % 2:
         raise GraphError("cubic graphs need an even vertex count >= 4")
     labels = [f"v{i}" for i in range(n)]
+    points = [i for i in range(n) for _ in range(3)]
     for _ in range(MAX_TRIES):
-        stubs = [i for i in range(n) for _ in range(3)]
+        stubs = points.copy()
         rng.shuffle(stubs)
-        pairs = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)]
-        if any(a == b for a, b in pairs):
+        us, vs = stubs[0::2], stubs[1::2]
+        if any(map(eq, us, vs)):
             continue
-        if len({frozenset(p) for p in pairs}) != len(pairs):
+        if len(set(zip(map(min, us, vs), map(max, us, vs)))) != len(us):
             continue
-        G = MultiGraph(labels, [(None, labels[a], labels[b]) for a, b in pairs])
+        G = MultiGraph(labels, [(None, labels[u], labels[v]) for u, v in zip(us, vs)])
         if G.is_connected():
             return G
     raise GraphError("sampler failed to produce a simple connected cubic graph")

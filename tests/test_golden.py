@@ -222,6 +222,18 @@ def test_graph_commands_match_golden():
         assert actual[name] == expected[name], f"graph commands on {name} differ"
 
 
+def test_written_files_are_json_dumps_with_indent_2():
+    # chain and graph files are written by the package's own writer; they
+    # must be what `json.dumps(doc, indent=2)` writes of the same document
+    chains = [BUILTIN_CHAINS[name]() for name in sorted(BUILTIN_CHAINS)] + generated_chains()
+    for chain in chains:
+        text = chain_to_json(chain)
+        assert text == json.dumps(json.loads(text), indent=2), chain.name
+    graphs = [_BUILTIN_GRAPHS[name]() for name in sorted(_BUILTIN_GRAPHS)]
+    for G in graphs + list(audit_graphs().values()):
+        assert G.to_json() == json.dumps(G.to_doc(), indent=2)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for chain_name in sorted(BUILTIN_CHAINS):

@@ -16,6 +16,7 @@ from cubicham import (
     quotient,
     relabel_vertices,
 )
+from cubicham.multigraph import _dumps
 from util import dot_tokens, max_vertex_disjoint_paths, min_edge_cut
 
 
@@ -211,3 +212,111 @@ def test_dot_escapes_quotes_and_backslashes():
     assert [dot_tokens(line) for line in lines[1:-1]] == (
         [[v] for v in vertices] + [[u, v, label] for label, u, v in edges]
     )
+
+
+# strings that the writer must escape as `json` does: quotes, backslashes,
+# control characters, U+2028, a non-BMP character, lone surrogates
+AWKWARD = ['"', "\\", "\x00", "\x1f", "\n", "\t", " ", "\U0001f600", "\ud800", "\udfff", "é"]
+NUMBERS = [0, -1, 10**40, -(10**60), 2**63, True, False, None]
+FLOATS = [0.0, -0.0, 1.5, -2.25e-300, 1e308, float("nan"), float("inf"), float("-inf")]
+
+
+def _random_string(rng: random.Random) -> str:
+    return "".join(rng.choice(AWKWARD + list("abz09 ")) for _ in range(rng.randint(0, 6)))
+
+
+def _random_doc(rng: random.Random, depth: int):
+    """A nested document of every kind `json` writes: strings, ints, floats,
+    bools, None, lists, tuples, dicts and lists of records, some of them
+    empty; one dict in ten has a key that is not a string."""
+    kind = rng.randrange(9 if depth else 4)
+    if kind == 8:
+        return _random_records(rng)
+    if kind == 0:
+        return _random_string(rng)
+    if kind == 1:
+        return rng.choice(NUMBERS + [rng.randint(-(10**20), 10**20)])
+    if kind == 2:
+        return rng.choice(FLOATS + [rng.uniform(-1e6, 1e6)])
+    if kind == 3:
+        return [_random_string(rng) for _ in range(rng.randint(0, 4))]
+    items = [_random_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind in (4, 5):
+        return items if kind == 4 else tuple(items)
+    doc = {_random_string(rng): item for item in items}
+    if rng.random() < 0.1:
+        doc[rng.choice([7, -2.5, True, None])] = rng.choice(items or [0])
+    return doc
+
+
+def _random_records(rng: random.Random) -> list:
+    """A list of dicts with the same keys, a graph's vertices and edges
+    among them: each key's values all strings or all lists of n strings,
+    save where one record breaks the pattern (another value, length, key
+    order or key)."""
+    keys = rng.sample(["label", "ends", "%s", "b%", "é", ""], rng.randint(1, 3))
+    widths = {k: rng.choice([None, None, 1, 2, 3]) for k in keys}
+
+    def value(width):
+        if width is None:
+            return _random_string(rng)
+        return [_random_string(rng) for _ in range(width)]
+
+    records = [{k: value(widths[k]) for k in keys} for _ in range(rng.randint(1, 5))]
+    flaw = rng.randrange(8)
+    record, key = rng.choice(records), rng.choice(keys)
+    if flaw == 0:
+        record[key] = rng.choice([None, 3, [], ["a", 2], {"x": "y"}, ("a",)])
+    elif flaw == 1:
+        record[key] = value(rng.choice([None, 1, 4]))
+    elif flaw == 2:
+        record[key] = record.pop(key)  # the same keys in another order
+    elif flaw == 3:
+        record["extra"] = "x"
+    return records
+
+
+def _same_as_json(doc, sort_keys: bool) -> None:
+    """`_dumps` writes `doc` as `json.dumps(indent=2)` does, or raises the
+    same kind of error."""
+    try:
+        expected = json.dumps(doc, indent=2, sort_keys=sort_keys)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _dumps(doc, sort_keys)
+    else:
+        assert _dumps(doc, sort_keys) == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dumps_is_json_dumps_with_indent_2(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        doc = _random_doc(rng, rng.randint(0, 4))
+        for sort_keys in (False, True):
+            _same_as_json(doc, sort_keys)
+
+
+def test_dumps_hands_what_it_does_not_cover_to_json():
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    circular: list = []
+    circular.append(circular)
+    for doc in (
+        {1: "a", 2.5: "b", None: [], False: {}},  # keys that are not strings
+        {"a": 1, 2: "b"},  # mixed keys, which do not sort
+        {Name("n"): Name("v")},  # subclasses of str
+        [Count(3), {"k": Count(-4)}],  # a subclass of int
+        dataclasses.make_dataclass("D", [])(),  # a type json does not write
+        {"set": {1, 2}},
+        circular,
+        "top-level   string",
+        7,
+        [[[[[]]]], {}, ()],
+    ):
+        for sort_keys in (False, True):
+            _same_as_json(doc, sort_keys)

@@ -9,6 +9,7 @@ from cubicham import (
     random_cubic_hamiltonian,
     random_odd_degree_graph,
 )
+from util import frozen_random_cubic_graph
 
 
 def test_random_cubic_graph_shape():
@@ -59,3 +60,15 @@ def test_samplers_deterministic_per_seed():
     g1 = random_cubic_graph(10, random.Random(42))
     g2 = random_cubic_graph(10, random.Random(42))
     assert [(e.u, e.v) for e in g1.edges] == [(e.u, e.v) for e in g2.edges]
+
+
+@pytest.mark.parametrize("n", (4, 6, 10, 16, 24, 40))
+def test_random_cubic_graph_draws_are_pinned(n):
+    # the same graphs, and the generator left in the same state, as the
+    # sampler's first version: goldens and generated inputs depend on both
+    for seed in range(200):
+        rng, frozen = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            G, F = random_cubic_graph(n, rng), frozen_random_cubic_graph(n, frozen)
+            assert G.to_json() == F.to_json(), seed
+        assert rng.random() == frozen.random(), seed

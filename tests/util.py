@@ -1,4 +1,5 @@
-"""Shared test helpers: independent brute-force Hamilton oracles (simple
+"""Shared test helpers: a frozen copy of the cubic sampler's first
+version, independent brute-force Hamilton oracles (simple
 graphs, multigraphs), a networkx bridge for isomorphism checks, a seeded
 generator of random cut chains and the fixed set of generated chains the
 chain tests share, a renaming of every piece's stubs apart that keeps each
@@ -29,6 +30,26 @@ from cubicham import (
     hamilton,
     random_cubic_graph,
 )
+
+
+def frozen_random_cubic_graph(n: int, rng: random.Random) -> MultiGraph:
+    """`sampling.random_cubic_graph` as first written, kept to pin the
+    sampler's draws: goldens, the benchmark's reference counts and the
+    generated chains all depend on them.  Connectivity is networkx's, so
+    the pin does not lean on `MultiGraph.is_connected`."""
+    labels = [f"v{i}" for i in range(n)]
+    for _ in range(10000):
+        stubs = [i for i in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)]
+        if any(a == b for a, b in pairs):
+            continue
+        if len({frozenset(p) for p in pairs}) != len(pairs):
+            continue
+        G = MultiGraph(labels, [(None, labels[a], labels[b]) for a, b in pairs])
+        if nx.is_connected(to_nx(G)):
+            return G
+    raise GraphError("sampler failed to produce a simple connected cubic graph")
 
 
 def naive_hamilton_cycles(G: MultiGraph) -> list[tuple[int, ...]]:
