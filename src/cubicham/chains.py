@@ -31,10 +31,11 @@ every class, and a two-ended chain's are the product of its left and
 right rays per central state.
 
 A chain file becomes tables in three steps, with no labeled graph between
-them.  The one graph-document reader (`multigraph._read_doc`) turns each
-piece's graph into its integer form (vertex count, end-index pairs and
-labels), which the piece checks and keeps (`ChainPiece._flow`); the
-labeled `ChainPiece.graph` is built only when something reads it.
+them.  `multigraph._read_doc` reads each piece's graph document, checked
+by the one graph checker, straight into its integer form (vertex count,
+end-index pairs and labels), which the piece checks and keeps
+(`ChainPiece._flow`); the labeled `ChainPiece.graph` is built, through
+`MultiGraph(...)`, only when something reads it.
 Windows, segment minors and max-flow networks are glued in one place,
 `_glue`, from each piece's integer form; `materialize` only puts labels
 on what `_glue` builds, so a labeled window and its integer form are the
@@ -89,7 +90,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .hamilton import _memo_trace_counts, _sorted_cycles, _trace_counts, is_hamilton_cycle
-from .multigraph import GraphError, Ints, MultiGraph, _dumps, _quote, _read_doc, _simple
+from .multigraph import GraphError, Ints, MultiGraph, _dumps, _grid, _quote, _read_doc, _simple
 
 State = frozenset  # of cut positions
 Matching = tuple[tuple[str, str], ...]  # (right stub of left piece, left stub of right piece)
@@ -123,9 +124,8 @@ class ChainPiece:
         right_ports: tuple[tuple[str, str], ...],
     ):
         self.graph = graph
-        index = graph._index()
         labels = map(attrgetter("label"), graph.edges)
-        self._set(graph.vertices, labels, index, graph.ints[1], left_ports, right_ports)
+        self._set(graph.vertices, labels, graph._index, graph.ints[1], left_ports, right_ports)
 
     @classmethod
     def _read(cls, vertices, labels, index, edges, left_ports, right_ports) -> ChainPiece:
@@ -170,9 +170,10 @@ class ChainPiece:
     @cached_property
     def graph(self) -> MultiGraph:
         """The piece's labeled graph, built on first read for a piece that
-        was read in integer form."""
+        was read in integer form, and checked as every `MultiGraph` is."""
         vertices, labels = self._labels
-        return MultiGraph._read(vertices, labels, self._flow[1])
+        edges = zip(labels, self._flow[1])
+        return MultiGraph(vertices, [(a, vertices[u], vertices[v]) for a, (u, v) in edges])
 
     def _minor(self) -> tuple[Ints, list[range]]:
         """The segment minor in integer form (`_glue`): the piece with its
@@ -589,8 +590,7 @@ class TransferLayer:
                 [self.state_name(self.left_names, p)]
                 + [str(self.mult(p, q)) for q in self.right_states]
             )
-        widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
-        return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows)
+        return _grid(rows)
 
 
 def _by_state(table: dict, *names: tuple) -> dict:
@@ -1314,8 +1314,8 @@ def _piece_to_doc(piece: ChainPiece) -> dict:
 
 def _piece_from_doc(doc: dict) -> ChainPiece:
     """A piece read straight into its integer form: its graph document is
-    read and checked by the one graph reader (`multigraph._read_doc`), and
-    no labeled graph is built."""
+    read by `multigraph._read_doc` and checked by the one graph checker
+    that every `MultiGraph` passes, and no labeled graph is built."""
     graph = _read_doc(doc["graph"])
     return ChainPiece._read(*graph, _pairs(doc["left_ports"]), _pairs(doc["right_ports"]))
 

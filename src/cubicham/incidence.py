@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .hamilton import count_by_trace
-from .multigraph import GraphError, MultiGraph
+from .multigraph import GraphError, MultiGraph, _grid
 
 PairState = frozenset  # of 2 edge ids incident to one anchor
 
@@ -39,12 +39,10 @@ class IncidenceMultigraph:
         def name(state: PairState) -> str:
             return "{" + ",".join(sorted(G.edges[i].label for i in state)) + "}"
 
-        header = [""] + [name(q) for q in self.right_states]
-        rows = [header]
+        rows = [[""] + [name(q) for q in self.right_states]]
         for p, row in zip(self.left_states, self.table):
             rows.append([name(p)] + [str(x) for x in row])
-        widths = [max(len(r[j]) for r in rows) for j in range(len(header))]
-        return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in rows)
+        return _grid(rows)
 
 
 def pair_states(G: MultiGraph, anchor: str) -> tuple[PairState, ...]:

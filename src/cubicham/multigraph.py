@@ -5,6 +5,12 @@ integer id (insertion order) plus a unique string label used for all
 serialization.  Graphs are immutable after construction: every transform
 returns a new graph with freshly assigned ids, preserving insertion order.
 Loops contribute 2 to the degree of their vertex.
+
+One checker (`_checked`) serves `MultiGraph(...)` and graph documents
+alike, and one function (`_refuse`) names a graph's first fault, so
+either one refuses a label or end other than a string, with the same
+`GraphError`.  Every graph is built through `MultiGraph(...)`: a graph
+read from JSON too (`from_doc`), and a chain piece's labeled graph.
 """
 
 from __future__ import annotations
@@ -48,56 +54,40 @@ class EdgeRecord(NamedTuple):
 
 
 _U, _V = itemgetter(2), itemgetter(3)  # an `EdgeRecord`'s ends
+_LABEL, _ENDS = itemgetter("label"), itemgetter("ends")  # in a graph document
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)  # a document edge's ends
+_record = partial(tuple.__new__, EdgeRecord)  # no Python call per edge
 
 
 class MultiGraph:
     """Finite multigraph with labeled vertices and edges, loops allowed."""
 
-    __slots__ = ("vertices", "edges", "_vset", "_incident", "_by_label", "_ints")
+    __slots__ = ("vertices", "edges", "_index", "_incident", "_by_label", "_ints")
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[tuple[str | None, str, str]]):
         vs = tuple(vertices)
-        if len(set(vs)) != len(vs):
-            raise GraphError("duplicate vertex label")
+        edges = tuple(edges)
+        if not {3}.issuperset(map(len, edges)):
+            bad = next(e for e in edges if len(e) != 3)
+            raise GraphError(f"edge {bad!r} is not a (label, u, v) triple")
+        labels, us, ws = (list(map(itemgetter(k), edges)) for k in range(3))
+        if None in labels:
+            labels = [f"_e{i}" if label is None else label for i, label in enumerate(labels)]
         self.vertices: tuple[str, ...] = vs
-        self._vset = vset = frozenset(vs)
-        recs = []
-        labels: set[str] = set()
-        for i, (label, u, v) in enumerate(edges):
-            if u not in vset:
-                raise GraphError(f"unknown endpoint label {u!r}")
-            if v not in vset:
-                raise GraphError(f"unknown endpoint label {v!r}")
-            lab = label if label is not None else f"_e{i}"
-            if lab in labels:
-                raise GraphError(f"duplicate edge label {lab!r}")
-            labels.add(lab)
-            recs.append(EdgeRecord(i, lab, u, v))
-        self.edges: tuple[EdgeRecord, ...] = tuple(recs)
+        # the position of each vertex in `vertices`
+        self._index: dict[str, int] = _checked(vs, labels, us, ws)
+        records = map(_record, zip(range(len(labels)), labels, us, ws))
+        self.edges: tuple[EdgeRecord, ...] = tuple(records)
         # built on first use: the chain engine reads most graphs only in
         # integer form (`ints`), and never asks for these
         self._by_label: dict[str, EdgeRecord] | None = None
         self._incident: dict[str, tuple[int, ...]] | None = None
         self._ints: Ints | None = None
 
-    @classmethod
-    def _read(cls, vertices: list[str], labels: list[str], ends: list[tuple[int, int]]):
-        """The graph of an integer form that `_read_doc` has checked, with
-        that form as its `ints`, not checked again."""
-        G = cls.__new__(cls)
-        G.vertices = vs = tuple(vertices)
-        G._vset = frozenset(vs)
-        us, ws = [vs[u] for u, _ in ends], [vs[v] for _, v in ends]
-        record = partial(tuple.__new__, EdgeRecord)  # no Python call per edge
-        G.edges = tuple(map(record, zip(range(len(labels)), labels, us, ws)))
-        G._by_label = G._incident = None
-        G._ints = (len(vs), ends)
-        return G
-
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, vertex: str) -> bool:
-        return vertex in self._vset
+        return vertex in self._index
 
     @property
     def n(self) -> int:
@@ -113,18 +103,9 @@ class MultiGraph:
         vertex count and, per edge id, the positions of its two ends in
         `vertices`.  Computed on first use, once."""
         if self._ints is None:
-            self._index()
+            ends = _int_ends(self._index, map(_U, self.edges), map(_V, self.edges))
+            self._ints = (len(self.vertices), ends)
         return self._ints
-
-    def _index(self) -> dict[str, int]:
-        """The position of each vertex label in `vertices`; computes `ints`
-        on the way if it is not there yet."""
-        index = dict(zip(self.vertices, range(len(self.vertices))))
-        if self._ints is None:
-            at = index.__getitem__
-            ends = zip(map(at, map(_U, self.edges)), map(at, map(_V, self.edges)))
-            self._ints = (len(index), list(ends))
-        return index
 
     def edge_by_label(self, label: str) -> EdgeRecord:
         if self._by_label is None:
@@ -204,6 +185,13 @@ def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _grid(rows: list[list[str]]) -> str:
+    """A table as text: rows of cells, each column right-justified to its
+    widest cell, columns two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows)
+
+
 def _simple(ints: Ints) -> bool:
     """Whether a graph in integer form (`MultiGraph.ints`) has neither a
     loop nor two edges with the same ends."""
@@ -219,8 +207,8 @@ def from_json(text: str) -> MultiGraph:
 
 def from_doc(doc) -> MultiGraph:
     """A graph from a decoded JSON document, as `from_json` reads it."""
-    vertices, labels, _, ends = _read_doc(doc)
-    return MultiGraph._read(vertices, labels, ends)
+    vertices, labels, us, ws = _doc_lists(doc)
+    return MultiGraph(vertices, zip(labels, us, ws))
 
 
 def _dumps(doc, sort_keys: bool = False) -> str:
@@ -282,71 +270,85 @@ def _encode(o, nl: str, sort_keys: bool) -> str:
     return leaf(o)
 
 
-def _read_doc(doc) -> tuple[list[str], list[str], dict[str, int], list[tuple[int, int]]]:
-    """A graph document in integer form, checked as `MultiGraph` checks its
-    arguments: the vertex labels, the edge labels, the index of each vertex
-    label, and per edge the indices of its two ends.  Every graph read from
-    JSON is read here, a chain piece's too (`chains._piece_from_doc`).
-    Each edge's `ends` must be a list of exactly two strings.
-
-    The checks run over the whole document at C speed, and only a document
-    that fails one is walked again, in order, to name its first fault
-    (`_refuse`)."""
+def _doc_lists(doc) -> tuple[list, list, list, list]:
+    """A graph document's vertex labels, edge labels and the two ends of
+    each edge, checked only for the document's shape: its keys, and each
+    edge's `ends` a list of exactly two.  The labels and ends are checked
+    by `_checked`."""
     try:
-        vertices = [v["label"] for v in doc["vertices"]]
-        edges = [(e["label"], e["ends"]) for e in doc["edges"]]
+        vertices = list(map(_LABEL, doc["vertices"]))
+        edges = doc["edges"]
+        labels, pairs = list(map(_LABEL, edges)), list(map(_ENDS, edges))
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
-    labels = [label for label, _ in edges]
-    pairs = [pair for _, pair in edges]
-    index: dict[str, int] = {}
-    ends = None
-    if (
-        {str}.issuperset(map(type, chain(vertices, labels)))
-        and {list}.issuperset(map(type, pairs))
-        and {2}.issuperset(map(len, pairs))
-    ):
+    if not ({list}.issuperset(map(type, pairs)) and {2}.issuperset(map(len, pairs))):
+        for label, pair in zip(labels, pairs):  # only a subclass of list may pass
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise GraphError(
+                    f"malformed graph JSON: edge {label!r} has ends {pair!r}, not a list of two"
+                )
+    return vertices, labels, list(map(_FIRST, pairs)), list(map(_SECOND, pairs))
+
+
+def _read_doc(doc) -> tuple[list[str], list[str], dict[str, int], list[tuple[int, int]]]:
+    """A graph document in integer form, checked as `MultiGraph` checks its
+    arguments (`_checked`): the vertex labels, the edge labels, the index
+    of each vertex label, and per edge the indices of its two ends.  A chain
+    piece is read here (`chains._piece_from_doc`), with no `MultiGraph`
+    built; `from_doc` builds one."""
+    vertices, labels, us, ws = _doc_lists(doc)
+    index = _checked(vertices, labels, us, ws)
+    return vertices, labels, index, _int_ends(index, us, ws)
+
+
+def _int_ends(index: dict[str, int], us, ws) -> list[tuple[int, int]]:
+    """Per edge, the indices of its ends `us[i]` and `ws[i]` in `index`."""
+    at = index.__getitem__
+    return list(zip(map(at, us), map(at, ws)))
+
+
+def _checked(vertices: Sequence, labels: Sequence, us: Sequence, ws: Sequence) -> dict[str, int]:
+    """The index of each vertex label in `vertices`, once the graph whose
+    edge i has the label `labels[i]` and the ends `us[i]` and `ws[i]` is
+    checked: every label and end a string, the vertex labels distinct,
+    every end a vertex and the edge labels distinct.  This is the one
+    check of a graph, for `MultiGraph` and graph documents alike.
+
+    The checks run over the whole graph at C speed, and only a graph that
+    fails one is walked again, in order, to name its first fault
+    (`_refuse`)."""
+    try:
+        for strings in (vertices, labels, us, ws):
+            "".join(strings)  # a TypeError on anything but a string
         index = dict(zip(vertices, range(len(vertices))))
-        get = index.get
-        try:
-            ends = [(get(u), get(v)) for u, v in pairs]
-        except TypeError:  # an unhashable end
-            pass
+    except TypeError:
+        index = None
     if (
-        ends is None
+        index is None
         or len(index) != len(vertices)
-        or None in chain.from_iterable(ends)
+        or not index.keys() >= {*us, *ws}
         or len(set(labels)) != len(labels)
     ):
-        _refuse(vertices, edges)
-        # no fault after all, only a subclass of str or list
-        index = dict(zip(vertices, range(len(vertices))))
-        ends = [(index[u], index[v]) for u, v in pairs]
-    return vertices, labels, index, ends
+        _refuse(vertices, labels, us, ws)
+    return index
 
 
-def _refuse(vertices: list, edges: list) -> None:
-    """Raise on the first fault of a graph document, in this order: ends
-    that are not a list of two, every label and end that is not a string
-    (vertices first), a repeated vertex label, then edge by edge an
-    unknown end or a repeated edge label."""
-    for label, pair in edges:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise GraphError(
-                f"malformed graph JSON: edge {label!r} has ends {pair!r}, not a list of two"
-            )
-    for label in (*vertices, *[x for label, (u, v) in edges for x in (label, u, v)]):
-        if not isinstance(label, str):
-            raise GraphError(f"malformed graph JSON: label or end {label!r} is not a string")
+def _refuse(vertices: Sequence, labels: Sequence, us: Sequence, ws: Sequence) -> None:
+    """Raise on the first fault of a graph that `_checked` found faulty, in
+    this order: every label and end other than a string (vertices first,
+    then edge by edge its label and ends), a repeated vertex label, then
+    edge by edge an end that is not a vertex or a repeated edge label."""
+    for x in chain(vertices, chain.from_iterable(zip(labels, us, ws))):
+        if not isinstance(x, str):
+            raise GraphError(f"label or end {x!r} is not a string")
     if len(set(vertices)) != len(vertices):
         raise GraphError("duplicate vertex label")
     known = set(vertices)
     seen: set[str] = set()
-    for label, (u, v) in edges:
-        if u not in known:
-            raise GraphError(f"unknown endpoint label {u!r}")
-        if v not in known:
-            raise GraphError(f"unknown endpoint label {v!r}")
+    for label, u, w in zip(labels, us, ws):
+        for end in (u, w):
+            if end not in known:
+                raise GraphError(f"unknown endpoint label {end!r}")
         if label in seen:
             raise GraphError(f"duplicate edge label {label!r}")
         seen.add(label)

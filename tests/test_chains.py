@@ -393,7 +393,7 @@ def _set(path, value):
 MALFORMED_PIECES = {
     "non-string label": (
         _set(["graph", "vertices", 0, "label"], 7),
-        GraphError, "malformed graph JSON: label or end 7 is not a string",
+        GraphError, "label or end 7 is not a string",
     ),
     "duplicate vertex": (
         _set(["graph", "vertices", 1, "label"], "x"), GraphError, "duplicate vertex label"

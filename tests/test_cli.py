@@ -114,6 +114,18 @@ def test_incidence(capsys):
     assert "{e_y,e_z}" in out and "pair sums even: True" in out
 
 
+def test_incidence_text_is_pinned(capsys):
+    # columns right-justified to their widest cell, two spaces apart
+    assert run(capsys, "incidence", "tutte-quotient", "--v", "w", "--w", "v") == (0, (
+        "           {f_b,f_c}  {f_a,f_b}  {f_a,f_c}\n"
+        "{e_x,e_y}          0          0          0\n"
+        "{e_x,e_z}          0          1          1\n"
+        "{e_y,e_z}          2          1          1\n"
+        "pair sums even: True\n"
+        "uniform parity: True\n"
+    ), "")
+
+
 def test_chain_analyze(capsys):
     code, out, _ = run(capsys, "chain", "analyze", "chain-H")
     assert code == 0 and "Finite(2)" in out and "end degree: right=3" in out
@@ -238,13 +250,14 @@ def test_export_dot_refuses_a_json_literal(tmp_path, capsys, literal):
     assert (code, out) == (2, "") and "malformed graph JSON" in err
 
 
-# where a graph file is malformed -> what its error message says
+# where a graph file is malformed -> its error message: a label or end that
+# is not a string gets the message `MultiGraph` gives for it
 MALFORMED_GRAPHS = {
-    "vertex label": "is not a string",
-    "edge label": "is not a string",
-    "edge end": "is not a string",
-    "ends as a string": "not a list of two",
-    "three ends": "not a list of two",
+    "vertex label": "label or end ['0'] is not a string",
+    "edge label": "label or end {'a': 1} is not a string",
+    "edge end": "label or end ['1'] is not a string",
+    "ends as a string": "malformed graph JSON: edge '12' has ends '12', not a list of two",
+    "three ends": "malformed graph JSON: edge '12' has ends ['1', '2', 'zzz'], not a list of two",
 }
 
 
@@ -268,9 +281,7 @@ def test_unhashable_graph_labels_are_usage_errors(tmp_path, capsys, where):
         ["incidence", str(target), "--v", "0", "--w", "1"],
         ["export-dot", str(target)],
     ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "") and "malformed graph JSON" in err
-        assert MALFORMED_GRAPHS[where] in err
+        assert run(capsys, *argv) == (2, "", f"error: {MALFORMED_GRAPHS[where]}\n")
 
 
 def test_unknown_graph_is_usage_error(capsys):

@@ -114,6 +114,78 @@ def test_min_cut_ladder_like():
     assert max_vertex_disjoint_paths(G, ["a"], "c") == 2
 
 
+# a faulty graph -> the message naming its first fault, the same from
+# `MultiGraph(...)` and from the graph's document
+GRAPH_FAULTS = {
+    "duplicate vertex": (["a", "b", "a"], [("e", "a", "b")], "duplicate vertex label"),
+    "unknown first end": (
+        ["a", "b"], [("e", "a", "b"), ("f", "z", "b")], "unknown endpoint label 'z'"
+    ),
+    "unknown second end": (["a", "b"], [("e", "a", "z")], "unknown endpoint label 'z'"),
+    "duplicate edge label": (
+        ["a", "b"], [("e", "a", "b"), ("e", "b", "a")], "duplicate edge label 'e'"
+    ),
+    # edge 1's default label is _e1, as its document writes it
+    "explicit _e1 and a default": (
+        ["a", "b"], [("_e1", "a", "b"), (None, "a", "b")], "duplicate edge label '_e1'"
+    ),
+    "non-string vertex": (["a", 1], [("e", "a", 1)], "label or end 1 is not a string"),
+    "non-string edge label": (
+        ["a", "b"], [("e", "a", "b"), (2, "a", "b")], "label or end 2 is not a string"
+    ),
+    "non-string end": (["a", "b"], [("e", "a", 1)], "label or end 1 is not a string"),
+    "unhashable vertex": ([["a"]], [], "label or end ['a'] is not a string"),
+    "unhashable edge label": (["a"], [({}, "a", "a")], "label or end {} is not a string"),
+    "unhashable end": (["a", "b"], [("e", ["a"], "b")], "label or end ['a'] is not a string"),
+    # the first fault in the order `_refuse` walks
+    "non-string first": (["a", "a"], [("e", "a", None)], "label or end None is not a string"),
+    "vertices first": (
+        ["a", "a"], [("e", "a", "z"), ("e", "a", "a")], "duplicate vertex label"
+    ),
+    "ends before label": (["a"], [("e", "a", "a"), ("e", "a", "z")], "unknown endpoint label 'z'"),
+}
+
+
+@pytest.mark.parametrize("fault", list(GRAPH_FAULTS))
+def test_one_checker_for_graphs_and_documents(fault):
+    vertices, edges, message = GRAPH_FAULTS[fault]
+    doc = {
+        "vertices": [{"label": v} for v in vertices],
+        "edges": [
+            {"label": f"_e{i}" if label is None else label, "ends": [u, v]}
+            for i, (label, u, v) in enumerate(edges)
+        ],
+    }
+    for build in (lambda: MultiGraph(vertices, edges), lambda: from_doc(doc)):
+        with pytest.raises(GraphError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_transforms_refuse_non_string_labels():
+    with pytest.raises(GraphError, match="label or end 1 is not a string"):
+        relabel_vertices(k4(), {"1": 1})
+    # a graph with a label that is not a string, for `quotient` to copy, is
+    # refused when it is built
+    with pytest.raises(GraphError, match="label or end 1 is not a string"):
+        quotient(MultiGraph(["a", 1], [("e", "a", 1)]), [("a", 1)])
+
+
+def test_each_edge_is_one_triple():
+    for edge in (("e", "a"), ("e", "a", "b", "c")):
+        with pytest.raises(GraphError, match="is not a \\(label, u, v\\) triple"):
+            MultiGraph(["a", "b"], [("f", "a", "b"), edge])
+
+
+def test_subclasses_of_str_are_strings():
+    # as in graph documents (`test_from_doc_reads_what_from_json_reads`)
+    class Label(str):
+        pass
+
+    G = MultiGraph([Label("a"), "b"], [(Label("e"), "a", Label("b"))])
+    assert G.to_json() == MultiGraph(["a", "b"], [("e", "a", "b")]).to_json()
+
+
 def test_edge_record_is_immutable():
     e = k4().edges[0]
     for name in ("id", "label", "u", "v"):
@@ -130,15 +202,13 @@ def test_from_doc_reads_what_from_json_reads():
     assert G.to_json() == P.to_json() == json.dumps(P.to_doc(), indent=2)
     for doc in ([1, 2], {"vertices": [{"label": "a"}]}, {"vertices": [{}], "edges": []},
                 {"vertices": [{"label": "a"}], "edges": [{"label": "x", "ends": ["a"]}]},
-                {"vertices": [{"label": ["a"]}], "edges": []},
-                {"vertices": [{"label": "a"}], "edges": [{"label": {}, "ends": ["a", "a"]}]},
-                {"vertices": [{"label": "a"}], "edges": [{"label": "x", "ends": ["a", 1]}]},
-                # ends must be a list of exactly two strings
+                # ends must be a list of exactly two
                 {"vertices": [{"label": "a"}, {"label": "b"}], "edges": [{"label": "x", "ends": "ab"}]},
                 {"vertices": [{"label": "a"}, {"label": "b"}],
                  "edges": [{"label": "x", "ends": ["a", "b", "zzz"]}]}):
         with pytest.raises(GraphError, match="malformed graph JSON"):
             from_doc(doc)
+    # labels and ends that are not strings: `test_one_checker_for_graphs_and_documents`
     # subclasses of str and list are strings and lists
     class Label(str):
         pass
