@@ -13,14 +13,18 @@ the chain engine builds for its segment minors without labels
 their visitors, so their tallies take O(n + m) space whatever the number
 of cycles; the parity report adds each cycle's edges into one packed int
 at C speed (`edge_parity_report`).  `enumerate_hamilton_cycles` collects
-every cycle.  The search state is four int lists: the edge states with the
-IN-edge count after them, and the IN-degree, undecided-edge count and
-path mate of each vertex, indexed by vertex.  The search holds one such
-state, m + 3n + 1 ints, per branching level on the current path, so
+every cycle.  The search state is three int lists: the edge states with
+the IN-edge count after them, one code per vertex that packs its
+IN-degree d and undecided-edge count u as d * K + u (K above every
+degree), and the path mate of each vertex.  The search holds one such
+state, m + 2n + 1 ints, per branching level on the current path, so
 O(depth * (m + n)) ints with depth at most m.  Every move the search
 makes, branched or forced, runs through one forced-move loop, the only
 place an edge goes IN; it examines a vertex only when the move just made
-can force it.
+can force it, and what a vertex forces, and how it ranks as the end of a
+branch edge, it reads from small tables indexed by the code (`_tables`).
+A search frees everything it made by reference counting, leaving no
+cycle of references for the cyclic collector.
 
 The core has two branch orders.  Full searches that visit cycles (counts,
 tallies, listing) branch on the most constrained undecided edge, which
@@ -63,6 +67,7 @@ identical order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from operator import add, itemgetter
 from typing import Callable, Iterable, Sequence
@@ -74,8 +79,59 @@ HamiltonCycle = frozenset  # of edge ids
 _UND, _IN, _OUT = 0, 1, 2
 _is_in = _IN.__eq__
 _DECIDED = bytes.maketrans(bytes([_OUT]), bytes([_IN]))  # IN and OUT alike
-# 1 alone stays true: _IN among edge states, path ends among IN-degrees
+# 1 alone stays true: _IN among edge states
 _ONES = bytes.maketrans(b"\2", b"\0")
+
+# what `settle` does with a vertex it pops (`_tables`)
+_PASS, _FAIL, _SATURATE, _ALL_IN = range(4)
+
+
+def _tables(K: int) -> tuple:
+    """The search's tables for vertex codes d * K + u, d an IN-degree of 0,
+    1 or 2 and u an undecided-edge count below K (`_search`):
+      - K;
+      - `push_out[c]`: whether a vertex whose code fell to c by an OUT move
+        may now be forced, its IN-degree below 2 and at most two edges left
+        to reach 2 with;
+      - `pop[c]`: what `settle` does with a popped vertex: nothing; fail,
+        since it can no longer reach IN-degree 2; saturate it, its
+        IN-degree being 2, by putting its undecided edges OUT; or put all
+        its undecided edges IN, since it needs every one of them;
+      - `rank[c]` and `stop`: an edge's rank is the sum of its two ends'
+        ranks, higher for more IN edges at its ends and then for fewer
+        undecided ones, and reaches `stop` when both ends are path ends;
+      - `path_ends(code)`: a selector, for `itertools.compress`, of the
+        path ends (IN-degree 1) among the vertices, at C speed: through a
+        byte translation while every code fits in a byte.
+    They depend on K alone, and the search builds them once, at import,
+    for K = 64 (`_TABLES`), and inside the call for a graph with a vertex
+    of degree 64 or more."""
+    du = [divmod(c, K) for c in range(3 * K)]
+
+    def action(d: int, u: int) -> int:
+        if d == 2:
+            return _SATURATE if u else _PASS
+        if d + u == 2:
+            return _ALL_IN
+        return _FAIL if d + u < 2 else _PASS
+
+    push_out = [d < 2 and d + u <= 2 for d, u in du]
+    pop = [action(d, u) for d, u in du]
+    rank = [2 * K * d + K - 1 - u for d, u in du]
+    is_end = [d == 1 for d, _ in du]
+    if len(is_end) <= 256:
+        end_bytes = bytes(is_end) + bytes(256 - len(is_end))
+
+        def path_ends(code: list[int]) -> bytearray:
+            # bytearray() converts an int list fastest
+            return bytearray(code).translate(end_bytes)
+
+    else:
+        path_ends = partial(map, is_end.__getitem__)
+    return K, push_out, pop, rank, 4 * K, path_ends
+
+
+_TABLES = _tables(64)
 
 
 def is_hamilton_cycle(G: MultiGraph, edge_ids: Iterable[int]) -> bool:
@@ -137,15 +193,20 @@ def _search(
     incidence order of each vertex is ascending id, as in a `MultiGraph`,
     so a labeled graph and its integer form are searched alike.
 
-    The search state is four int lists.  `s` holds the state of edge i at
+    The search state is three int lists.  `s` holds the state of edge i at
     s[i] (_UND, _IN or _OUT) and the number of IN edges at s[m], its last
-    entry.  `deg`, `und` and `mate` hold, for vertex k at index k, its
-    IN-degree, its number of undecided edges and its path mate.  Vertices
-    are named by their indices throughout, and `ends[i]` is the index sum
-    of edge i's two ends, so one end taken from it gives the other.
-    Branching copies the four lists for the IN child (C-speed list copies)
-    and hands the lists themselves to the OUT child, so there is no undo
-    trail.
+    entry.  `code` and `mate` hold, for vertex k at index k, its code and
+    its path mate.  The code is d * K + u for a vertex with IN-degree d
+    and u undecided edges, K being 64, or one more than the largest degree
+    (a loop counted once) when that is 64 or more, so u < K and the code
+    fits one int: an IN move adds K - 1 to each end's code, an OUT move
+    takes 1 off, and a vertex with IN-degree 2 and no undecided edge left
+    has code 2K.  Vertices are named by their indices throughout, and
+    `ends[i]` is the index sum of edge i's two ends, so one end taken from
+    it gives the other.  Branching copies the three lists for the IN child
+    (C-speed list copies) and hands the lists themselves to the OUT child,
+    so there is no undo trail; the visiting search takes the OUT child in
+    a loop, not a call.
 
     Loops are OUT from the start, and IN edges always form vertex-disjoint
     paths.  The mate of a path end is the index of the path's other end
@@ -165,7 +226,11 @@ def _search(
     its IN-degree reached 2 with undecided edges left, which then go OUT;
     or its undecided count plus IN-degree fell to 2 or below, when every
     undecided edge it has must go IN.  A popped vertex that can no longer
-    reach IN-degree 2 fails the branch.  A vertex left with at most two
+    reach IN-degree 2 fails the branch, and an IN move onto a vertex that
+    has IN-degree 2 already fails it too.  The IN move tests its ends'
+    codes against 2K; an OUT move and a pop read what to do from tables
+    indexed by the code (`_tables`), which write these rules once, for
+    every code of a given K.  A vertex left with at most two
     edges once loops and forbidden edges are OUT is pushed before the first
     move, since no move made it fall.  So the loop never misses a forced
     vertex and stops with none left, whatever the order of its moves.  The
@@ -175,8 +240,11 @@ def _search(
 
     By default each visiting search node branches on the most constrained
     undecided edge: most IN edges at its ends, then fewest undecided edges
-    there, then lowest id.  The scan starts at the lowest undecided edge,
-    since every edge below it is decided.  Branching at a path end instead slowed thin
+    there, then lowest id.  The scan sums a rank per end, read from a
+    table by the end's code, that orders edges so, and takes at once an
+    edge whose ends are both path ends, the first that ranks `stop`.  It
+    starts at the lowest undecided edge, since every edge below it is
+    decided.  Branching at a path end instead slowed thin
     graphs with 2-edge cuts by an order of magnitude, so the edge rule
     stays.
 
@@ -210,7 +278,9 @@ def _search(
         IN-degrees and paths, and to the traces only as a group edge,
         which the table leaves to the parent.  (The suffix's length is
         m - first already; the key keeps both.)
-      - n - mate for the mate of each path end, in vertex order.  These
+      - n - mate for the mate of each path end, in vertex order, the path
+        ends being the vertices with a code from K to 2K - 1, which the
+        tables' `path_ends` selects at C speed.  These
         name the path ends, so they carry every IN-degree too: at a node
         `settle` has finished, a vertex with undecided edges is a path end
         (IN-degree 1) or untouched (0), and one without has IN-degree 2.
@@ -247,6 +317,11 @@ def _search(
     of this graph's groups, and the suffix holds group edges, which need
     not end where another graph's edges at the same place end (a
     window's dummy edges against the next window's junction edges).
+
+    `descend` and `count` call themselves, so each would keep itself, and
+    with it the whole search, in a cycle of references that only the
+    cyclic collector frees.  The call drops both as it ends, and reference
+    counting frees everything the search made.
     """
     n, edges = graph
     m = len(edges)
@@ -263,17 +338,15 @@ def _search(
         if u != v:
             inc[v].append(i)
     s = [_UND] * (m + 1)  # the edge states, then the IN-edge count
-    deg = [0] * n
-    und = list(map(len, inc))
+    code = list(map(len, inc))  # IN-degree 0, every edge undecided
     mate = list(range(n))
+    degree = max(code)  # a loop counted once
+    K, push_out, pop, rank, stop, path_ends = _TABLES if degree < _TABLES[0] else _tables(degree + 1)
+    full = 2 * K  # IN-degree 2, no undecided edge left
+    step = K - 1  # one IN edge more, one undecided edge fewer
 
     def settle(
-        s: list[int],
-        deg: list[int],
-        und: list[int],
-        mate: list[int],
-        todo: Iterable[int],
-        touched: list[int],
+        s: list[int], code: list[int], mate: list[int], todo: Iterable[int], touched: list[int]
     ) -> bool:
         """Put each undecided edge of `todo` IN, then make every move that
         the vertices on `touched` force, until none is left; false once the
@@ -283,19 +356,17 @@ def _search(
                 if s[i]:
                     continue
                 p, q = eu[i], ev[i]
-                dp, dq = deg[p] + 1, deg[q] + 1
-                if dp > 2 or dq > 2:
+                cp, cq = code[p], code[q]
+                if cp >= full or cq >= full:  # an end already has IN-degree 2
                     return False
                 s[i] = _IN
-                deg[p] = dp
-                deg[q] = dq
-                up = und[p] - 1
-                uq = und[q] - 1
-                und[p] = up
-                und[q] = uq
-                if dp == 2 and up:
+                cp += step
+                cq += step
+                code[p] = cp
+                code[q] = cq
+                if cp > full:  # IN-degree 2 with undecided edges left
                     touched.append(p)
-                if dq == 2 and uq:
+                if cq > full:
                     touched.append(q)
                 t = s[m] + 1
                 s[m] = t
@@ -310,61 +381,52 @@ def _search(
                     for j in inc[a]:
                         if not s[j] and ends[j] == ab:
                             s[j] = _OUT
-                            ua = und[a] - 1
-                            ub = und[b] - 1
-                            und[a] = ua
-                            und[b] = ub
-                            if ua <= 1:
+                            ca = code[a] - 1
+                            cb = code[b] - 1
+                            code[a] = ca
+                            code[b] = cb
+                            if push_out[ca]:
                                 touched.append(a)
-                            if ub <= 1:
+                            if push_out[cb]:
                                 touched.append(b)
             while touched:
                 p = touched.pop()
-                u = und[p]
-                if not u:
-                    if deg[p] < 2:
-                        return False
-                    continue
-                d = deg[p]
-                if d == 2:
+                action = pop[code[p]]
+                if action == _ALL_IN:  # the commonest action, tested first
+                    todo = inc[p]
+                    break
+                if action == _SATURATE:
                     for j in inc[p]:
                         if not s[j]:
                             s[j] = _OUT
                             q = ends[j] - p
-                            uq = und[q] - 1
-                            und[q] = uq
-                            dq = deg[q]
-                            if dq < 2 and uq + dq <= 2:
+                            cq = code[q] - 1
+                            code[q] = cq
+                            if push_out[cq]:
                                 touched.append(q)
-                    und[p] = 0
-                elif u + d == 2:
-                    todo = inc[p]
-                    break
-                elif u + d < 2:
+                    code[p] = full
+                elif action == _FAIL:
                     return False
             else:
                 return True
 
-    def branch_edge(s: list[int], deg: list[int], und: list[int]) -> int:
+    def branch_edge(s: list[int], code: list[int]) -> int:
         try:
             first = s.index(_UND, 0, m)  # every edge below it is decided
         except ValueError:
             return -1
-        best, best_in, best_und = -1, -1, 0
+        best, top = -1, -1
         for i in range(first, m):
             if s[i]:
                 continue
-            p, q = eu[i], ev[i]
-            c = deg[p] + deg[q]
-            if c == 2:
-                return i
-            if c >= best_in:
-                u = und[p] + und[q]
-                if c > best_in or u < best_und:
-                    best, best_in, best_und = i, c, u
+            r = rank[code[eu[i]]] + rank[code[ev[i]]]
+            if r > top:
+                if r >= stop:  # both ends are path ends
+                    return i
+                best, top = i, r
         return best
 
-    def lowest_edge(s: list[int], deg: list[int], und: list[int]) -> int:
+    def lowest_edge(s: list[int], code: list[int]) -> int:
         try:
             return s.index(_UND, 0, m)
         except ValueError:
@@ -372,22 +434,23 @@ def _search(
 
     pick = lowest_edge if lowest_first else branch_edge
 
-    def descend(s: list[int], deg: list[int], und: list[int], mate: list[int]) -> bool:
-        """Search below the node (s, deg, und, mate); true once the visitor
-        has asked to stop."""
-        if s[m] == n:
-            return bool(visit(s))
-        i = pick(s, deg, und)
-        if i < 0:
-            return False
-        t, dt, ut, mt = s[:], deg[:], und[:], mate[:]
-        if settle(t, dt, ut, mt, (i,), []) and descend(t, dt, ut, mt):
-            return True
-        s[i] = _OUT
-        p, q = eu[i], ev[i]
-        und[p] -= 1
-        und[q] -= 1
-        return settle(s, deg, und, mate, (), [p, q]) and descend(s, deg, und, mate)
+    def descend(s: list[int], code: list[int], mate: list[int]) -> bool:
+        """Search below the node (s, code, mate), its OUT children in a
+        loop; true once the visitor has asked to stop."""
+        while s[m] != n:
+            i = pick(s, code)
+            if i < 0:
+                return False
+            t, ct, mt = s[:], code[:], mate[:]
+            if settle(t, ct, mt, (i,), []) and descend(t, ct, mt):
+                return True
+            s[i] = _OUT
+            p, q = eu[i], ev[i]
+            code[p] -= 1
+            code[q] -= 1
+            if not settle(s, code, mate, (), [p, q]):
+                return False
+        return bool(visit(s))
 
     bits = [(g, 1 << k) for k, g in enumerate(groups or ())]
     memo: dict = {}
@@ -411,20 +474,20 @@ def _search(
             trace |= traced
             table[trace] = table.get(trace, 0) + cycles
 
-    def count(s: list[int], deg: list[int], und: list[int], mate: list[int]) -> dict:
+    def count(s: list[int], code: list[int], mate: list[int]) -> dict:
         """The cycles below the node by their trace on the group edges
         undecided there, as a bit mask; branches on the lowest undecided
         edge and is memoized on the node's residual problem."""
         if s[m] == n:
             return leaf
-        first = lowest_edge(s, deg, und)
+        first = lowest_edge(s, code)
         if first < 0:
             return {}
         # bytearray() converts an int list fastest
         key = (
             m - first,
             bytes(bytearray(s[first:m]).translate(_DECIDED)),
-            tuple(map(n.__sub__, compress(mate, bytearray(deg).translate(_ONES)))),
+            tuple(map(n.__sub__, compress(mate, path_ends(code)))),
         )
         store = memo if first < share_from else shared
         table = store.get(key)
@@ -432,15 +495,15 @@ def _search(
             return table
         table = {}
         open_bits = [(g, bit) for g, bit in bits if not s[g]]
-        t, dt, ut, mt = s[:], deg[:], und[:], mate[:]
-        if settle(t, dt, ut, mt, (first,), []):
-            merge(table, put_in(t, open_bits), count(t, dt, ut, mt))
+        t, ct, mt = s[:], code[:], mate[:]
+        if settle(t, ct, mt, (first,), []):
+            merge(table, put_in(t, open_bits), count(t, ct, mt))
         s[first] = _OUT
         p, q = eu[first], ev[first]
-        und[p] -= 1
-        und[q] -= 1
-        if settle(s, deg, und, mate, (), [p, q]):
-            merge(table, put_in(s, open_bits), count(s, deg, und, mate))
+        code[p] -= 1
+        code[q] -= 1
+        if settle(s, code, mate, (), [p, q]):
+            merge(table, put_in(s, open_bits), count(s, code, mate))
         store[key] = table
         return table
 
@@ -448,21 +511,25 @@ def _search(
         p, q = eu[i], ev[i]
         if p == q or i in forbid:
             s[i] = _OUT
-            und[p] -= 1
+            code[p] -= 1
             if p != q:
-                und[q] -= 1
-    # no move made these fall to two undecided edges or fewer: push them now
-    touched = [p for p in range(n) if und[p] <= 2]
-    ok = settle(s, deg, und, mate, require, touched) and all(s[i] == _IN for i in require)
-    if visit is not None:
+                code[q] -= 1
+    try:
+        # no move made these fall to two undecided edges or fewer: push them now
+        touched = [p for p in range(n) if code[p] <= 2]
+        ok = settle(s, code, mate, require, touched) and all(s[i] == _IN for i in require)
+        if visit is not None:
+            if ok:
+                descend(s, code, mate)
+            return None
+        table: dict = {}
         if ok:
-            descend(s, deg, und, mate)
-        return None
-    table: dict = {}
-    if ok:
-        merge(table, put_in(s, bits), count(s, deg, und, mate))
-    memo.clear()  # `count` refers to itself, so only the cycle collector would free it
-    return table
+            merge(table, put_in(s, bits), count(s, code, mate))
+        return table
+    finally:
+        # `descend` and `count` call themselves: drop them, so that reference
+        # counting frees the search and no cycle is left to the collector
+        descend = count = None
 
 
 def _sorted_cycles(

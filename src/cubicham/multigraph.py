@@ -87,7 +87,10 @@ class MultiGraph:
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, vertex: str) -> bool:
-        return vertex in self._index
+        try:
+            return vertex in self._index
+        except TypeError:  # unhashable, so no label
+            return False
 
     @property
     def n(self) -> int:
@@ -112,7 +115,7 @@ class MultiGraph:
             self._by_label = {e.label: e for e in self.edges}
         try:
             return self._by_label[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise GraphError(f"unknown edge label {label!r}") from None
 
     def edges_at(self, vertex: str) -> tuple[int, ...]:
@@ -126,7 +129,7 @@ class MultiGraph:
             self._incident = {v: tuple(ids) for v, ids in inc.items()}
         try:
             return self._incident[vertex]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise GraphError(f"unknown vertex {vertex!r}") from None
 
     def degree(self, vertex: str) -> int:
@@ -373,9 +376,9 @@ def quotient(G: MultiGraph, identifications: Sequence[tuple[str, str]]) -> Multi
 
     order = {v: i for i, v in enumerate(G.vertices)}
     for a, b in identifications:
-        if a not in parent:
+        if a not in G:
             raise GraphError(f"unknown label {a!r}")
-        if b not in parent:
+        if b not in G:
             raise GraphError(f"unknown label {b!r}")
         ra, rb = find(a), find(b)
         if ra == rb:

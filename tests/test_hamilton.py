@@ -1,11 +1,17 @@
+import gc
+import hashlib
 import random
+from itertools import compress
 
 import pytest
 
-from cubicham import hamilton
+from cubicham import chains, hamilton
 from cubicham import (
     GraphError,
     MultiGraph,
+    chain_G,
+    chain_H,
+    chain_Hprime,
     count_by_trace,
     count_through,
     cube,
@@ -410,3 +416,160 @@ def test_closing_edge_rule_on_parallel_edges(case):
         assert ab_used and not any(ab_used)  # both a-b edges OUT
     else:
         assert sorted(map(sorted, ab_used)) == [[i] for i in sorted(ab)]  # each closes one
+
+
+# -- the search tree, pinned -------------------------------------------------
+#
+# sha256 digests of what the search emits, in the order it emits it, so that
+# a change to the core that keeps the counts but moves the search tree (its
+# branch edge, its forced moves, the order of its children or its memo keys)
+# fails here.  Each digest hashes repr(item) + "\n" per item.
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _visit_order(G: MultiGraph) -> list[tuple[int, ...]]:
+    """The IN edges of each cycle, in the order the visiting search meets them."""
+    out = []
+    ids = range(G.m)
+    hamilton._search(G.ints, (), (), lambda s: out.append(tuple(compress(ids, map(hamilton._is_in, s)))))
+    return out
+
+
+def _window_tables(chain, levels) -> list:
+    """The items of each memoized window count of `chain` at `levels`, as
+    `chains._window_counts` makes them, on the chain's one shared memo."""
+    tables = []
+    real = chains._memo_trace_counts
+
+    def record(*args, **kwargs):
+        table = real(*args, **kwargs)
+        tables.append(list(table.items()))
+        return table
+
+    chains._memo_trace_counts = record
+    try:
+        for k in levels:
+            chains._window_counts(chain, k)
+    finally:
+        chains._memo_trace_counts = real
+    return tables
+
+
+def _pin_graphs() -> dict:
+    return {
+        "dense": _third_odd_draw(random.Random(2)),  # n = 16, 22 145 cycles
+        "cubic40": random_cubic_graph(40, random.Random(40)),  # 192 cycles
+        "odd14": random_odd_degree_graph(14, random.Random(14)),  # 5018 cycles
+    }
+
+
+def _anchor_groups(G: MultiGraph) -> list:
+    return [G.edges_at(G.vertices[0]), G.edges_at(G.vertices[-1])]
+
+
+SEARCH_PINS = {
+    "visits-dense": (
+        lambda g: _visit_order(g["dense"]),
+        "94774b5246978cd64dc9efcf43b48a654b778e144e4b20f200d9accad31b6b42",
+    ),
+    "visits-cubic40": (
+        lambda g: _visit_order(g["cubic40"]),
+        "b3672658ec9ad37067eb60aa3bd61a25c8160c543837509c76f09084c5bb1291",
+    ),
+    "visits-odd14": (
+        lambda g: _visit_order(g["odd14"]),
+        "a1320e102c7d53605a6f2602485de3d3a2740b97a0277a40d5b867696157f862",
+    ),
+    "traces-cubic40": (
+        lambda g: hamilton._trace_counts(g["cubic40"].ints, _anchor_groups(g["cubic40"])).items(),
+        "4ecd32a645d27436affbe0a705d9e76d4f3aa9564e985336dd180a0369a3678b",
+    ),
+    "traces-odd14": (
+        lambda g: hamilton._trace_counts(g["odd14"].ints, _anchor_groups(g["odd14"])).items(),
+        "88dfd61305b38a32ef7f02cb637980a7e6e307ffabe26d3da2050136bf78b6c5",
+    ),
+    "least-cubic40": (
+        lambda g: hamilton._least_cycles(g["cubic40"], (), 3),
+        "e638a02818bc6e914fa010da4817ff6655b71fc14dc79fd826c81e2d26aecbb2",
+    ),
+    "least-odd14": (
+        lambda g: hamilton._least_cycles(g["odd14"], (), 3),
+        "a2cf8200302738918cd4b76282ddf2654a6c3534a85e883be4a60ba693053924",
+    ),
+    "windows-chain-H": (
+        lambda g: _window_tables(chain_H(), range(6)),
+        "809a63922e395fb9c032e1c9e759d8451b49174921b5b47fa74fd6492aa3e12a",
+    ),
+    "windows-chain-G": (
+        lambda g: _window_tables(chain_G(), range(6)),
+        "213b5f18787f36257d585c284c9bbd20ce0ff4aceb16832382fc00106c7666f6",
+    ),
+    "windows-chain-Hprime": (
+        lambda g: _window_tables(chain_Hprime(), range(1, 6)),
+        "f2d8de0e3a207e45c17cba4f5f5c3e7609099e269d56da29c496ff740c33ba72",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pin_graphs():
+    return _pin_graphs()
+
+
+@pytest.mark.parametrize("pin", list(SEARCH_PINS))
+def test_search_tree_is_pinned(pin, pin_graphs):
+    items, expected = SEARCH_PINS[pin]
+    assert _digest(items(pin_graphs)) == expected
+
+
+# -- vertex codes of high degree and reference cycles -------------------------
+
+
+def _wheel(k: int) -> MultiGraph:
+    """A hub joined by spokes s0..s(k-1) to a rim of k vertices, then the
+    rim edges w0..w(k-1), wi joining rim vertices i and i + 1: k Hamilton
+    cycles, the one without wi using spokes si and s(i+1)."""
+    rim = [f"r{i}" for i in range(k)]
+    spokes = [(f"s{i}", "hub", r) for i, r in enumerate(rim)]
+    return MultiGraph(["hub", *rim], spokes + [(f"w{i}", rim[i], rim[(i + 1) % k]) for i in range(k)])
+
+
+# hub degree 60 is inside the tables built at import (`hamilton._TABLES`);
+# 80 and 150 build their own, and at 150 the vertex codes no longer fit
+# in a byte
+@pytest.mark.parametrize("k", [60, 80, 150])
+def test_wheel_with_a_hub_of_high_degree(k):
+    G = _wheel(k)
+    assert count_through(G) == k
+    report = edge_parity_report(G)
+    assert report.total == k
+    assert report.counts == {i: 2 if i < k else k - 1 for i in range(G.m)}
+    table = hamilton._memo_trace_counts(G.ints, [G.edges_at("hub")])
+    assert table == {(tuple(sorted((i, (i + 1) % k))),): 1 for i in range(k)}
+
+
+@pytest.mark.parametrize("G", [random_cubic_graph(20, random.Random(1)), _wheel(100)], ids=["cubic", "wheel"])
+def test_searches_leave_no_reference_cycles(G):
+    graph = G.ints
+    groups = [G.edges_at(G.vertices[0])]
+    searches = [
+        lambda: count_through(G),
+        lambda: hamilton._least_cycles(G, (), 3),
+        lambda: hamilton._memo_trace_counts(graph, groups),
+        lambda: hamilton._memo_trace_counts(graph, groups, {}),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for search in searches:
+            search()
+            # everything the search made was freed by reference counting
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -171,6 +171,28 @@ def test_transforms_refuse_non_string_labels():
         quotient(MultiGraph(["a", 1], [("e", "a", 1)]), [("a", 1)])
 
 
+# an unhashable label names no vertex or edge: a GraphError that names it,
+# not the dict's bare TypeError
+def test_edges_at_refuses_an_unhashable_label():
+    G = k4()
+    for query in (G.edges_at, G.degree):
+        with pytest.raises(GraphError, match=r"unknown vertex \['1'\]"):
+            query(["1"])
+    assert ["1"] not in G
+
+
+def test_edge_by_label_refuses_an_unhashable_label():
+    with pytest.raises(GraphError, match=r"unknown edge label \['12'\]"):
+        k4().edge_by_label(["12"])
+
+
+def test_quotient_refuses_an_unhashable_label():
+    with pytest.raises(GraphError, match=r"unknown label \['1'\]"):
+        quotient(k4(), [(["1"], "2")])
+    with pytest.raises(GraphError, match=r"unknown label \['2'\]"):
+        quotient(k4(), [("1", ["2"])])
+
+
 def test_each_edge_is_one_triple():
     for edge in (("e", "a"), ("e", "a", "b", "c")):
         with pytest.raises(GraphError, match="is not a \\(label, u, v\\) triple"):
