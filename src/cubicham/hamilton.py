@@ -90,6 +90,10 @@ def _tables(K: int) -> tuple:
     """The search's tables for vertex codes d * K + u, d an IN-degree of 0,
     1 or 2 and u an undecided-edge count below K (`_search`):
       - K;
+      - `full`, 2K: the code of a vertex with IN-degree 2 and no undecided
+        edge left; an IN move onto a code of `full` or more fails;
+      - `step`, K - 1: what an IN move adds to each end's code, one IN edge
+        more and one undecided edge fewer;
       - `push_out[c]`: whether a vertex whose code fell to c by an OUT move
         may now be forced, its IN-degree below 2 and at most two edges left
         to reach 2 with;
@@ -102,7 +106,10 @@ def _tables(K: int) -> tuple:
         undecided ones, and reaches `stop` when both ends are path ends;
       - `path_ends(code)`: a selector, for `itertools.compress`, of the
         path ends (IN-degree 1) among the vertices, at C speed: through a
-        byte translation while every code fits in a byte.
+        byte translation while every code fits in a byte, and by `map` over
+        a list past that.  `map` alone would do for every K, but it made
+        the window brute force, the one user of the selector, about 12%
+        slower (CHANGES.md).
     They depend on K alone, and the search builds them once, at import,
     for K = 64 (`_TABLES`), and inside the call for a graph with a vertex
     of degree 64 or more."""
@@ -128,7 +135,7 @@ def _tables(K: int) -> tuple:
 
     else:
         path_ends = partial(map, is_end.__getitem__)
-    return K, push_out, pop, rank, 4 * K, path_ends
+    return K, 2 * K, K - 1, push_out, pop, rank, 4 * K, path_ends
 
 
 _TABLES = _tables(64)
@@ -341,9 +348,9 @@ def _search(
     code = list(map(len, inc))  # IN-degree 0, every edge undecided
     mate = list(range(n))
     degree = max(code)  # a loop counted once
-    K, push_out, pop, rank, stop, path_ends = _TABLES if degree < _TABLES[0] else _tables(degree + 1)
-    full = 2 * K  # IN-degree 2, no undecided edge left
-    step = K - 1  # one IN edge more, one undecided edge fewer
+    _, full, step, push_out, pop, rank, stop, path_ends = (
+        _TABLES if degree < _TABLES[0] else _tables(degree + 1)
+    )
 
     def settle(
         s: list[int], code: list[int], mate: list[int], todo: Iterable[int], touched: list[int]
