@@ -34,6 +34,7 @@ from .incidence import (
 )
 from .constructions import (
     BUILTIN_CHAINS,
+    BUILTIN_GRAPHS,
     LabeledFragment,
     chain_G,
     chain_H,

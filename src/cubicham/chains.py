@@ -16,7 +16,7 @@ keeps.  It is the only code that knows how its side is oriented: which
 matching sits at cut j, which piece lies beyond it and which stub of a pair
 faces the core; validation, layers, windows, certificates, end degrees and
 witness names all ask it.  It holds one step per distinct cut (the
-pre-period cuts, then one period; `Tail.fold` is the only period fold),
+pre-period cuts, then one period; `_fold` is the only period fold),
 and every propagation of weights goes through its `push`: the ray
 analysis and `prefix_counts` restrict it to surviving states (`advance`),
 and `truncation_consistency` does not.  Its `window` lists the pieces,
@@ -75,9 +75,9 @@ witnesses are named (`_Direction.stubs`).
 
 `end_degree` is exact and builds no labeled window.  It takes the min
 cut at one level that the period and the cut size fix, deepening it only
-when the value there drops, as a max flow on the ray's window glued by
-`_glue` with that ray's dummy alone, its core contracted to the source
-(`_level_cut`, the package's one max flow).
+when the value there drops, as a max flow (`_level_cut`, the package's
+one max flow) through the ray's pieces beyond the core, glued by `_glue`
+as a window between two dummies: the contracted core and the end.
 """
 
 from __future__ import annotations
@@ -227,6 +227,14 @@ class ChainPiece:
         return {key: tuple(cycles) for key, cycles in buckets.items()}
 
 
+def _fold(j: int, pre: int, plen: int) -> int:
+    """The least index with the same piece and junction as j (j >= 0) on a
+    run whose indices 1..pre are its pre-period and whose later indices
+    repeat with a period of length plen: the one period fold, for tails
+    (`Tail.fold`) and certificates (`LimitCycleCertificate.choice_at`)."""
+    return j if j <= pre else pre + 1 + (j - 1 - pre) % plen
+
+
 @dataclass(frozen=True)
 class Tail:
     """Eventually periodic run of pieces, indexed from 1 going outward."""
@@ -259,10 +267,8 @@ class Tail:
         return self.entry_ifaces + self.period_ifaces
 
     def fold(self, j: int) -> int:
-        """The least index with the same piece and junction as j (j >= 0):
-        indices past the pre-period repeat with the period."""
-        pre = len(self.pre)
-        return j if j <= pre else pre + 1 + (j - 1 - pre) % self.plen
+        """The least index with the same piece and junction as j (j >= 0)."""
+        return _fold(j, len(self.pre), self.plen)
 
     def piece(self, j: int) -> ChainPiece:
         if j < 1:
@@ -413,8 +419,8 @@ def _glue(
     integer form, with the first piece's left stubs on a left dummy if
     `left` and the last piece's right stubs on a right dummy if `right`.
     Also the ids of the stub edges at each dummy, in port order.  Every
-    window, segment minor and max-flow network (`_Direction.glue`) is
-    glued here, from each piece's one integer form (`ChainPiece._flow`);
+    window, segment minor and max-flow network (`_level_cut`) is glued
+    here, from each piece's one integer form (`ChainPiece._flow`);
     `materialize` only labels the result.
 
     In chain order, the default, vertices come piece by piece in each
@@ -636,8 +642,8 @@ class _Direction:
     cut 0 with the right ray, and its piece 1 is the right ray's piece 0,
     so what it owns starts at `first_cut` = 1; the core is piece
     `first_cut` on either ray.  `window` puts the side's pieces out to a
-    cut back into chain order, and `glue` and `bound` say where the core
-    and the dummy's edges lie in a glued window.
+    cut back into chain order, and `bound` says where the dummy's edges
+    lie in a glued window.
 
     The step from cut j to cut j+1 is stored at slot `tail.fold(j)`: the
     J = len(pre) + 1 cuts before the period, then one per period residue.
@@ -701,16 +707,6 @@ class _Direction:
         if self.leftward:
             return pieces[::-1], matchings[::-1], tags[::-1]
         return pieces, matchings, tags
-
-    def glue(self, k: int) -> tuple[Ints, range]:
-        """The window out to cut k glued in integer form (`_glue`) with this
-        side's dummy alone, its last vertex, and the range of the core's
-        vertices in it."""
-        pieces, matchings, _ = self.window(k)
-        (n, edges), _ = _glue(pieces, matchings, self.leftward, not self.leftward)
-        size = self.piece(self.first_cut)._flow[0]
-        start = n - 1 - size if self.leftward else 0
-        return (n, edges), range(start, start + size)
 
     def bound(self, k: int, group: range) -> tuple[int, ...]:
         """The ids of the edges at this side's dummy beyond cut k, given in
@@ -929,11 +925,10 @@ class LimitCycleCertificate:
     left_period: tuple = ()
 
     def choice_at(self, level: int, side: str = "right") -> tuple:
+        """The choice of `side` at `level` >= 1."""
         pre = self.pre if side == "right" else self.left_pre
         per = self.period if side == "right" else self.left_period
-        if level <= len(pre):
-            return pre[level - 1]
-        return per[(level - len(pre) - 1) % len(per)]
+        return (pre + per)[_fold(level, len(pre), len(per)) - 1]
 
     def state_at(self, level: int, side: str = "right") -> State:
         if level == 0:
@@ -1198,51 +1193,57 @@ def _level_cut(chain: CutChain, end: str, k: int) -> int:
     level-k window, computed as one max flow.
 
     The core is the initial piece of a one-ended chain and left piece 1 of
-    a two-ended one.  The chosen ray's window out to cut k is glued with
-    its dummy alone (`_Direction.glue`).  In a two-ended chain the pieces
-    on the other side of the core reach the chosen dummy only through the
-    core, so they carry no flow that the core does not already supply, and
-    they are left out.  `end` is one of `chain.sides`.  Node 0 of the flow
-    network is the core, contracted: every vertex of the core is a source,
-    so every cut that separates the core from the dummy keeps the whole
-    core on one side, and contracting it changes no such cut.  Node 1 is
-    the dummy, and the other vertices follow in window order.  Loops and
-    edges inside the core lie on no path, and are dropped.
+    a two-ended one.  Every vertex of the core is a source, so every cut
+    that separates the core from the dummy keeps the whole core on one
+    side, and the core may be contracted to one node.  That node is a
+    dummy at the core's boundary: the network is the chosen ray's pieces
+    beyond the core out to cut k (`_Direction.window`), glued by `_glue`
+    as a window between two dummies, and the flow runs from the core-side
+    dummy to the end-side one.  In a two-ended chain the pieces on the
+    other side of the core reach the chosen dummy only through the core,
+    so they carry no flow that the core does not already supply, and they
+    are left out.  Where no piece lies beyond the core (the left ray at
+    k = 1), the core's own stubs are the whole cut.  `end` is one of
+    `chain.sides`.
 
     Every edge has capacity 1 both ways: edge i is the residual pair of
     arcs 2i (listed u -> v) and 2i + 1 (v -> u), arc a running to
     `head[a]`.  Augmenting paths are shortest (Edmonds-Karp), and the
-    search stops once every edge at the dummy carries flow.
+    search stops once every edge at the end-side dummy carries flow.
     """
-    (n, edges), core = chain._directions[end].glue(k)
-    node = [0 if v in core else v + 2 if v < core.start else v + 2 - len(core) for v in range(n)]
-    node[-1] = 1
+    direction = chain._directions[end]
+    pieces, matchings, _ = direction.window(k)
+    if len(pieces) == 1:
+        return chain.cut_size
+    beyond = slice(None, -1) if direction.leftward else slice(1, None)
+    (n, edges), _ = _glue(pieces[beyond], matchings[beyond], True, True)
+    # the left dummy is vertex n - 2 and the right one n - 1
+    source, sink = (n - 1, n - 2) if direction.leftward else (n - 2, n - 1)
     head: list[int] = []
-    out: list[list[int]] = [[] for _ in range(n + 1 - len(core))]  # arcs leaving each node
+    out: list[list[int]] = [[] for _ in range(n)]  # arcs leaving each vertex
     for u, v in edges:
-        u, v = node[u], node[v]
         if u != v:
             out[u].append(len(head))
             out[v].append(len(head) + 1)
             head += (v, u)
     cap = [1] * len(head)
     total = 0
-    while total < len(out[1]):
-        via = [-1] * len(out)  # the arc each reached node was reached by
-        via[0] = -2
-        queue = [0]
+    while total < len(out[sink]):
+        via = [-1] * n  # the arc each reached vertex was reached by
+        via[source] = -2
+        queue = [source]
         for u in queue:
             for a in out[u]:
                 v = head[a]
                 if cap[a] and via[v] == -1:
                     via[v] = a
                     queue.append(v)
-            if via[1] != -1:
+            if via[sink] != -1:
                 break
         else:
             return total
-        v = 1
-        while v:
+        v = sink
+        while v != source:
             a = via[v]
             cap[a] -= 1
             cap[a ^ 1] += 1

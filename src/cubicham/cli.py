@@ -13,16 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
 from . import constructions
 from .chains import (
     ChainError,
+    CutChain,
     OneEndedChain,
     chain_from_doc,
-    chain_from_json,
     chain_to_json,
     count_limit_hamilton_cycles,
     end_degree,
@@ -43,37 +43,39 @@ from .hamilton import (
     second_cycle_nearly_cubic,
 )
 from .incidence import check_pair_sum_even, check_uniform_parity, incidence_multigraph
-from .multigraph import GraphError, MultiGraph, _dumps, from_doc, from_json
-
-_BUILTIN_GRAPHS = {
-    "tutte-fragment": lambda: constructions.tutte_fragment().graph,
-    "tutte-quotient": constructions.tutte_quotient,
-    "k4": constructions.k4,
-    "petersen": constructions.petersen,
-    "cube": constructions.cube,
-}
+from .multigraph import GraphError, MultiGraph, _dumps, from_doc
 
 
 class _UsageError(Exception):
     pass
 
 
-def _load_graph(spec: str) -> MultiGraph:
-    if spec in _BUILTIN_GRAPHS:
-        return _BUILTIN_GRAPHS[spec]()
-    path = Path(spec)
-    if not path.is_file():
-        raise _UsageError(f"unknown graph {spec!r} (not a builtin, not a file)")
-    return from_json(path.read_text())
-
-
-def _load_chain(spec: str):
-    if spec in constructions.BUILTIN_CHAINS:
-        return constructions.BUILTIN_CHAINS[spec]()
-    path = Path(spec)
-    if not path.is_file():
-        raise _UsageError(f"unknown chain {spec!r} (not a builtin, not a file)")
-    return chain_from_json(path.read_text())
+def _load(spec: str, kind: str | None = None) -> MultiGraph | CutChain:
+    """The graph or chain that a command-line argument names: a built-in
+    name (`constructions.BUILTIN_GRAPHS` or `BUILTIN_CHAINS`) or a JSON
+    file, the only place where the command line reads one.  A file is read
+    once, as bytes that `json.loads` decodes (JSON is UTF-8), and its
+    document is a chain exactly when it is an object with a "mode" key
+    (`chain_from_doc`); any other document is a graph (`from_doc`).
+    With `kind` "graph" or "chain", an input of the other kind is refused
+    before it is built."""
+    if spec in constructions.BUILTIN_GRAPHS:
+        found, build = "graph", constructions.BUILTIN_GRAPHS[spec]
+    elif spec in constructions.BUILTIN_CHAINS:
+        found, build = "chain", constructions.BUILTIN_CHAINS[spec]
+    else:
+        path = Path(spec)
+        if not path.is_file():
+            raise _UsageError(f"unknown {kind or 'input'} {spec!r} (not a builtin, not a file)")
+        try:
+            doc = json.loads(path.read_bytes())
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise _UsageError(f"{spec!r} is not a JSON file: {exc}") from None
+        found = "chain" if isinstance(doc, dict) and "mode" in doc else "graph"
+        build = partial(chain_from_doc if found == "chain" else from_doc, doc)
+    if kind not in (None, found):
+        raise _UsageError(f"{spec!r} is a {found}, not a {kind}")
+    return build()
 
 
 def _edge_ids(G: MultiGraph, csv: str | None) -> frozenset[int]:
@@ -101,29 +103,26 @@ def _write_out(args, payload: str) -> None:
 
 def _cmd_construct(args) -> int:
     name = args.name
-    if name in _BUILTIN_GRAPHS:
-        _write_out(args, _BUILTIN_GRAPHS[name]().to_json())
-    elif name == "replacement":
+    if name == "replacement":
         if args.n is None:
             raise _UsageError("replacement needs --n")
         _write_out(args, constructions.replacement_graph(args.n).to_json())
-    elif name in constructions.BUILTIN_CHAINS:
-        _write_out(args, chain_to_json(constructions.BUILTIN_CHAINS[name]()))
     elif name == "truncation":
         if args.chain is None or args.k is None:
             raise _UsageError("truncation needs --chain and --k")
-        _write_out(args, truncation_minor(_load_chain(args.chain), args.k).to_json())
+        _write_out(args, truncation_minor(_load(args.chain, "chain"), args.k).to_json())
     elif name == "segment":
         if args.chain is None or args.n is None:
             raise _UsageError("segment needs --chain and --n")
-        _write_out(args, segment_minor(_load_chain(args.chain), args.n).to_json())
+        _write_out(args, segment_minor(_load(args.chain, "chain"), args.n).to_json())
     else:
-        raise _UsageError(f"unknown construction {name!r}")
+        x = _load(name)
+        _write_out(args, x.to_json() if isinstance(x, MultiGraph) else chain_to_json(x))
     return 0
 
 
 def _cmd_hamilton(args) -> int:
-    G = _load_graph(args.graph)
+    G = _load(args.graph, "graph")
     if args.sub == "count":
         n = count_through(G)
         _emit(args, lambda: str(n), {"count": n})
@@ -170,7 +169,7 @@ def _cmd_hamilton(args) -> int:
 
 
 def _cmd_incidence(args) -> int:
-    G = _load_graph(args.graph)
+    G = _load(args.graph, "graph")
     H = incidence_multigraph(G, args.v, args.w)
     pair_sum = check_pair_sum_even(H)
     uniform = check_uniform_parity(H)
@@ -206,7 +205,7 @@ def _cmd_incidence(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    chain = _load_chain(args.chain)
+    chain = _load(args.chain, "chain")
     if args.sub == "analyze":
         result = count_limit_hamilton_cycles(chain)
         degrees = {side: end_degree(chain, side) for side in chain.sides}
@@ -274,21 +273,8 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    spec = args.input
-    if spec in _BUILTIN_GRAPHS:
-        _write_out(args, _BUILTIN_GRAPHS[spec]().to_dot())
-        return 0
-    if spec in constructions.BUILTIN_CHAINS:
-        _write_out(args, transfer_dot(constructions.BUILTIN_CHAINS[spec](), args.levels))
-        return 0
-    path = Path(spec)
-    if not path.is_file():
-        raise _UsageError(f"unknown input {spec!r}")
-    doc = json.loads(path.read_text())
-    if isinstance(doc, dict) and "mode" in doc:
-        _write_out(args, transfer_dot(chain_from_doc(doc), args.levels))
-    else:
-        _write_out(args, from_doc(doc).to_dot())
+    x = _load(args.input)
+    _write_out(args, x.to_dot() if isinstance(x, MultiGraph) else transfer_dot(x, args.levels))
     return 0
 
 
@@ -341,7 +327,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, GraphError, ChainError, json.JSONDecodeError, OSError) as exc:
+    except (_UsageError, GraphError, ChainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

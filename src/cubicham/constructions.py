@@ -2,6 +2,10 @@
 leaf-identified quotient, the self-similar replacement graphs, small classic
 cubic graphs, and the built-in cut chains (one- and two-ended ladders, the
 replacement limit G, and the grafted variants H and H').
+
+`BUILTIN_GRAPHS` and `BUILTIN_CHAINS` map each built-in name that the
+command line accepts to the function that builds it; they are the only
+registry of those names.
 """
 
 from __future__ import annotations
@@ -235,6 +239,14 @@ def chain_double_ladder() -> TwoEndedChain:
         "chain_double_ladder",
     )
 
+
+BUILTIN_GRAPHS = {
+    "tutte-fragment": lambda: tutte_fragment().graph,
+    "tutte-quotient": tutte_quotient,
+    "k4": k4,
+    "petersen": petersen,
+    "cube": cube,
+}
 
 BUILTIN_CHAINS = {
     "chain-G": chain_G,

@@ -284,6 +284,69 @@ def test_unhashable_graph_labels_are_usage_errors(tmp_path, capsys, where):
         assert run(capsys, *argv) == (2, "", f"error: {MALFORMED_GRAPHS[where]}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hamilton", "count", "chain-G"], "'chain-G' is a chain, not a graph"),
+        (["incidence", "chain-H", "--v", "x", "--w", "y"], "'chain-H' is a chain, not a graph"),
+        (["chain", "analyze", "k4"], "'k4' is a graph, not a chain"),
+        (["construct", "truncation", "--chain", "cube", "--k", "1"], "'cube' is a graph, not a chain"),
+    ],
+)
+def test_a_built_in_of_the_other_kind_is_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_file_of_the_other_kind_is_refused(tmp_path, capsys):
+    graph, chain = tmp_path / "g.json", tmp_path / "c.json"
+    run(capsys, "--out", str(graph), "construct", "k4")
+    run(capsys, "--out", str(chain), "construct", "chain-G")
+    assert run(capsys, "hamilton", "count", str(chain)) == (
+        2, "", f"error: {str(chain)!r} is a chain, not a graph\n"
+    )
+    assert run(capsys, "chain", "analyze", str(graph)) == (
+        2, "", f"error: {str(graph)!r} is a graph, not a chain\n"
+    )
+
+
+def test_a_graph_file_with_a_mode_key_is_read_as_a_chain(tmp_path, capsys):
+    doc = cubicham.k4().to_doc()
+    doc["mode"] = "graph"
+    target = tmp_path / "g.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "hamilton", "count", str(target))
+    assert (code, out) == (2, "") and "is a chain, not a graph" in err
+    code, out, err = run(capsys, "export-dot", str(target))
+    assert (code, out) == (2, "") and "unknown chain mode 'graph'" in err
+
+
+NESTED = "[" * 200_000 + "]" * 200_000
+
+# file contents that cannot be decoded as JSON at all
+UNREADABLE = {
+    "not UTF-8": b"\x80abc",
+    "nested too deep": NESTED.encode(),
+    "a chain nested too deep": f'{{"mode": "one-ended", "pieces": {NESTED}}}'.encode(),
+}
+
+
+@pytest.mark.parametrize("content", list(UNREADABLE))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["hamilton", "count"],
+        ["incidence", "--v", "x", "--w", "y"],
+        ["chain", "analyze"],
+        ["export-dot"],
+    ],
+)
+def test_an_unreadable_file_is_a_usage_error(tmp_path, capsys, command, content):
+    target = tmp_path / "bad.json"
+    target.write_bytes(UNREADABLE[content])
+    code, out, err = run(capsys, *command, str(target))
+    assert (code, out) == (2, "") and err.startswith(f"error: {str(target)!r} is not a JSON file")
+
+
 def test_unknown_graph_is_usage_error(capsys):
     code, _, err = run(capsys, "hamilton", "count", "no-such-thing")
     assert code == 2 and "error" in err
@@ -361,3 +424,27 @@ def test_import_loads_no_process_pool():
     )
     proc = _python("-c", code)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # modules loaded before the package (by `.pth` files, say) are not its
+    # doing, so only the modules that the commands add are checked
+    code = """
+import contextlib, io, sys
+before = set(sys.modules)
+from cubicham.cli import main
+commands = [
+    ["chain", "analyze", "chain-H"],
+    ["chain", "check", "chain-Hprime", "--depth", "1"],
+    ["hamilton", "parity", "k4"],
+    ["incidence", "tutte-quotient", "--v", "w", "--w", "v"],
+    ["export-dot", "chain-ladder"],
+    ["construct", "chain-G"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(codes, sorted(added - {"cubicham"} - sys.stdlib_module_names))
+"""
+    proc = _python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "[0, 0, 0, 0, 0, 0] []\n"), proc.stderr

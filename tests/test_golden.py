@@ -27,6 +27,7 @@ import pytest
 
 from cubicham import (
     BUILTIN_CHAINS,
+    BUILTIN_GRAPHS,
     ChainError,
     OneEndedChain,
     chain_to_json,
@@ -36,7 +37,7 @@ from cubicham import (
     splice_certificate,
     witness_two_cycles,
 )
-from cubicham.cli import _BUILTIN_GRAPHS, main
+from cubicham.cli import main
 from util import GENERATED_SEEDS, generated_chains
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,7 +113,7 @@ def capture_second() -> dict:
     return {
         graph: {
             e.label: _stdout(["--format", "json", "hamilton", "second", graph, "--edge", e.label])
-            for e in _BUILTIN_GRAPHS[graph]().edges
+            for e in BUILTIN_GRAPHS[graph]().edges
         }
         for graph in SECOND_GRAPHS
     }
@@ -229,7 +230,7 @@ def test_written_files_are_json_dumps_with_indent_2():
     for chain in chains:
         text = chain_to_json(chain)
         assert text == json.dumps(json.loads(text), indent=2), chain.name
-    graphs = [_BUILTIN_GRAPHS[name]() for name in sorted(_BUILTIN_GRAPHS)]
+    graphs = [BUILTIN_GRAPHS[name]() for name in sorted(BUILTIN_GRAPHS)]
     for G in graphs + list(audit_graphs().values()):
         assert G.to_json() == json.dumps(G.to_doc(), indent=2)
 
