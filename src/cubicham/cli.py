@@ -284,7 +284,13 @@ def _build_parser() -> argparse.ArgumentParser:
     (not at import, which stays cheap)."""
     parser = argparse.ArgumentParser(prog="cubicham")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted and ignored; full graph searches use a second process"
+        " when the process may use two CPUs",
+    )
     parser.add_argument("--out", default=None, help="write machine output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 

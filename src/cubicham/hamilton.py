@@ -59,6 +59,25 @@ brute force (`chains._window_counts`) uses the counter: on segment minors
 and general graphs the key, built at every node, costs about what the
 hits save.  CHANGES.md keeps the measurements behind these choices.
 
+The full searches of the graph queries `count_through`,
+`edge_parity_report` and `count_by_trace` run in two parts at once, one
+in this process and one in a helper process (`_split`).  Each part walks
+the same deterministic top of the search tree and numbers, in search
+order, the nodes at branching depth 6 (`_SPLIT_DEPTH`): part r searches
+below the nodes whose number is r mod 2, and part 0 alone visits the
+cycles found above that depth.  So the parts share nothing but their
+results, which add up to the serial ones exactly.  The helper is forked
+on the first split query and kept for the rest of the process, one per
+process however often the package is imported; a search runs whole in
+this process where there is no `os.fork`, where the process may use
+fewer than two CPUs, where more than one thread runs (forking then is
+unsafe), and once the helper has failed.  `enumerate_hamilton_cycles`
+does not split, as the helper would send every cycle back, nor do the
+least-cycle queries, which stop early in order, nor the chain engine's
+searches (`_trace_counts` and `_sorted_cycles` on segment minors, the
+memoized counter on windows): a segment minor's search is so short that
+splitting it made `chain analyze` slower (CHANGES.md).
+
 A Hamilton cycle is represented as a frozenset of edge ids; output lists are
 always sorted by the sorted edge-id tuple, so repeated runs produce
 identical order.
@@ -66,6 +85,13 @@ identical order.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
@@ -140,6 +166,10 @@ def _tables(K: int) -> tuple:
 
 _TABLES = _tables(64)
 
+# the branching depth at which a split search deals out its subtrees
+# (`_search`); CHANGES.md has the sweep that chose it
+_SPLIT_DEPTH = 6
+
 
 def is_hamilton_cycle(G: MultiGraph, edge_ids: Iterable[int]) -> bool:
     """Check the cycle invariant: spanning, connected, 2-regular, loop-free."""
@@ -189,6 +219,7 @@ def _search(
     lowest_first: bool = False,
     groups: Sequence[int] | None = None,
     shared: dict | None = None,
+    part: tuple[int, int] | None = None,
 ) -> dict | None:
     """Call `visit(s)` once for each Hamilton cycle of an integer graph that
     contains every edge of `require` and none of `forbid`, until a call
@@ -269,6 +300,14 @@ def _search(
     value ends the search.  Without `lowest_first` cycles arrive in search
     order, not sorted.
 
+    With `part` (r, k) the visiting search covers one of k parts of the
+    tree: `descend` counts the branchings above each node, numbers the
+    nodes at depth `_SPLIT_DEPTH` in the order it meets them, and goes on
+    below only those whose number is r mod k; part 0 alone visits the
+    cycles found above that depth.  The tree above it is the same in every
+    part, so the k parts together visit each cycle once (`_split`).  The
+    least-cycle search and the counting search take no `part`.
+
     With `visit` None the search counts instead, and returns {trace:
     cycles}, a trace being the bit mask of the `groups` edges (distinct
     ids, bit k for groups[k]) that a cycle uses.  `settle` runs as for a
@@ -333,6 +372,8 @@ def _search(
     n, edges = graph
     m = len(edges)
     require, forbid = _checked(m, require, forbid)
+    if part is not None and (visit is None or lowest_first):
+        raise ValueError("only the most-constrained-edge visiting search splits into parts")
     if n == 0:
         return {} if visit is None else None
     last = n - 1
@@ -440,16 +481,30 @@ def _search(
             return -1
 
     pick = lowest_edge if lowest_first else branch_edge
+    # the split depth, the number of parts and this part's number: the
+    # whole tree at a depth no node has
+    split, parts, mine = (-1, 1, 0) if part is None else (_SPLIT_DEPTH, part[1], part[0])
+    numbered = -1  # the number of the last node met at the split depth
 
-    def descend(s: list[int], code: list[int], mate: list[int]) -> bool:
-        """Search below the node (s, code, mate), its OUT children in a
-        loop; true once the visitor has asked to stop."""
-        while s[m] != n:
+    def descend(s: list[int], code: list[int], mate: list[int], depth: int) -> bool:
+        """Search below the node (s, code, mate), `depth` branchings below
+        the root, its OUT children in a loop; true once the visitor has
+        asked to stop."""
+        nonlocal numbered
+        while True:
+            if depth == split:
+                numbered += 1
+                if numbered % parts != mine:
+                    return False
+            if s[m] == n:
+                # a cycle above the split depth is part 0's
+                return (depth >= split or not mine) and bool(visit(s))
             i = pick(s, code)
             if i < 0:
                 return False
+            depth += 1
             t, ct, mt = s[:], code[:], mate[:]
-            if settle(t, ct, mt, (i,), []) and descend(t, ct, mt):
+            if settle(t, ct, mt, (i,), []) and descend(t, ct, mt, depth):
                 return True
             s[i] = _OUT
             p, q = eu[i], ev[i]
@@ -457,7 +512,6 @@ def _search(
             code[q] -= 1
             if not settle(s, code, mate, (), [p, q]):
                 return False
-        return bool(visit(s))
 
     bits = [(g, 1 << k) for k, g in enumerate(groups or ())]
     memo: dict = {}
@@ -527,7 +581,7 @@ def _search(
         ok = settle(s, code, mate, require, touched) and all(s[i] == _IN for i in require)
         if visit is not None:
             if ok:
-                descend(s, code, mate)
+                descend(s, code, mate, 0)
             return None
         table: dict = {}
         if ok:
@@ -558,23 +612,32 @@ def enumerate_hamilton_cycles(
     return [frozenset(t) for t in _sorted_cycles(G.ints, require, forbid)]
 
 
-def count_through(G: MultiGraph, require: Iterable[int] = (), forbid: Iterable[int] = ()) -> int:
-    """Number of Hamilton cycles containing all of `require`, none of `forbid`."""
+def _count(graph: Ints, require: frozenset, forbid: frozenset, part: tuple | None) -> int:
+    """The Hamilton cycles through `require` and avoiding `forbid` that one
+    part of the search visits (`_search`)."""
     count = 0
 
     def tally(s: list[int]) -> None:
         nonlocal count
         count += 1
 
-    _search(G.ints, require, forbid, tally)
+    _search(graph, require, forbid, tally, part=part)
     return count
 
 
-def _trace_counts(graph: Ints, groups: Sequence[Iterable[int]]) -> dict:
+def count_through(G: MultiGraph, require: Iterable[int] = (), forbid: Iterable[int] = ()) -> int:
+    """Number of Hamilton cycles containing all of `require`, none of `forbid`."""
+    # a bad edge set raises here, before any part of the search starts
+    require, forbid = _checked(G.m, require, forbid)
+    return sum(_split(_count, G.ints, require, forbid))
+
+
+def _trace_counts(graph: Ints, groups: Sequence[Iterable[int]], part: tuple | None = None) -> dict:
     """Hamilton cycles of an integer graph counted by their traces on the
     edge groups, in the order the search first meets each trace.  A key is
     a tuple with one tuple per group, of the edges in that group the cycle
-    uses, in group order; traces that no cycle has are absent."""
+    uses, in group order; traces that no cycle has are absent.  With
+    `part`, only the cycles that part of the search visits (`_search`)."""
     groups = [tuple(g) for g in groups]
     edges = list(dict.fromkeys(i for g in groups for i in g))
     # a cycle's trace is the tuple of its group edges' states, read at C
@@ -587,7 +650,7 @@ def _trace_counts(graph: Ints, groups: Sequence[Iterable[int]]) -> dict:
         key = trace(s)
         traces[key] = traces.get(key, 0) + 1
 
-    _search(graph, (), (), tally)
+    _search(graph, (), (), tally, part=part)
     at = {i: k for k, i in enumerate(edges)}
     # each distinct trace becomes a key once
     return {
@@ -620,11 +683,14 @@ def count_by_trace(G: MultiGraph, groups: Sequence[Iterable[int]]) -> dict:
     """Hamilton cycles of G counted by their traces on the edge groups.
 
     A key is a tuple with one frozenset per group, of the edges in that
-    group the cycle uses; traces that no cycle has are absent.
+    group the cycle uses; traces that no cycle has are absent.  The order
+    of the keys is not part of the answer.
     """
-    return {
-        tuple(map(frozenset, key)): count for key, count in _trace_counts(G.ints, groups).items()
-    }
+    table: dict = {}
+    for counts in _split(_trace_counts, G.ints, [tuple(g) for g in groups]):
+        for key, count in counts.items():
+            table[key] = table.get(key, 0) + count
+    return {tuple(map(frozenset, key)): count for key, count in table.items()}
 
 
 def _least_cycles(G: MultiGraph, require: Iterable[int], k: int) -> list[tuple[int, ...]]:
@@ -666,14 +732,15 @@ class EdgeParityReport:
         return "\n".join(lines)
 
 
-def edge_parity_report(G: MultiGraph) -> EdgeParityReport:
-    """Hamilton cycles per edge, tallied at C speed: each cycle's edge
-    states, IN as 1 and OUT as 0, are read as one little-endian int with a
-    base-256 digit per edge and added into `packed`.  No digit can carry
-    before 256 cycles, so `packed` is unpacked into the tallies every 255
-    cycles and once at the end, and takes O(m) space."""
-    m = G.m
-    edge_ids = range(m)
+def _edge_tally(graph: Ints, part: tuple | None) -> tuple[list[int], int]:
+    """The Hamilton cycles through each edge, and all of them, among those
+    that one part of the search visits (`_search`), tallied at C speed:
+    each cycle's edge states, IN as 1 and OUT as 0, are read as one
+    little-endian int with a base-256 digit per edge and added into
+    `packed`.  No digit can carry before 256 cycles, so `packed` is
+    unpacked into the tallies every 255 cycles and once at the end, and
+    takes O(m) space."""
+    m = len(graph[1])
     tally = [0] * m
     packed = total = 0
 
@@ -689,12 +756,148 @@ def edge_parity_report(G: MultiGraph) -> EdgeParityReport:
         if not total % 255:
             unpack()
 
-    _search(G.ints, (), (), visit)
+    _search(graph, (), (), visit, part=part)
     unpack()
+    return tally, total
+
+
+def edge_parity_report(G: MultiGraph) -> EdgeParityReport:
+    """Hamilton cycles per edge (`_edge_tally`), and whether an edge lies on
+    an odd number of them where every vertex has odd degree."""
+    edge_ids = range(G.m)
+    tally, total = [0] * G.m, 0
+    for part_tally, part_total in _split(_edge_tally, G.ints):
+        tally = list(map(add, tally, part_tally))
+        total += part_total
     counts = dict(zip(edge_ids, tally))
     odd_degrees = all(G.degree(v) % 2 == 1 for v in G.vertices)
     odd_edges = tuple(i for i in edge_ids if tally[i] % 2 == 1) if odd_degrees else ()
     return EdgeParityReport(counts, total, odd_degrees, odd_edges)
+
+
+# -- the split: one helper process per process ---------------------------------
+
+# the jobs a helper runs, by name; each takes the part it searches as its
+# last argument
+_JOBS = {job.__name__: job for job in (_count, _trace_counts, _edge_tally)}
+_HALVES = (0, 2), (1, 2)
+# the attribute of `sys` that holds the process's helper: outside the
+# package, so that a fresh import of the package finds the helper that an
+# earlier import started
+_SLOT = "_cubicham_search_helper"
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The helper's loop: read a pickled (job name, arguments) from
+    `requests`, write back (True, result) or (False, error text) on
+    `replies`, until the parent closes its end.  It leaves SIGINT to the
+    parent and touches none of the stdio it inherited."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with open(requests, "rb") as inbox, open(replies, "wb") as outbox:
+        while True:
+            try:
+                name, args = pickle.load(inbox)
+            except EOFError:
+                return
+            try:
+                reply = True, _JOBS[name](*args)
+            except Exception as exc:  # the parent runs the job itself
+                reply = False, f"{type(exc).__name__}: {exc}"
+            pickle.dump(reply, outbox)
+            outbox.flush()
+
+
+class _Helper:
+    """A forked helper process that searches one half of each split query,
+    and the two pipes to it.  The parent stops it at exit."""
+
+    def __init__(self) -> None:
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the helper
+            try:
+                os.close(requests_w)
+                os.close(replies_r)
+                _serve(requests_r, replies_w)
+            finally:
+                os._exit(0)
+        os.close(requests_r)
+        os.close(replies_w)
+        self.pid: int | None = pid
+        self.owner = os.getpid()
+        self.requests = open(requests_w, "wb")
+        self.replies = open(replies_r, "rb")
+        atexit.register(self.stop)
+
+    def run(self, job: Callable, args: tuple) -> list:
+        """`job`'s results on both halves: the second half sent to the
+        helper and the first searched here meanwhile.  A half the helper
+        fails to return, by dying or by an error, is searched here too, and
+        the helper is stopped; so is it when this process is interrupted
+        with a request in flight, whose reply the next query would read."""
+        try:
+            with contextlib.suppress(OSError):  # a dead helper: EOF below
+                pickle.dump((job.__name__, (*args, _HALVES[1])), self.requests)
+                self.requests.flush()
+            mine = job(*args, _HALVES[0])
+            try:
+                ok, theirs = pickle.load(self.replies)
+            except (EOFError, OSError, pickle.UnpicklingError):
+                ok = False
+        except BaseException:
+            self.stop()
+            raise
+        if not ok:
+            self.stop()
+            theirs = job(*args, _HALVES[1])
+        return [mine, theirs]
+
+    def stop(self) -> None:
+        """Close the pipes, then kill and reap the helper; in a process
+        forked from the owner, only close this copy of the pipes."""
+        if self.pid is None:
+            return
+        with contextlib.suppress(OSError):  # a request half sent to a dead helper
+            self.requests.close()
+        self.replies.close()
+        if os.getpid() == self.owner:
+            os.kill(self.pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):  # reaped elsewhere
+                os.waitpid(self.pid, 0)
+        self.pid = None
+
+
+def _helper() -> _Helper | None:
+    """This process's helper, forked on first use; None where a search must
+    run whole here: without `os.fork`, on fewer than two CPUs, with more
+    than one thread running (forking then is unsafe), or once the helper
+    has failed."""
+    if not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1:
+        return None
+    helper = getattr(sys, _SLOT, None)
+    if helper is not None and helper.owner != os.getpid():  # inherited by a fork
+        helper.stop()
+        helper = None
+    if helper is None:
+        helper = _Helper()
+        setattr(sys, _SLOT, helper)
+    return helper if helper.pid is not None else None
+
+
+def _split(job: Callable, *args) -> list:
+    """The results of `job(*args, part)` on the two halves of the search,
+    one searched by the helper, to be added up; or, without a helper, the
+    one result of the whole search, `part` None."""
+    helper = _helper()
+    return [job(*args, None)] if helper is None else helper.run(job, args)
 
 
 def second_cycle_lollipop(G: MultiGraph, cycle: Iterable[int], edge_id: int) -> HamiltonCycle:
