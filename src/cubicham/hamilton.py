@@ -92,6 +92,7 @@ import pickle
 import signal
 import sys
 import threading
+import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
@@ -794,12 +795,16 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(requests: int, replies: int) -> None:
+def _serve(requests: int, replies: int, parent: int) -> None:
     """The helper's loop: read a pickled (job name, arguments) from
     `requests`, write back (True, result) or (False, error text) on
     `replies`, until the parent closes its end.  It leaves SIGINT to the
-    parent and touches none of the stdio it inherited."""
+    parent and touches none of the stdio it inherited.  A parent killed by
+    a signal runs no exit hook, and the end of the pipe reaches a helper
+    only between jobs, so a watcher thread also ends the helper, in the
+    middle of a job, once `parent` has died."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
     with open(requests, "rb") as inbox, open(replies, "wb") as outbox:
         while True:
             try:
@@ -814,6 +819,13 @@ def _serve(requests: int, replies: int) -> None:
             outbox.flush()
 
 
+def _exit_with(parent: int) -> None:
+    """End this process once `parent` is no longer its parent."""
+    while os.getppid() == parent:
+        time.sleep(0.25)
+    os._exit(0)
+
+
 class _Helper:
     """A forked helper process that searches one half of each split query,
     and the two pipes to it.  The parent stops it at exit."""
@@ -821,18 +833,18 @@ class _Helper:
     def __init__(self) -> None:
         requests_r, requests_w = os.pipe()
         replies_r, replies_w = os.pipe()
+        self.owner = os.getpid()
         pid = os.fork()
         if pid == 0:  # the helper
             try:
                 os.close(requests_w)
                 os.close(replies_r)
-                _serve(requests_r, replies_w)
+                _serve(requests_r, replies_w, self.owner)
             finally:
                 os._exit(0)
         os.close(requests_r)
         os.close(replies_w)
         self.pid: int | None = pid
-        self.owner = os.getpid()
         self.requests = open(requests_w, "wb")
         self.replies = open(replies_r, "rb")
         atexit.register(self.stop)

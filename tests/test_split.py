@@ -11,9 +11,11 @@ touch this process's.
 
 import os
 import random
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from itertools import compress
 from pathlib import Path
 
@@ -171,13 +173,17 @@ def test_a_bad_edge_set_raises_before_the_split(split):
 # -- the helper's lifecycle, each in a fresh interpreter -------------------------
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter that imports this checkout's package."""
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    package."""
     src = str(Path(cubicham.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter."""
     cmd = [sys.executable, "-c", textwrap.dedent(code)]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run(cmd, capture_output=True, text=True, env=_env(), timeout=60)
 
 
 # what the process's helper is: "none" if none started, "running" or
@@ -388,3 +394,43 @@ _, status = os.waitpid(pid, 0)
 print(os.waitstatus_to_exitcode(status), count_through(cube()), getattr(sys, hamilton._SLOT).pid == parent, state())
 """)
     assert proc.stdout == "0 6 True ('running', 'child')\n", proc.stderr
+
+
+def _running(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_the_helper_leaves_mid_search_when_its_parent_is_killed():
+    # a parent killed by SIGTERM runs no exit hook; its helper, busy with its
+    # half of a search that takes minutes, must not search on alone
+    code = """
+import random, sys
+from cubicham import count_through, cube, hamilton, random_cubic_graph
+hamilton._cpus = lambda: 2
+count_through(cube())
+print(getattr(sys, hamilton._SLOT).pid, flush=True)
+count_through(random_cubic_graph(120, random.Random(5)))
+"""
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=_env())
+    helper = int(proc.stdout.readline())
+    try:
+        time.sleep(0.3)  # the long search has begun
+        assert proc.poll() is None and _running(helper)
+        proc.terminate()
+        proc.wait(10)
+        deadline = time.monotonic() + 5
+        while _running(helper) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(helper)
+    finally:
+        proc.kill()
+        proc.wait(10)
+        proc.stdout.close()
+        if _running(helper):
+            os.kill(helper, signal.SIGKILL)
