@@ -853,8 +853,9 @@ class _Helper:
         """`job`'s results on both halves: the second half sent to the
         helper and the first searched here meanwhile.  A half the helper
         fails to return, by dying or by an error, is searched here too, and
-        the helper is stopped; so is it when this process is interrupted
-        with a request in flight, whose reply the next query would read."""
+        the helper is stopped.  It is also stopped when this process is
+        interrupted with a request in flight, whose reply the next query
+        would otherwise read."""
         try:
             with contextlib.suppress(OSError):  # a dead helper: EOF below
                 pickle.dump((job.__name__, (*args, _HALVES[1])), self.requests)
