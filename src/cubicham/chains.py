@@ -1,83 +1,25 @@
 """Cut-chain presentations of one- and two-ended infinite cubic graphs.
 
 A chain is an eventually periodic sequence of finite pieces glued along
-2- or 3-edge interfaces.  Finite windows materialize as minors with dummy
-vertices; transfer layers count segment Hamilton cycles per boundary pair
-state; a greatest-fixed-point survival analysis classifies the number of
-Hamilton cycles of the limit graph as Zero, Finite(k) or Infinite.
-
-Pair states at a cut are frozensets of cut positions (indices into the
-ordered interface matching), so edge identities are carried through the
-explicit matchings and never unified by name.
-
-Each ray side of a chain (`right` for a one-ended chain, `left` and `right`
-for a two-ended one) is compiled once into a `_Direction` that the chain
-keeps.  It is the only code that knows how its side is oriented: which
-matching sits at cut j, which piece lies beyond it and which stub of a pair
-faces the core; validation, layers, windows, certificates, end degrees and
-witness names all ask it.  It holds one step per distinct cut (the
-pre-period cuts, then one period; `_fold` is the only period fold),
-and every propagation of weights goes through its `push`: the ray
-analysis and `prefix_counts` restrict it to surviving states (`advance`),
-and `truncation_consistency` does not.  Its `window` lists the pieces,
-matchings and window tags out to a cut in chain order, for every window
-and every max flow.  Its `rays` alone enumerates rays, closing each where
-its (slot, state) pair first recurs, so every certificate has the
-shortest pre-period and period; `_analyze_rays` only classifies, and a
-Finite count is read off it.  The certificates are listed only when
-asked for (`Certificates`): a one-ended chain's are one lazy stream
-(`_one_ended_certificates`), whose first two are the two witnesses in
-every class, and a two-ended chain's are the product of its left and
-right rays per central state.
-
-A chain file becomes tables in three steps, with no labeled graph between
-them.  `multigraph._read_doc` reads each piece's graph document, checked
-by the one graph checker, straight into its integer form (vertex count,
-end-index pairs and labels), which the piece checks and keeps
-(`ChainPiece._flow`); the labeled `ChainPiece.graph` is built, through
-`MultiGraph(...)`, only when something reads it.
-Windows, segment minors and max-flow networks are glued in one place,
-`_glue`, from each piece's integer form; `materialize` only puts labels
-on what `_glue` builds, so a labeled window and its integer form are the
-same graph, searched alike.  Every piece is tabulated alike: its segment
-minor's Hamilton cycles by the stubs used at each dummy
-(`ChainPiece._counts`), so every slot, side and chain holding the same
-piece object shares one search.  The search runs on the minor's integer
-form (`ChainPiece._minor`) and keys each cycle by the states of the stub
-edges, and each distinct key is turned into stub names once; the order
-of the search, and so of every table's keys and cycles, is that of the
-labeled minor, which only `segment_minor` builds.
-
-Level 0 of a one-ended chain is the initial piece's segment, which has
-only the right dummy; its counts (`_initial_counts`) seed every
-propagation.  `_by_state` is the only place stub labels, or the ids of
-the edges at a dummy, become cut positions.
-Truncation windows (`_window`, which joins the sides' `_Direction.window`)
-are built only by the oracles (`truncation_consistency`,
-`validate_certificate`) and by `construct truncation`; `end_degree` glues
-one side's window alone.  The predictions `truncation_consistency` checks
-are pushed outward from cut 0 by `_Direction.push`.  The brute force of
-`truncation_consistency` (`_window_counts`) counts a window in integer form,
-without labels, with the memoized search, which sweeps it along the chain
-instead of listing its cycles, so it reaches deep levels.  A one-ended
-chain's windows are glued from the outer end inward and counted on one
-memo that the chain keeps (`OneEndedChain._window_memo`), so checking
-depths 0..K costs about what the deepest window does; each window is
-still counted by the Hamilton search on its own glued graph, and nothing
-from the transfer layers enters the count.
-
-Layers and the level-0 vector hold counts only, tallied without listing
-cycles.  The cycles themselves (interior edge labels per state pair) are
-enumerated on first use, once per piece (`ChainPiece._cycles`), and only
-certificates, witnesses included, ask for them (`_Direction.choices`).
-`transfer_dot` draws its edges from the counts and names cut states as
-witnesses are named (`_Direction.stubs`).
-
-`end_degree` is exact and builds no labeled window.  It takes the min
-cut at one level that the period and the cut size fix, deepening it only
-when the value there drops, as a max flow (`_level_cut`, the package's
-one max flow) through the ray's pieces beyond the core, glued by `_glue`
-as a window between two dummies: the contracted core and the end.
+2- or 3-edge interfaces.  Transfer layers count each segment's Hamilton
+cycles per boundary pair state, and a greatest-fixed-point survival
+analysis classifies the Hamilton cycles of the limit graph as Zero,
+Finite(k) or Infinite.  Each part is explained where it lives:
+  - `ChainPiece`: a piece's one integer form and its tables, which every
+    slot, side and chain holding the piece shares;
+  - `_glue`: every window, segment minor and max-flow network, glued from
+    those integer forms; `materialize` only labels what it glues;
+  - `_by_state`: the one place edges become cut positions, of which a
+    pair state is a frozenset;
+  - `_Direction`: one ray side, the only code that knows its orientation,
+    with its steps, `push` (the one propagation loop) and `rays` (the one
+    ray enumerator); `_fold` is the one period fold;
+  - `_analyze_rays`: the classification of one side from a seed vector;
+  - `Certificates`: the certificates of a Finite count, listed lazily;
+  - `truncation_consistency`: the brute-force oracle, which counts each
+    window with the memoized search (`_window_counts`);
+  - `end_degree`: the exact end degree, from one max flow (`_level_cut`);
+  - `chain_from_doc` and `chain_to_json`: the chain file format.
 """
 
 from __future__ import annotations
@@ -113,8 +55,19 @@ class ChainPiece:
     Windows, max-flow networks and the tabulation are glued from it
     (`_glue`), which reads nothing else, and the checks above run on it.
     A piece read from a chain file (`_piece_from_doc`) is kept in that
-    form and builds its labeled `graph` only when that is first read.
+    form and builds its labeled `graph` only when that is first read, so
+    a chain file becomes tables with no labeled graph built.
     Pieces are not changed once built.
+
+    Every piece is tabulated alike, once: its segment minor's Hamilton
+    cycles counted by the stubs they use at each dummy (`_counts`), so
+    every slot, side and chain holding the same piece object shares one
+    search.  The search runs on the minor's integer form (`_minor`) and
+    keys each cycle by the states of the stub edges, and each distinct key
+    is turned into stub names once.  Transfer layers and the level-0
+    vector hold these counts only.  The cycles themselves are enumerated
+    on first use (`_cycles`), and only certificates, witnesses included,
+    ask for them (`_Direction.choices`).
     """
 
     def __init__(
@@ -332,7 +285,8 @@ class OneEndedChain:
     @cached_property
     def _initial_counts(self) -> dict:
         """Hamilton-cycle counts of the level-0 truncation per pair state at
-        cut 0: the initial piece's segment counts."""
+        cut 0: the initial piece's segment counts, its minor having only
+        the right dummy.  They seed every propagation."""
         counts = _by_state(self.initial._counts, tuple(a for a, _ in self.entry_iface))
         return {s: counts.get((s,), 0) for s in _states(self.cut_size)}
 
@@ -421,7 +375,9 @@ def _glue(
     Also the ids of the stub edges at each dummy, in port order.  Every
     window, segment minor and max-flow network (`_level_cut`) is glued
     here, from each piece's one integer form (`ChainPiece._flow`);
-    `materialize` only labels the result.
+    `materialize` only labels the result, so a labeled graph and its
+    integer form are the same graph, searched alike: keys and cycles come
+    in the labeled graph's order, and a stub edge's id names its stub.
 
     In chain order, the default, vertices come piece by piece in each
     piece's order, then the left dummy, then the right one; edges come
@@ -512,7 +468,10 @@ def _window(chain: CutChain, k: int) -> tuple[list, list, list, tuple]:
     """The pieces, matchings, tags and dummy names of the level-k window:
     the right ray's window out to cut k (`_Direction.window`), and on a
     two-ended chain the left ray's before it, which ends at their shared
-    core, the right window's first piece."""
+    core, the right window's first piece.  Only the oracles
+    (`truncation_consistency`, `validate_certificate`) and `construct
+    truncation` build truncation windows; `end_degree` glues one side's
+    window alone."""
     if isinstance(chain, OneEndedChain):
         if k < 0:
             raise ChainError("truncation level must be nonnegative")
@@ -604,7 +563,12 @@ def _by_state(table: dict, *names: tuple) -> dict:
     by id, re-keyed by the pair states of their cut positions: `names[k]`
     holds the edge's label or id at each position of dummy k's cut.  The
     key order is kept.  This is the only place edges become cut
-    positions."""
+    positions.
+
+    A pair state is the frozenset of the two cut positions, indices into
+    the cut's ordered matching, that a cycle uses there.  So an edge's
+    identity is carried through the explicit matchings and is never
+    unified by name."""
     positions = [{label: i for i, label in enumerate(cut)} for cut in names]
     return {
         tuple(frozenset(pos[label] for label in used) for pos, used in zip(positions, key)): value
@@ -629,8 +593,13 @@ def transfer_layer(chain: CutChain, n: int) -> TransferLayer:
 
 
 class _Direction:
-    """One ray side of a chain, compiled once and kept by the chain: the
-    only code that knows how the side is oriented.
+    """One ray side of a chain (`right` for a one-ended chain, `left` and
+    `right` for a two-ended one), compiled once, on first use, and kept by
+    the chain, so nothing is cached at module level: the only code that
+    knows how the side is oriented.  Chain validation, transfer layers,
+    segment minors, windows, certificates, end degrees and the names of
+    witness states all ask it, so a left ray and a right ray are read the
+    same way.
 
     Cuts are numbered 0, 1, ... outward from the chain's first matching
     (entry or central).  Piece 0 is `core`, the piece inside cut 0 (the
@@ -645,16 +614,22 @@ class _Direction:
     cut back into chain order, and `bound` says where the dummy's edges
     lie in a glued window.
 
-    The step from cut j to cut j+1 is stored at slot `tail.fold(j)`: the
-    J = len(pre) + 1 cuts before the period, then one per period residue.
+    The step from cut j to cut j+1 is stored at slot `tail.fold(j)` (the
+    one period fold, `_fold`): the J = len(pre) + 1 cuts before the
+    period, then one per period residue.
     A slot is filled on first use with the rightward `TransferLayer` of its
     piece and the outward map state -> state -> count (the layer's counts,
     transposed on the left side, with targets in sorted order).  Survival
     sets are kept per slot as well, for the cut the step leaves.  `push`
     carries weights across a cut by the outward map, the only loop that
-    does so.  `rays` enumerates the surviving rays from a state, for
-    certificates and witnesses alike.  `name` says which chain and side,
-    for defect messages.
+    does so: the ray analysis and `prefix_counts` restrict it to surviving
+    states (`advance`), and `truncation_consistency` pushes outward from
+    cut 0 without that restriction, on a two-ended chain from each central
+    state on both rays.  `rays` enumerates the surviving rays from a
+    state, for certificates and witnesses alike, closing each where its
+    (slot, state) pair first recurs, so every certificate has the
+    shortest pre-period and period.  `name` says which chain and side, for
+    defect messages.
     """
 
     def __init__(self, tail: Tail, core: ChainPiece, first: Matching, side: str, chain: CutChain):
@@ -853,6 +828,12 @@ class RayAnalysis:
 
 
 def _analyze_rays(direction: _Direction, seed: dict) -> RayAnalysis:
+    """Classify the rays of one side from a seed vector at cut 0, without
+    listing any: advance the surviving weights cut by cut until a (slot,
+    support) pair recurs.  A state in the recurrent supports with two or
+    more surviving continuations makes the count Infinite, and is its
+    witness; otherwise the weights are deterministic from the first
+    recurrence on, and their total there is the Finite count."""
     seeds = direction.seeds(seed)
     if not seeds:
         return RayAnalysis("zero", 0, None, {}, (), None, None)
@@ -970,8 +951,15 @@ def validate_certificate(chain: CutChain, cert: LimitCycleCertificate, k: int) -
 class Certificates:
     """The certificates of a Finite count, one per limit cycle, listed
     lazily and afresh on each iteration; `len` is the count, which the
-    classification gives without listing them (Python's `len` takes counts
-    below 2**63; `LimitCount.count` holds any)."""
+    classification gives without listing them (`_analyze_rays`), so
+    `chain analyze` lists no certificate (Python's `len` takes counts
+    below 2**63; `LimitCount.count` holds any).
+
+    A one-ended chain's certificates are one lazy stream
+    (`_one_ended_certificates`), whose first two are the two witnesses of
+    `witness_two_cycles` in every class.  A two-ended chain's are the
+    product of its left and right rays per central state
+    (`_two_ended_certificates`).  Each ray comes from `_Direction.rays`."""
 
     def __init__(self, count: int, listing: Callable[[], Iterator[LimitCycleCertificate]]):
         self._count = count
@@ -1044,7 +1032,8 @@ def _one_ended_certificates(
     limit cycles, whether the chain is Finite or Infinite.  An Infinite
     chain yields at least two: a branching state in its recurrent support
     is reached from a seed without a pair recurring, and each of its
-    continuations closes a ray of its own.  `unique` is passed on to `rays`."""
+    continuations closes a ray of its own, so taking two walks at most two
+    rays.  `unique` is passed on to `rays`."""
     direction = chain._directions["right"]
     for s in sorted(direction.seeds(chain._initial_counts), key=sorted):
         cycles = chain._initial_cycles[s]
@@ -1129,7 +1118,8 @@ def _window_counts(chain: CutChain, k: int) -> dict:
     the outer pieces, its residual problems are ones the shallower windows
     have met, keyed alike (`hamilton._search`): checking depths 0..K costs
     about what the deepest window alone costs, and each window is still
-    counted by the Hamilton search on its own glued graph.  A two-ended
+    counted by the Hamilton search on its own glued graph, so nothing from
+    the transfer layers it checks enters the count.  A two-ended
     window keeps chain order and a memo of its own.  Numbered from both
     ends inward, its windows do share tables, but the search then carries
     a frontier at each end, and on the benchmark's two-ended chains that
@@ -1190,7 +1180,7 @@ def prefix_counts(chain: OneEndedChain, k_max: int) -> list[int]:
 def _level_cut(chain: CutChain, end: str, k: int) -> int:
     """The min cut between the core and the chosen end at level k >= 1:
     the number of edge-disjoint paths from the core to the dummy of the
-    level-k window, computed as one max flow.
+    level-k window, computed as one max flow, the package's only one.
 
     The core is the initial piece of a one-ended chain and left piece 1 of
     a two-ended one.  Every vertex of the core is a source, so every cut
@@ -1351,8 +1341,7 @@ def _tail_from_doc(doc: dict) -> Tail:
 
 def chain_to_json(chain: CutChain) -> str:
     """The chain as JSON text, which `chain_from_json` reads back, written
-    by the package's one writer (`multigraph._dumps`): byte for byte what
-    the standard `json` module writes of its document with `indent=2`."""
+    by `multigraph._dumps`."""
     if isinstance(chain, OneEndedChain):
         doc = {
             "mode": "one-ended",

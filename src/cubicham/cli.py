@@ -1,7 +1,8 @@
 """Command-line front end: construct, enumerate, audit, analyze, export.
 
 Exit codes: 0 success, 1 a property violation or mismatch was found,
-2 usage or input error.
+2 usage or input error.  Every graph or chain argument goes through the
+one loader, `_load`.
 
 The argument parser is built on the first `main` call and reused by every
 later call in the process; each parse starts from a fresh namespace, so no
@@ -122,20 +123,21 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_hamilton(args) -> int:
+    # the options each subcommand reads; it refuses the others
+    reads = {"parity": (), "second": ("edge",)}.get(args.sub, ("require", "forbid"))
+    for option in ("require", "forbid", "edge"):
+        if getattr(args, option) is not None and option not in reads:
+            raise _UsageError(f"hamilton {args.sub} takes no --{option}")
     G = _load(args.graph, "graph")
-    if args.sub == "count":
-        n = count_through(G)
+    require = _edge_ids(G, args.require)
+    forbid = _edge_ids(G, args.forbid)
+    if args.sub in ("count", "through"):
+        n = count_through(G, require, forbid)
         _emit(args, lambda: str(n), {"count": n})
         return 0
     if args.sub == "list":
-        cycles = [cycle_labels(G, c) for c in enumerate_hamilton_cycles(G)]
+        cycles = [cycle_labels(G, c) for c in enumerate_hamilton_cycles(G, require, forbid)]
         _emit(args, lambda: "\n".join(" ".join(c) for c in cycles), {"cycles": cycles})
-        return 0
-    if args.sub == "through":
-        require = _edge_ids(G, args.require)
-        forbid = _edge_ids(G, args.forbid)
-        n = count_through(G, require, forbid)
-        _emit(args, lambda: str(n), {"count": n})
         return 0
     if args.sub == "parity":
         report = edge_parity_report(G)

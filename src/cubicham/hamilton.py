@@ -1,82 +1,24 @@
 """Exact Hamilton-cycle enumeration, streaming counts, parity audits,
 and the lollipop exchange walk for a second cycle through a fixed edge.
 
-Every cycle query runs on one backtracking core, `_search`, which calls a
-visitor once per Hamilton cycle and builds nothing itself, or counts the
-cycles by their traces on groups of edges without visiting them one by
-one (`_memo_trace_counts`, below).  The core reads
-a graph in integer form: a vertex count and one pair of endpoint indices
-per edge, which every `MultiGraph` computes once (`MultiGraph.ints`) and
-the chain engine builds for its segment minors without labels
-(`_trace_counts`, `_sorted_cycles`).  The counting helpers
-(`count_through`, `count_by_trace`, `edge_parity_report`) tally inside
-their visitors, so their tallies take O(n + m) space whatever the number
-of cycles; the parity report adds each cycle's edges into one packed int
-at C speed (`edge_parity_report`).  `enumerate_hamilton_cycles` collects
-every cycle.  The search state is three int lists: the edge states with
-the IN-edge count after them, one code per vertex that packs its
-IN-degree d and undecided-edge count u as d * K + u (K above every
-degree), and the path mate of each vertex.  The search holds one such
-state, m + 2n + 1 ints, per branching level on the current path, so
-O(depth * (m + n)) ints with depth at most m.  Every move the search
-makes, branched or forced, runs through one forced-move loop, the only
-place an edge goes IN; it examines a vertex only when the move just made
-can force it, and what a vertex forces, and how it ranks as the end of a
-branch edge, it reads from small tables indexed by the code (`_tables`).
-A search frees everything it made by reference counting, leaving no
-cycle of references for the cyclic collector.
-
-The core has two branch orders.  Full searches that visit cycles (counts,
-tallies, listing) branch on the most constrained undecided edge, which
-keeps the search tree small.  Least-cycle queries (`first_hamilton_cycle`,
-`second_cycle_nearly_cubic`) branch on the lowest-id undecided edge, IN
-child first; that order meets the cycles in ascending sorted edge-id
-order, so the search stops at the k-th cycle instead of visiting them all.
-
-The memoized counter returns from each search node the counts of the
-subtree below it, and keeps them per node for the rest of the search
-call, keyed by the node's residual problem: the edges from the lowest
-undecided one on and the mates of the path ends, both measured from the
-end of the graph.  Search nodes reached by different choices often pose
-the same problem.  A caller may pass in a memo of its own that outlives
-the call, for graphs whose edge lists end alike: past the lowest edge
-whose cycles it counts by trace, a node's key then names the same problem
-in each of them (`_search`).  The windows of a one-ended chain are such
-graphs when glued from their outer end inward, so the chain counts all
-of them on one memo (`chains._window_counts`).  A truncation window of a
-cut chain is thin: it has a 2- or 3-edge cut at every piece junction, so
-most sub-searches come back many times, and the memo turns the window's
-per-cycle enumeration, which doubles per level on chain-G, into a count
-whose cost grows polynomially with the window's length.  The counter
-branches on the lowest undecided edge.  A window numbers its edges piece
-by piece along the chain, so that edge is the search's frontier and the
-memo acts as a frontier-based search (Kawahara, Inoue, Iwashita and
-Minato, IEICE Trans. Fundamentals E100-A, 2017), whose size the edge
-order sets: the problems it meets differ only near the frontier.  The
-most constrained edge jumps about the window instead, and on one-ended
-chains with 2-edge cuts the memo then stayed exponential.  Only the window
-brute force (`chains._window_counts`) uses the counter: on segment minors
-and general graphs the key, built at every node, costs about what the
-hits save.  CHANGES.md keeps the measurements behind these choices.
-
-The full searches of the graph queries `count_through`,
-`edge_parity_report` and `count_by_trace` run in two parts at once, one
-in this process and one in a helper process (`_split`).  Each part walks
-the same deterministic top of the search tree and numbers, in search
-order, the nodes at branching depth 6 (`_SPLIT_DEPTH`): part r searches
-below the nodes whose number is r mod 2, and part 0 alone visits the
-cycles found above that depth.  So the parts share nothing but their
-results, which add up to the serial ones exactly.  The helper is forked
-on the first split query and kept for the rest of the process, one per
-process however often the package is imported; a search runs whole in
-this process where there is no `os.fork`, where the process may use
-fewer than two CPUs, where more than one thread runs (forking then is
-unsafe), and once the helper has failed.  `enumerate_hamilton_cycles`
-does not split, as the helper would send every cycle back, nor do the
-least-cycle queries, which stop early in order, nor the chain engine's
-searches (`_trace_counts` and `_sorted_cycles` on segment minors, the
-memoized counter on windows): a segment minor's search is so short that
-splitting it made `chain analyze` slower (CHANGES.md).
+Every cycle query runs on one backtracking core, `_search`, on a graph in
+integer form (`MultiGraph.ints`, or a graph the chain engine glues
+without labels).  Its docstring owns the search: the state, the one
+forced-move loop `settle`, the two branch orders, the memoized counter
+and why a memo may be shared across graphs.  The map of the rest:
+  - `_tables`: the tables indexed by a vertex's state code, from which
+    the search reads its forced moves and branch ranks;
+  - visiting queries: `enumerate_hamilton_cycles` lists every cycle,
+    `count_through` and `count_by_trace` tally inside the visitor, in
+    O(n + m) space however many cycles there are, and
+    `edge_parity_report` adds each cycle in as one packed int
+    (`_edge_tally`); the least-cycle queries `first_hamilton_cycle` and
+    `second_cycle_nearly_cubic` stop early (`_least_cycles`);
+  - counting queries: `_memo_trace_counts`, the memoized counter, for the
+    chain engine's truncation windows (`chains._window_counts`);
+  - `_split` and `_Helper`: the two-process split of the graph queries'
+    full searches;
+  - `second_cycle_lollipop`: the exchange walk on all-odd graphs.
 
 A Hamilton cycle is represented as a frozenset of edge ids; output lists are
 always sorted by the sorted edge-id tuple, so repeated runs produce
@@ -94,7 +36,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import compress
 from operator import add, itemgetter
 from typing import Callable, Iterable, Sequence
@@ -113,6 +55,7 @@ _ONES = bytes.maketrans(b"\2", b"\0")
 _PASS, _FAIL, _SATURATE, _ALL_IN = range(4)
 
 
+@cache
 def _tables(K: int) -> tuple:
     """The search's tables for vertex codes d * K + u, d an IN-degree of 0,
     1 or 2 and u an undecided-edge count below K (`_search`):
@@ -137,9 +80,12 @@ def _tables(K: int) -> tuple:
         a list past that.  `map` alone would do for every K, but it made
         the window brute force, the one user of the selector, about 12%
         slower (CHANGES.md).
-    They depend on K alone, and the search builds them once, at import,
-    for K = 64 (`_TABLES`), and inside the call for a graph with a vertex
-    of degree 64 or more."""
+    They depend on K alone, are built once per K and are shared by every
+    search, which only reads them.  `_search` takes K one more than the
+    graph's largest degree.  An edge's rank orders it by its ends'
+    IN-degrees and then their undecided counts for every K above the
+    largest degree, and which vertices are path ends does not depend on
+    K, so neither do the search tree and the memo keys."""
     du = [divmod(c, K) for c in range(3 * K)]
 
     def action(d: int, u: int) -> int:
@@ -165,10 +111,8 @@ def _tables(K: int) -> tuple:
     return K, 2 * K, K - 1, push_out, pop, rank, 4 * K, path_ends
 
 
-_TABLES = _tables(64)
-
 # the branching depth at which a split search deals out its subtrees
-# (`_search`); CHANGES.md has the sweep that chose it
+# (`_split`); CHANGES.md has the sweep that chose it
 _SPLIT_DEPTH = 6
 
 
@@ -236,16 +180,16 @@ def _search(
     s[i] (_UND, _IN or _OUT) and the number of IN edges at s[m], its last
     entry.  `code` and `mate` hold, for vertex k at index k, its code and
     its path mate.  The code is d * K + u for a vertex with IN-degree d
-    and u undecided edges, K being 64, or one more than the largest degree
-    (a loop counted once) when that is 64 or more, so u < K and the code
-    fits one int: an IN move adds K - 1 to each end's code, an OUT move
-    takes 1 off, and a vertex with IN-degree 2 and no undecided edge left
-    has code 2K.  Vertices are named by their indices throughout, and
-    `ends[i]` is the index sum of edge i's two ends, so one end taken from
-    it gives the other.  Branching copies the three lists for the IN child
-    (C-speed list copies) and hands the lists themselves to the OUT child,
-    so there is no undo trail; the visiting search takes the OUT child in
-    a loop, not a call.
+    and u undecided edges, K being one more than the largest degree (a
+    loop counted once), so u < K and the code fits one int; `_tables`
+    holds what the search reads off a code.  Vertices are named by their
+    indices throughout, and `ends[i]` is the index sum of edge i's two
+    ends, so one end taken from it gives the other.  The search holds one
+    state, m + 2n + 1 ints, per branching level on the current path, so
+    O(depth * (m + n)) ints with depth at most m.  Branching copies the
+    three lists for the IN child (C-speed list copies) and hands the lists
+    themselves to the OUT child, so there is no undo trail; the visiting
+    search takes the OUT child in a loop, not a call.
 
     Loops are OUT from the start, and IN edges always form vertex-disjoint
     paths.  The mate of a path end is the index of the path's other end
@@ -278,10 +222,11 @@ def _search(
     forced OUT is not, so the search goes on only if all of them are IN.
 
     By default each visiting search node branches on the most constrained
-    undecided edge: most IN edges at its ends, then fewest undecided edges
-    there, then lowest id.  The scan sums a rank per end, read from a
-    table by the end's code, that orders edges so, and takes at once an
-    edge whose ends are both path ends, the first that ranks `stop`.  It
+    undecided edge, which keeps the search tree small: most IN edges at
+    its ends, then fewest undecided edges there, then lowest id.  The scan
+    sums a rank per end, read from a table by the end's code, that orders
+    edges so, and takes at once an edge whose ends are both path ends,
+    the first that ranks `stop`.  It
     starts at the lowest undecided edge, since every edge below it is
     decided.  Branching at a path end instead slowed thin
     graphs with 2-edge cuts by an order of magnitude, so the edge rule
@@ -293,7 +238,8 @@ def _search(
     other; A is the smaller exactly when d is in A (both have n edges).  At
     the node where the search separates A from B, every edge below its
     branching edge is decided, and the same way for both, so that edge is
-    d; its IN child, which holds A, is searched first.
+    d; its IN child, which holds A, is searched first.  So a least-cycle
+    query stops at its k-th cycle instead of visiting them all.
 
     `visit(s)` runs once the n-th edge is IN; `settle` has then set
     every other edge OUT, s[i] == _IN for i < m marks the cycle, and
@@ -301,20 +247,17 @@ def _search(
     value ends the search.  Without `lowest_first` cycles arrive in search
     order, not sorted.
 
-    With `part` (r, k) the visiting search covers one of k parts of the
-    tree: `descend` counts the branchings above each node, numbers the
-    nodes at depth `_SPLIT_DEPTH` in the order it meets them, and goes on
-    below only those whose number is r mod k; part 0 alone visits the
-    cycles found above that depth.  The tree above it is the same in every
-    part, so the k parts together visit each cycle once (`_split`).  The
-    least-cycle search and the counting search take no `part`.
+    With `part` (r, k) the visiting search covers part r of k, and the k
+    parts together visit each cycle once (`_split`).  The least-cycle
+    search and the counting search take no `part`.
 
     With `visit` None the search counts instead, and returns {trace:
     cycles}, a trace being the bit mask of the `groups` edges (distinct
     ids, bit k for groups[k]) that a cycle uses.  `settle` runs as for a
     visitor, but `count` branches on the lowest undecided edge
     (`lowest_edge`), returns the table of the subtree below its node s, for
-    the group edges still undecided at s, and keeps it in a memo.  The
+    the group edges still undecided at s, and keeps it in a memo, since
+    nodes reached by different choices often pose the same problem.  The
     parent adds the group edges that its move to the child put IN.  The key is
     s's residual problem, all that decides the subtree's completions,
     measured from the end of the graph:
@@ -345,6 +288,20 @@ def _search(
     the visitor's; callers compare tables as dicts.  The edge states go
     in as one byte each and the mates as a tuple of ints, so a key takes
     at most about m bytes, and less the further the search has swept.
+
+    The counter branches on the lowest undecided edge, not the most
+    constrained one.  Where the edges are numbered along a run of small
+    cuts, as a truncation window numbers them piece by piece
+    (`chains._glue`), that edge is the search's frontier and the memo acts
+    as a frontier-based search (Kawahara, Inoue, Iwashita and Minato,
+    IEICE Trans. Fundamentals E100-A, 2017): the problems it meets differ
+    only near the frontier, so their number grows polynomially with the
+    graph's length.  The most constrained edge jumps about such a graph
+    instead, and on one-ended chains with 2-edge cuts the memo then stayed
+    exponential.  Only the window brute force (`chains._window_counts`)
+    uses the counter: on segment minors and general graphs the key, built
+    at every node, costs about what the hits save (CHANGES.md has the
+    measurements).
 
     The memo lives as long as this call, but for `shared`, a dict that
     its owner passes in and keeps across calls: it holds the tables of the
@@ -389,10 +346,8 @@ def _search(
     s = [_UND] * (m + 1)  # the edge states, then the IN-edge count
     code = list(map(len, inc))  # IN-degree 0, every edge undecided
     mate = list(range(n))
-    degree = max(code)  # a loop counted once
-    _, full, step, push_out, pop, rank, stop, path_ends = (
-        _TABLES if degree < _TABLES[0] else _tables(degree + 1)
-    )
+    # K, one more than the largest degree (a loop counted once)
+    _, full, step, push_out, pop, rank, stop, path_ends = _tables(max(code) + 1)
 
     def settle(
         s: list[int], code: list[int], mate: list[int], todo: Iterable[int], touched: list[int]
@@ -663,11 +618,9 @@ def _trace_counts(graph: Ints, groups: Sequence[Iterable[int]], part: tuple | No
 def _memo_trace_counts(
     graph: Ints, groups: Sequence[Iterable[int]], shared: dict | None = None
 ) -> dict:
-    """`_trace_counts` by the memoized search (`_search` with no visitor):
-    the same table, at a cost that grows polynomially in the length of a
-    thin graph such as a truncation window.  Its keys come in the order of
-    the lowest-edge search, not the visitor's, so it equals
-    `_trace_counts` as a dict, not item by item.  `shared`, if given, is a
+    """`_trace_counts` by the memoized search (`_search` with no visitor).
+    Its keys come in the order of the lowest-edge search, not the
+    visitor's, so it equals `_trace_counts` as a dict, not item by item.  `shared`, if given, is a
     memo that outlives the call, for the nodes whose lowest undecided edge
     lies above every group edge; its owner must pass it only graphs that
     `_search` allows to share one."""
@@ -908,7 +861,31 @@ def _helper() -> _Helper | None:
 def _split(job: Callable, *args) -> list:
     """The results of `job(*args, part)` on the two halves of the search,
     one searched by the helper, to be added up; or, without a helper, the
-    one result of the whole search, `part` None."""
+    one result of the whole search, `part` None.
+
+    The full searches of the graph queries `count_through`,
+    `edge_parity_report` and `count_by_trace` run in two parts at once,
+    one in this process and one in a helper process (`_Helper`).  Each
+    part (r, 2) walks the same deterministic top of the search tree:
+    `_search`'s `descend` counts the branchings above each node, numbers
+    the nodes at branching depth `_SPLIT_DEPTH` in the order it meets
+    them, and goes on below only those whose number is r mod 2; part 0
+    alone visits the cycles found above that depth.  The tree above that
+    depth is the same in both parts, so each cycle is visited by exactly
+    one part, the parts share nothing but their results, and those add up
+    to the serial ones exactly.
+
+    The helper is forked on the first split query and kept for the rest
+    of the process, one per process however often the package is
+    imported (`_helper`).  A search runs whole in this process where
+    there is no `os.fork`, where the process may use fewer than two CPUs,
+    where more than one thread runs (forking then is unsafe), and once
+    the helper has failed.  `enumerate_hamilton_cycles` does not split, as
+    the helper would send every cycle back, nor do the least-cycle
+    queries, which stop early in order, nor the chain engine's searches
+    (`_trace_counts` and `_sorted_cycles` on segment minors, the memoized
+    counter on windows): a segment minor's search is so short that
+    splitting it made `chain analyze` slower (CHANGES.md)."""
     helper = _helper()
     return [job(*args, None)] if helper is None else helper.run(job, args)
 

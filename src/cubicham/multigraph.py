@@ -6,11 +6,11 @@ serialization.  Graphs are immutable after construction: every transform
 returns a new graph with freshly assigned ids, preserving insertion order.
 Loops contribute 2 to the degree of their vertex.
 
-One checker (`_checked`) serves `MultiGraph(...)` and graph documents
-alike, and one function (`_refuse`) names a graph's first fault, so
-either one refuses a label or end other than a string, with the same
-`GraphError`.  Every graph is built through `MultiGraph(...)`: a graph
-read from JSON too (`from_doc`), and a chain piece's labeled graph.
+Every graph is built through `MultiGraph(...)`, a graph read from JSON
+(`from_doc`) and a chain piece's labeled graph too.  The one checker of a
+graph is `_checked`, the one graph-document reader `_read_doc`, and the
+one JSON writer, for graph files, chain files and command replies,
+`_dumps`; each docstring says how it works.
 """
 
 from __future__ import annotations
@@ -169,8 +169,7 @@ class MultiGraph:
         }
 
     def to_json(self) -> str:
-        """The graph as JSON text, written by `_dumps`: byte for byte what
-        the standard `json` module writes of `to_doc()` with `indent=2`."""
+        """The graph as JSON text: `to_doc()` written by `_dumps`."""
         return _dumps(self.to_doc())
 
     def to_dot(self) -> str:

@@ -1,4 +1,9 @@
-"""Seeded random graph samplers used by the audit commands and tests."""
+"""Seeded random graph samplers used by the audit commands and tests.
+
+A seed fixes every draw: the golden files, the benchmark's reference
+counts and the generated test chains depend on them, and a test pins the
+cubic sampler against a frozen copy of its first version (`tests/util.py`).
+"""
 
 from __future__ import annotations
 

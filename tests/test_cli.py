@@ -88,6 +88,46 @@ def test_hamilton_list_json(capsys):
     assert len(json.loads(out)["cycles"]) == 3
 
 
+# K4 has three Hamilton cycles; two use edge 12, and both of those use 34
+@pytest.mark.parametrize(
+    "require, forbid, cycles",
+    [("12", None, 2), (None, "12", 1), ("12", "34", 0), ("12,34", None, 2)],
+)
+def test_hamilton_count_and_list_honour_require_and_forbid(capsys, require, forbid, cycles):
+    options = []
+    if require:
+        options += ["--require", require]
+    if forbid:
+        options += ["--forbid", forbid]
+    for sub in ("count", "through"):
+        assert run(capsys, "hamilton", sub, "k4", *options) == (0, f"{cycles}\n", "")
+    code, out, _ = run(capsys, "hamilton", "list", "k4", *options)
+    listed = [line.split() for line in out.splitlines() if line]
+    assert code == 0 and len(listed) == cycles
+    for cycle in listed:
+        assert set((require or "").split(",")) - {""} <= set(cycle)
+        assert forbid not in cycle
+
+
+@pytest.mark.parametrize(
+    "sub, option",
+    [
+        ("count", "--edge"),
+        ("list", "--edge"),
+        ("through", "--edge"),
+        ("parity", "--require"),
+        ("parity", "--forbid"),
+        ("parity", "--edge"),
+        ("second", "--require"),
+        ("second", "--forbid"),
+    ],
+)
+def test_hamilton_refuses_an_option_it_does_not_read(capsys, sub, option):
+    code, out, err = run(capsys, "hamilton", sub, "k4", option, "12")
+    assert code == 2 and out == ""
+    assert f"hamilton {sub} takes no {option}" in err
+
+
 def test_hamilton_parity(capsys):
     code, out, _ = run(capsys, "hamilton", "parity", "k4")
     assert code == 0

@@ -540,9 +540,8 @@ def _wheel(k: int) -> MultiGraph:
     return MultiGraph(["hub", *rim], spokes + [(f"w{i}", rim[i], rim[(i + 1) % k]) for i in range(k)])
 
 
-# hub degree 60 is inside the tables built at import (`hamilton._TABLES`);
-# 80 and 150 build their own, and at 150 the vertex codes no longer fit
-# in a byte
+# the search's tables take K = hub degree + 1 (`hamilton._tables`): at
+# 60 and 80 every vertex code fits in a byte, and at 150 they no longer do
 @pytest.mark.parametrize("k", [60, 80, 150])
 def test_wheel_with_a_hub_of_high_degree(k):
     G = _wheel(k)
