@@ -32,7 +32,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .hamilton import _memo_trace_counts, _sorted_cycles, _trace_counts, is_hamilton_cycle
-from .multigraph import GraphError, Ints, MultiGraph, _dumps, _grid, _quote, _read_doc, _simple
+from .multigraph import GraphError, Ints, MultiGraph, _dumps, _grid, _quote, _read_doc
 
 State = frozenset  # of cut positions
 Matching = tuple[tuple[str, str], ...]  # (right stub of left piece, left stub of right piece)
@@ -68,6 +68,22 @@ class ChainPiece:
     vector hold these counts only.  The cycles themselves are enumerated
     on first use (`_cycles`), and only certificates, witnesses included,
     ask for them (`_Direction.choices`).
+
+    A piece may put several stubs on one vertex, and have parallel edges
+    or loops; its tables count the limit graph's Hamilton circles exactly
+    all the same.  A Hamilton circle crosses every finite cut an even
+    number of times (R. Diestel, *Graph Theory*, ch. 8), so each 2- or
+    3-edge cut exactly twice.  Its restriction to the segment between cuts
+    j and j+1 is then two disjoint paths, each joining a crossing at cut j
+    to one at cut j+1, since the arc beyond cut j runs out to the end and
+    back.  So it never uses two stubs of one vertex at the same cut.  In a
+    tail piece's minor a Hamilton cycle passes each dummy once, and it
+    cannot use two parallel stub edges at one vertex either: that would be
+    the 2-cycle u-beta-u, which misses alpha.  So both count the same
+    configurations: parallel interior edges are distinct edges on both
+    sides, and a loop blocks its vertex on both sides.  An initial piece's
+    minor is its chain's level-0 window, whose cycles are the arcs inside
+    cut 0 closed through beta.
     """
 
     def __init__(
@@ -132,23 +148,8 @@ class ChainPiece:
         """The segment minor in integer form (`_glue`): the piece with its
         left stubs on a dummy alpha, if it has any, and its right stubs on
         a dummy beta.  Also the ids of the stub edges at each dummy (beta's
-        alone on an initial piece), in port order.  Refused unless simple
-        when the piece has left stubs: an initial piece's minor is its
-        chain's level-0 window, never required simple."""
-        graph, groups = _glue([self], [], bool(self.left_ports), True)
-        if self.left_ports and not _simple(graph):
-            raise ChainError("segment minor is not simple")
-        return graph, groups
-
-    @cached_property
-    def _segment(self) -> MultiGraph:
-        """The segment minor as a labeled graph, for `segment_minor`: the
-        piece with its left stubs on a dummy alpha, if it has any, and its
-        right stubs on a dummy beta; stub edges keep the stub labels.
-        Refused where `_minor` refuses it."""
-        self._minor()
-        alpha = "alpha" if self.left_ports else None
-        return materialize([self], [], [None], left_dummy=alpha, right_dummy="beta")
+        alone on an initial piece), in port order."""
+        return _glue([self], [], bool(self.left_ports), True)
 
     @cached_property
     def _counts(self) -> dict:
@@ -502,12 +503,10 @@ def _at_level(chain: CutChain, n: int) -> tuple[_Direction, int]:
 
 
 def segment_minor(chain: CutChain, n: int) -> MultiGraph:
-    """The piece between cuts F(n) and F(n+1) with dummies alpha and beta."""
+    """The piece between cuts F(n) and F(n+1) with dummies alpha and beta:
+    its minor (`ChainPiece._minor`), labeled."""
     direction, j = _at_level(chain, n)
-    try:
-        return direction.piece(j + 1)._segment
-    except ChainError:
-        raise ChainError(f"segment minor at level {n} is not simple") from None
+    return materialize([direction.piece(j + 1)], [], [None], left_dummy="alpha", right_dummy="beta")
 
 
 # -- transfer layers ---------------------------------------------------------

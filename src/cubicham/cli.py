@@ -85,6 +85,16 @@ def _edge_ids(G: MultiGraph, csv: str | None) -> frozenset[int]:
     return frozenset(G.edge_by_label(label.strip()).id for label in csv.split(","))
 
 
+def _refuse_unread(args, command: str, reads: tuple[str, ...] = (), on: str = "") -> None:
+    """The one rule for a command's own options (`options`, set by
+    `_build_parser`), all None unless given: one that was given and that
+    the command does not read is a usage error.  `on` names the input, for
+    a command whose reading depends on it."""
+    for option in args.options:
+        if getattr(args, option) is not None and option not in reads:
+            raise _UsageError(f"{command} takes no --{option}" + (f" on {on}" if on else ""))
+
+
 def _emit(args, text: Callable[[], str], json_payload) -> None:
     """Write a command's reply: `json_payload` with sorted keys for JSON
     output, else the text that `text` builds, which JSON output never asks
@@ -104,6 +114,8 @@ def _write_out(args, payload: str) -> None:
 
 def _cmd_construct(args) -> int:
     name = args.name
+    reads = {"replacement": ("n",), "truncation": ("chain", "k"), "segment": ("chain", "n")}
+    _refuse_unread(args, f"construct {name}", reads.get(name, ()))
     if name == "replacement":
         if args.n is None:
             raise _UsageError("replacement needs --n")
@@ -123,11 +135,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_hamilton(args) -> int:
-    # the options each subcommand reads; it refuses the others
     reads = {"parity": (), "second": ("edge",)}.get(args.sub, ("require", "forbid"))
-    for option in ("require", "forbid", "edge"):
-        if getattr(args, option) is not None and option not in reads:
-            raise _UsageError(f"hamilton {args.sub} takes no --{option}")
+    _refuse_unread(args, f"hamilton {args.sub}", reads)
     G = _load(args.graph, "graph")
     require = _edge_ids(G, args.require)
     forbid = _edge_ids(G, args.forbid)
@@ -164,6 +173,9 @@ def _cmd_hamilton(args) -> int:
             return 1
         second = second_cycle_lollipop(G, first, e)
     else:
+        _refuse_unread(
+            args, "hamilton second", on="a graph that is not simple with all degrees odd"
+        )
         first, second = second_cycle_nearly_cubic(G)
     payload = [cycle_labels(G, first), cycle_labels(G, second)]
     _emit(args, lambda: "\n".join(" ".join(c) for c in payload), {"cycles": payload})
@@ -207,6 +219,7 @@ def _cmd_incidence(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    _refuse_unread(args, f"chain {args.sub}", ("depth",) if args.sub == "check" else ())
     chain = _load(args.chain, "chain")
     if args.sub == "analyze":
         result = count_limit_hamilton_cycles(chain)
@@ -259,7 +272,7 @@ def _cmd_chain(args) -> int:
         return 0
     # "check", the last of the subcommands argparse admits
     lo = 0 if isinstance(chain, OneEndedChain) else 1
-    depths = list(range(lo, args.depth + 1))
+    depths = list(range(lo, (2 if args.depth is None else args.depth) + 1))
     if not depths:
         raise _UsageError(
             f"--depth must be at least {lo}, the first level of a {chain.mode} chain"
@@ -276,7 +289,11 @@ def _cmd_chain(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     x = _load(args.input)
-    _write_out(args, x.to_dot() if isinstance(x, MultiGraph) else transfer_dot(x, args.levels))
+    if isinstance(x, MultiGraph):
+        _refuse_unread(args, "export-dot", on="a graph")
+        _write_out(args, x.to_dot())
+    else:
+        _write_out(args, transfer_dot(x, 3 if args.levels is None else args.levels))
     return 0
 
 
@@ -301,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--chain", default=None)
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=_cmd_construct)
+    p.set_defaults(func=_cmd_construct, options=("n", "chain", "k"))
 
     p = sub.add_parser("hamilton")
     p.add_argument("sub", choices=("count", "list", "through", "parity", "second"))
@@ -309,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require", default=None, help="comma-separated edge labels")
     p.add_argument("--forbid", default=None, help="comma-separated edge labels")
     p.add_argument("--edge", default=None)
-    p.set_defaults(func=_cmd_hamilton)
+    p.set_defaults(func=_cmd_hamilton, options=("require", "forbid", "edge"))
 
     p = sub.add_parser("incidence")
     p.add_argument("graph")
@@ -320,13 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain")
     p.add_argument("sub", choices=("analyze", "check"))
     p.add_argument("chain")
-    p.add_argument("--depth", type=int, default=2)
-    p.set_defaults(func=_cmd_chain)
+    p.add_argument("--depth", type=int, default=None, help="default 2")
+    p.set_defaults(func=_cmd_chain, options=("depth",))
 
     p = sub.add_parser("export-dot")
     p.add_argument("input")
-    p.add_argument("--levels", type=int, default=3)
-    p.set_defaults(func=_cmd_export_dot)
+    p.add_argument("--levels", type=int, default=None, help="default 3")
+    p.set_defaults(func=_cmd_export_dot, options=("levels",))
 
     return parser
 

@@ -517,23 +517,26 @@ def test_interface_size_four_refused():
 
 
 def test_nonsimple_segment_refused():
-    # both left stubs on x: the segment minor joins x to alpha twice
+    # the name is historical: both left stubs on x and both right stubs on
+    # y join x to alpha and y to beta twice, and such a segment minor is
+    # read like any other.  Each edge xy is a bridge, so the one end has
+    # degree 1 and the limit graph no Hamilton circle
     graph = MultiGraph(("x", "y"), [("xy", "x", "y")])
     piece = ChainPiece(graph, (("l1", "x"), ("l2", "x")), (("r1", "y"), ("r2", "y")))
     digon = MultiGraph(("a", "b"), [("ab1", "a", "b"), ("ab2", "a", "b")])
     initial = ChainPiece(digon, (), (("r1", "a"), ("r2", "b")))
     iface = (("r1", "l1"), ("r2", "l2"))
     chain = OneEndedChain(initial, iface, Tail((), (piece,), (), (iface,)))
-    with pytest.raises(ChainError, match="segment minor at level 0 is not simple"):
-        segment_minor(chain, 0)
-    with pytest.raises(ChainError, match="segment minor is not simple"):
-        transfer_layer(chain, 0)
+    assert not segment_minor(chain, 0).is_simple()
+    assert transfer_layer(chain, 0).counts == {}
+    assert (str(count_limit_hamilton_cycles(chain)), end_degree(chain)) == ("Zero", 1)
+    assert all(truncation_consistency(chain, k).ok for k in range(5))
 
 
 def test_initial_piece_need_not_be_simple():
-    # the initial piece's minor is the level-0 window, which was never
-    # required simple: a digon on the ladder's tail is a chain, and each of
-    # its two edges closes the one ladder ray
+    # the initial piece's minor is the level-0 window: a digon on the
+    # ladder's tail is a chain, and each of its two edges closes the one
+    # ladder ray
     ladder = chain_ladder()
     digon = MultiGraph(("u1", "l1"), [("d_1", "u1", "l1"), ("d_2", "u1", "l1")])
     initial = ChainPiece(digon, (), ladder.initial.right_ports)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cubicham
-from cubicham import cli, from_json
+from cubicham import MultiGraph, cli, from_json
 from cubicham.cli import main
 from util import alternating_double_ladder, random_chain, renamed_stubs
 
@@ -126,6 +126,41 @@ def test_hamilton_refuses_an_option_it_does_not_read(capsys, sub, option):
     code, out, err = run(capsys, "hamilton", sub, "k4", option, "12")
     assert code == 2 and out == ""
     assert f"hamilton {sub} takes no {option}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "k4", "--n", "3"], "construct k4 takes no --n"),
+        (["construct", "k4", "--chain", "chain-G", "--k", "2"], "construct k4 takes no --chain"),
+        (["construct", "replacement", "--n", "1", "--k", "4"], "replacement takes no --k"),
+        (["construct", "segment", "--chain", "chain-H", "--n", "1", "--k", "2"], "takes no --k"),
+        (["chain", "analyze", "chain-ladder", "--depth", "7"], "chain analyze takes no --depth"),
+        (["export-dot", "k4", "--levels", "0"], "export-dot takes no --levels on a graph"),
+    ],
+)
+def test_commands_refuse_an_option_they_do_not_read(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and message in err
+
+
+def test_hamilton_second_on_a_nearly_cubic_graph_takes_no_edge(tmp_path, capsys):
+    # K4 with its edge 12 subdivided: it has a vertex of degree 2, so the
+    # nearly cubic search runs, which reads no --edge
+    ends = [("1", "m"), ("m", "2"), ("1", "3"), ("1", "4"), ("2", "3"), ("2", "4"), ("3", "4")]
+    target = tmp_path / "g.json"
+    graph = MultiGraph(["1", "2", "3", "4", "m"], [(u + v, u, v) for u, v in ends])
+    target.write_text(graph.to_json())
+    code, out, err = run(capsys, "hamilton", "second", str(target), "--edge", "nosuch")
+    assert (code, out) == (2, "") and "hamilton second takes no --edge" in err
+    code, out, _ = run(capsys, "hamilton", "second", str(target))
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_export_dot_draws_three_levels_by_default(capsys):
+    assert run(capsys, "export-dot", "chain-ladder") == run(
+        capsys, "export-dot", "chain-ladder", "--levels", "3"
+    )
 
 
 def test_hamilton_parity(capsys):

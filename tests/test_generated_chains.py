@@ -9,6 +9,7 @@ pre-period of 0-2 pieces and a period of 1-3 on each tail, with 2- or
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -16,7 +17,6 @@ import pytest
 
 from cubicham import (
     BUILTIN_CHAINS,
-    ChainError,
     ChainPiece,
     MultiGraph,
     OneEndedChain,
@@ -41,6 +41,7 @@ from cubicham import (
     witness_two_cycles,
 )
 from util import (
+    KINDS,
     dummy_cycles,
     frontier_count_by_trace,
     generated_chains,
@@ -48,6 +49,7 @@ from util import (
     memo_count_by_trace,
     min_edge_cut,
     random_chain,
+    random_multigraph_piece,
     renamed_stubs,
     repeated_first_piece,
 )
@@ -111,6 +113,74 @@ def _matrix(piece, left_iface, right_iface, frontier: bool = False) -> list[list
     return [[counts.get((p, q), 0) for q in states] for p in states]
 
 
+def _check_prefix_totals(chain, result) -> None:
+    """On a one-ended chain: past the first recurrence of the supports the
+    surviving prefix total is constant for Finite and grows each
+    recurrence for Infinite."""
+    if not isinstance(chain, OneEndedChain):
+        return
+    span = chain.tail.plen * (2 ** math.comb(chain.cut_size, 2) + 8)
+    k1 = len(chain.tail.pre) + 1 + span + 1
+    totals = prefix_counts(chain, k1 + span)
+    first, last = totals[k1], totals[-1]
+    if result.tag == "zero":
+        assert last == 0
+    elif result.tag == "infinite":
+        assert last > first
+    else:
+        assert first == last == result.count
+
+
+def _check_certificates(chain, result) -> None:
+    """The count comes from the analysis; listing the certificates must
+    give exactly that many, each valid on the windows of its pre-period
+    and two periods."""
+    depth = max(len(t.pre) + 2 * t.plen for _, t in _tails(chain))
+    certs = list(result.certificates)
+    assert len(certs) == (result.count or 0)
+    for cert in certs:
+        assert validate_certificate(chain, cert, depth)
+
+
+def _multigraph_chains(seeds) -> list:
+    """The chains of `random_multigraph_piece`, one per seed, cycling
+    through KINDS, that have a tail piece whose segment minor is not
+    simple: stubs that share a vertex, or parallel edges."""
+    found = []
+    for seed in seeds:
+        chain = random_chain(random.Random(seed), *KINDS[seed % 4], random_multigraph_piece)
+        minors = [
+            materialize([piece], [], [None], left_dummy="alpha", right_dummy="beta")
+            for _, tail in _tails(chain)
+            for piece in tail.pre + tail.period
+        ]
+        if not all(minor.is_simple() for minor in minors):
+            found.append(chain)
+    return found
+
+
+def _check_multigraph_chain(chain) -> str:
+    """Every oracle on one chain: truncation consistency at each level up
+    to 5, the certificates, each end degree against the min cut of the
+    window 14 levels past its side's pre-period, and the prefix totals.
+    Returns the chain's class."""
+    result = count_limit_hamilton_cycles(chain)
+    for k in range(0 if isinstance(chain, OneEndedChain) else 1, 6):
+        assert truncation_consistency(chain, k).ok, k
+    _check_certificates(chain, result)
+    for end, tail in _tails(chain):
+        assert end_degree(chain, end) == _window_cut(chain, end, len(tail.pre) + 14), end
+    _check_prefix_totals(chain, result)
+    return result.tag
+
+
+def test_chains_with_stubs_on_one_vertex():
+    # chains whose tail pieces put several stubs on one vertex or have
+    # parallel edges are counted like any other; the oracles agree on each
+    classes = Counter(_check_multigraph_chain(chain) for chain in _multigraph_chains(range(300)))
+    assert set(classes) == {"zero", "finite", "infinite"} and sum(classes.values()) > 250
+
+
 def test_sample_covers_every_class():
     classes = {count_limit_hamilton_cycles(c).tag for c in CHAINS}
     assert classes == {"zero", "finite", "infinite"}
@@ -137,27 +207,8 @@ def test_generated_chain(index):
                 shifted = n + tail.plen if side == "right" else n - tail.plen
                 assert transfer_layer(chain, shifted).matrix() == expected, (side, j)
 
-    if isinstance(chain, OneEndedChain):
-        # past the first recurrence of the supports the surviving prefix
-        # total is constant for Finite and grows each recurrence for Infinite
-        span = chain.tail.plen * (2 ** math.comb(chain.cut_size, 2) + 8)
-        k1 = len(chain.tail.pre) + 1 + span + 1
-        totals = prefix_counts(chain, k1 + span)
-        first, last = totals[k1], totals[-1]
-        if result.tag == "zero":
-            assert last == 0
-        elif result.tag == "infinite":
-            assert last > first
-        else:
-            assert first == last == result.count
-
-    depth = max(len(t.pre) + 2 * t.plen for _, t in _tails(chain))
-    # the count comes from the analysis; listing the certificates must
-    # give exactly that many
-    certs = list(result.certificates)
-    assert len(certs) == (result.count or 0)
-    for cert in certs:
-        assert validate_certificate(chain, cert, depth)
+    _check_prefix_totals(chain, result)
+    _check_certificates(chain, result)
 
     # windows are counted by the memoized search in chain order, so twelve
     # levels are cheap
@@ -330,7 +381,9 @@ def _labeled_tables(piece) -> tuple[list, list]:
     through its labels, as item lists so the key order counts too.  The
     counts come from the visitor search (`_trace_counts`), whose order the
     integer tabulation keeps."""
-    seg, dummies = piece._segment, ("alpha", "beta")[not piece.left_ports :]
+    alpha = "alpha" if piece.left_ports else None
+    seg = materialize([piece], [], [None], left_dummy=alpha, right_dummy="beta")
+    dummies = ("alpha", "beta")[not piece.left_ports :]
     traces = hamilton._trace_counts(seg.ints, [seg.edges_at(d) for d in dummies])
     counts = {
         tuple(frozenset(seg.edges[i].label for i in trace) for trace in key): n
@@ -348,8 +401,9 @@ def test_integer_tabulation_matches_labeled_minor(index):
 
 
 def test_integer_tabulation_of_nonsimple_minors():
-    # an initial piece's minor need not be simple: a digon, which has
-    # cycles, and a vertex with a loop, which has none
+    # a piece's minor need not be simple, with left stubs or without; the
+    # integer and labeled tables must agree all the same.  Without: a
+    # digon, which has cycles, and a vertex with a loop, which has none
     ports = chain_ladder().initial.right_ports
     digon_graph = MultiGraph(("u1", "l1"), [("d_1", "u1", "l1"), ("d_2", "u1", "l1")])
     digon = ChainPiece(digon_graph, (), ports)
@@ -358,10 +412,8 @@ def test_integer_tabulation_of_nonsimple_minors():
         (),
         (("r1", "b"), ("r2", "c"), ("r3", "c")),
     )
-    for piece in (digon, looped):
-        assert (list(piece._counts.items()), list(piece._cycles.items())) == _labeled_tables(piece)
-    assert (len(digon._counts), len(looped._counts)) == (1, 0)
-    # with left stubs it must be: two left stubs on one vertex, and a loop
+    # with: two left stubs on one vertex, a loop, and two doubled rails,
+    # whose parallel edges make four distinct cycles
     parallel = ChainPiece(
         MultiGraph(("x", "y"), [("xy", "x", "y")]),
         (("l1", "x"), ("l2", "x")),
@@ -375,10 +427,18 @@ def test_integer_tabulation_of_nonsimple_minors():
         (("l1", "x"), ("l2", "y")),
         (("r1", "z"), ("r2", "w")),
     )
-    for piece in (parallel, loop):
-        for table in ("_counts", "_cycles", "_segment"):
-            with pytest.raises(ChainError, match="segment minor is not simple"):
-                getattr(piece, table)
+    rails = ChainPiece(
+        MultiGraph(
+            ("a", "b", "c", "d"),
+            [("ab1", "a", "b"), ("ab2", "a", "b"), ("cd1", "c", "d"), ("cd2", "c", "d")],
+        ),
+        (("l1", "a"), ("l2", "c")),
+        (("r1", "b"), ("r2", "d")),
+    )
+    for piece in (digon, looped, parallel, loop, rails):
+        assert (list(piece._counts.items()), list(piece._cycles.items())) == _labeled_tables(piece)
+    assert [len(p._counts) for p in (digon, looped, parallel, loop)] == [1, 0, 0, 0]
+    assert rails._counts == {(frozenset({"l1", "l2"}), frozenset({"r1", "r2"})): 4}
 
 
 def _window_cut(chain, end: str, k: int, flow=min_edge_cut) -> int:
@@ -390,12 +450,6 @@ def _window_cut(chain, end: str, k: int, flow=min_edge_cut) -> int:
         core = chain.left.piece(1)
         sink = chains.DUMMY_RIGHT if end == "right" else chains.DUMMY_LEFT
     return flow(truncation_minor(chain, k), [f"{v}@0" for v in core.graph.vertices], sink)
-
-
-def _pieces(chain) -> list:
-    """Every piece object of the chain, the initial piece first."""
-    first = [chain.initial] if isinstance(chain, OneEndedChain) else []
-    return first + [piece for _, tail in _tails(chain) for piece in tail.pre + tail.period]
 
 
 @pytest.mark.parametrize("index", range(len(EVERY_CHAIN)))

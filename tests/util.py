@@ -114,10 +114,12 @@ def isomorphic(G1: MultiGraph, G2: MultiGraph) -> bool:
 def random_piece(rng: random.Random, left: int, right: int) -> ChainPiece:
     """A chain piece cut out of a random cubic graph on 6 to 12 vertices.
 
-    Removing an edge frees a stub at each of its ends, so removed edges are
-    pairwise disjoint and every stub sits on its own vertex (the segment
-    minor stays simple). A piece with an odd number of stubs loses a vertex
-    instead and puts a stub on each of its three neighbours.
+    Removing an edge frees a stub at each of its ends. Removed edges are
+    pairwise disjoint, so every stub sits on its own vertex: the chain
+    engine accepts stubs that share a vertex (`random_multigraph_piece`
+    draws such pieces), but `tests/golden/` pins this generator's draws. A
+    piece with an odd number of stubs loses a vertex instead and puts a
+    stub on each of its three neighbours.
     """
     while True:
         G = random_cubic_graph(rng.choice((6, 8, 10, 12)), rng)
@@ -142,29 +144,67 @@ def random_piece(rng: random.Random, left: int, right: int) -> ChainPiece:
         )
 
 
+def random_multigraph_piece(rng: random.Random, left: int, right: int) -> ChainPiece:
+    """A chain piece cut out of a random cubic pairing on 4 to 10 vertices,
+    which may keep parallel edges; a pairing with a loop is redrawn.
+
+    Removing an edge frees a stub at each of its ends, and removed edges
+    may meet or run parallel, so several stubs may sit on one vertex. A
+    piece with 3 stubs loses a vertex instead, and a neighbour joined to it
+    twice gets two of its stubs. The piece need not be connected.
+    """
+    while True:
+        n = rng.choice((4, 6, 8, 10))
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        edges = list(zip(ends[::2], ends[1::2]))
+        if all(u != v for u, v in edges):
+            break
+    label = {v: f"v{v}" for v in range(n)}
+    if (left + right) % 2:
+        assert left + right == 3
+        gone = rng.randrange(n)
+        del label[gone]
+        freed = [u if v == gone else v for u, v in edges if gone in (u, v)]
+        edges = [(u, v) for u, v in edges if gone not in (u, v)]
+    else:
+        cut = rng.sample(range(len(edges)), (left + right) // 2)
+        freed = [x for i in cut for x in edges[i]]
+        edges = [e for i, e in enumerate(edges) if i not in cut]
+    rng.shuffle(freed)
+    return ChainPiece(
+        MultiGraph(list(label.values()), [(None, label[u], label[v]) for u, v in edges]),
+        tuple((f"L{i}", label[v]) for i, v in enumerate(freed[:left])),
+        tuple((f"R{i}", label[v]) for i, v in enumerate(freed[left:])),
+    )
+
+
 def _random_matching(rng: random.Random, c: int) -> tuple:
     targets = list(range(c))
     rng.shuffle(targets)
     return tuple((f"R{i}", f"L{j}") for i, j in enumerate(targets))
 
 
-def _random_tail(rng: random.Random, c: int) -> Tail:
+def _random_tail(rng: random.Random, c: int, piece) -> Tail:
     pre, plen = rng.randint(0, 2), rng.randint(1, 3)
     return Tail(
-        tuple(random_piece(rng, c, c) for _ in range(pre)),
-        tuple(random_piece(rng, c, c) for _ in range(plen)),
+        tuple(piece(rng, c, c) for _ in range(pre)),
+        tuple(piece(rng, c, c) for _ in range(plen)),
         tuple(_random_matching(rng, c) for _ in range(pre)),
         tuple(_random_matching(rng, c) for _ in range(plen)),
     )
 
 
-def random_chain(rng: random.Random, one_ended: bool, c: int):
+def random_chain(rng: random.Random, one_ended: bool, c: int, piece=random_piece):
     """A random chain with c-edge interfaces (c = 2 or 3) and, on each
-    tail, a pre-period of 0-2 pieces and a period of 1-3 pieces."""
+    tail, a pre-period of 0-2 pieces and a period of 1-3 pieces, each drawn
+    by `piece` (`random_piece` or `random_multigraph_piece`)."""
     if one_ended:
-        initial = random_piece(rng, 0, c)
-        return OneEndedChain(initial, _random_matching(rng, c), _random_tail(rng, c))
-    return TwoEndedChain(_random_tail(rng, c), _random_matching(rng, c), _random_tail(rng, c))
+        initial = piece(rng, 0, c)
+        return OneEndedChain(initial, _random_matching(rng, c), _random_tail(rng, c, piece))
+    return TwoEndedChain(
+        _random_tail(rng, c, piece), _random_matching(rng, c), _random_tail(rng, c, piece)
+    )
 
 
 KINDS = [(one_ended, c) for one_ended in (True, False) for c in (2, 3)]
